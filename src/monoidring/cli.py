@@ -7,8 +7,10 @@ Subcommands:
 * ``construct``  -- build a model from a simplicial complex file
 * ``check``      -- run the internal invariant suite on an input
 
-Exit codes: 0 success, 1 invariant violation (check), 2 parse error,
-3 enumeration cap exceeded or construction verification failure.
+Exit codes: 0 success, 1 invariant violation (check), 2 input error (a
+parse error, or a ``cohomology`` degree that is not an integer vector of
+the ambient dimension inside the cone), 3 enumeration cap exceeded or
+construction verification failure.
 
 Input formats
 -------------
@@ -122,7 +124,8 @@ def _parse_model(lines: list[str], m: int) -> DecoratedCone:
     blocks: dict[frozenset[int], Lattice] = {}
     while i < len(lines):
         header = lines[i].split()
-        assert header[0] == "lattice"
+        if header[0] != "lattice":
+            raise ParseError(f"bad lattice header: {lines[i]!r}")
         if header[1:] == ["*"]:
             key = frozenset(range(len(cone.extreme_rays)))
         else:
@@ -309,11 +312,19 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    try:
+        degree = vec(int(t) for t in args.degree.replace(",", " ").split())
+    except ValueError as exc:
+        raise ParseError(f"bad degree {args.degree!r}: entries must be integers") from exc
     kind, obj = parse_input(args.input)
     model = to_model(obj) if kind == "monoid" else obj
+    if len(degree) != model.cone.ambient_dim:
+        raise ParseError(
+            f"degree {list(degree)} has {len(degree)} entries; "
+            f"the input lives in dimension {model.cone.ambient_dim}"
+        )
     fields = _parse_fields(args.fields)
     primes = tuple(p for p in fields if p is not None)
-    degree = vec(int(t) for t in args.degree.replace(",", " ").split())
     profile = local_cohomology_at(model, degree, primes)
     ids = filter_at(model, degree)
     out = {
@@ -436,17 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="bound for the seminormality and (S2) scans",
         )
-        p.add_argument(
-            "--max-filters",
-            type=int,
-            default=5000,
-            help="cap for per-face filter enumerations",
-        )
-        p.add_argument(
-            "--seed-free",
-            action="store_true",
-            help="reserved; every computation is deterministic already",
-        )
 
     p_analyze = sub.add_parser("analyze", help="full ring-property report")
     common(p_analyze)
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NotPositive, OSError) as exc:
+    except (ParseError, NotPositive, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TooLarge, VerificationFailed) as exc:

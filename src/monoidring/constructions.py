@@ -29,6 +29,7 @@ oracle, including integer torsion primes.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cohomology import filter_at
 from .errors import VerificationFailed
@@ -274,9 +275,7 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
     # rays of the cone over the pyramid over the planed polytope
     rays = []
     for p in vertices:
-        denom = 1
-        for c in p:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in p))
         ray = tuple(int(c * denom) for c in p) + (0, denom)
         rays.append(primitive(ray))
     apex = tuple([0] * n + [1, 1])
@@ -354,12 +353,6 @@ def _even_last_lattice(dim: int):
     rows = [list(r) for r in identity(dim)]
     rows[-1][-1] = 2
     return lattice_from_rows(dim, rows)
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def builtin(name: str) -> DecoratedCone:

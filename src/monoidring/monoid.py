@@ -106,34 +106,53 @@ def member(monoid: AffineMonoid, x) -> bool:
 
     Depth-first search over residuals ordered by decreasing generator degree;
     results are memoized on the monoid, so repeated queries share work.  The
-    strictly positive grading bounds the recursion depth.
+    strictly positive grading makes every path finite; the search keeps its
+    path on an explicit stack, so long paths need no recursion.
     """
     x = tuple(x)
     if not monoid.cone.contains(x) or not monoid.group.member(x):
         return False
+    if is_zero_vec(x):
+        return True
     cache = monoid._member_cache
+    hit = cache.get(x)
+    if hit is not None:
+        return hit
     pairs = monoid._gens_by_degree
     forms = monoid.cone.support_forms
 
-    def search(y: Vec) -> bool:
-        if is_zero_vec(y):
-            return True
-        hit = cache.get(y)
-        if hit is not None:
-            return hit
+    def residuals(y: Vec):
         dy = monoid.deg(y)
-        ok = False
         for g, dg in pairs:
             if dg > dy:
                 continue
             z = vsub(y, g)
-            if all(dot(a, z) >= 0 for a in forms) and search(z):
-                ok = True
-                break
-        cache[y] = ok
-        return ok
+            if all(dot(a, z) >= 0 for a in forms):
+                yield z
 
-    return search(x)
+    # found is the answer for the frame popped last; a frame is popped once
+    # a residual of it is found or all of its residuals have failed
+    stack = [(x, residuals(x))]
+    found = False
+    while stack:
+        y, rest = stack[-1]
+        if not found:
+            z = next(rest, None)
+            if z is None:
+                cache[y] = False
+                stack.pop()
+                continue
+            if not is_zero_vec(z):
+                hit = cache.get(z)
+                if hit is None:
+                    stack.append((z, residuals(z)))
+                    continue
+                if not hit:
+                    continue
+            found = True
+        cache[y] = True
+        stack.pop()
+    return found
 
 
 def face_submonoid_generators(monoid: AffineMonoid, f: Face) -> Mat:
@@ -400,15 +419,6 @@ def restrict_model(model: DecoratedCone, f: Face) -> DecoratedCone:
         key = frozenset(sub_cone.extreme_rays[i] for i in g.ray_set)
         lambdas.append(by_rays[key])
     return decorated_cone(sub_fl, lambdas)
-
-
-def saturate_model(model: DecoratedCone) -> DecoratedCone:
-    """The normalization: every face lattice replaced by the reference group
-    restricted to the face span."""
-    fl = model.fl
-    ref = model.reference
-    lambdas = [lattice_intersect(f.span_lattice, ref) for f in fl.faces]
-    return decorated_cone(fl, lambdas)
 
 
 def model_is_normal(model: DecoratedCone) -> bool:

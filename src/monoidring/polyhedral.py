@@ -15,7 +15,6 @@ condition exhaustively at construction time.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NotInCone, NotPointed
 from .exactlin import (
@@ -23,6 +22,7 @@ from .exactlin import (
     Mat,
     Vec,
     complete_saturated_basis,
+    det,
     dot,
     is_zero_vec,
     lattice_from_rows,
@@ -30,8 +30,6 @@ from .exactlin import (
     primitive,
     rank,
     saturation,
-    sign_det_fractions,
-    solve_rational,
     unimodular_inverse,
     vadd,
     vec,
@@ -274,25 +272,65 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     return fl
 
 
+def _reference_basis(rays: Mat, ray_ids: list[int], dim: int) -> tuple[list[Vec], list[int]]:
+    """Ordered reference basis of a face and pivot columns for it.
+
+    One fraction-free echelon pass over the rays in the given order: a ray
+    is kept when it is independent of the rays kept so far, i.e. when its
+    reduction against the echelon rows is nonzero; that reduction joins the
+    echelon rows with its first nonzero column as pivot.  Each echelon row
+    vanishes on the pivots of the rows before it, so the echelon rows
+    restricted to the pivot columns form a triangular matrix with nonzero
+    diagonal.  They arise from the kept rays by invertible row operations,
+    hence det basis[:, pivots] != 0.
+    """
+    chosen: list[Vec] = []
+    echelon: list[tuple[int, Vec]] = []
+    for i in ray_ids:
+        if len(chosen) == dim:
+            break
+        r = rays[i]
+        for p, e in echelon:
+            c = r[p]
+            if c:
+                ep = e[p]
+                r = primitive(tuple(ep * x - c * y for x, y in zip(r, e)))
+        piv = next((j for j, x in enumerate(r) if x), None)
+        if piv is not None:
+            chosen.append(rays[i])
+            echelon.append((piv, r))
+    return chosen, sorted(p for p, _ in echelon)
+
+
+def _sign_of_minor(rows: list[Vec], cols: list[int]) -> int:
+    d = det([[row[j] for j in cols] for row in rows])
+    return (d > 0) - (d < 0)
+
+
 def _build_epsilon(fl: FaceLattice, reverse_rays: bool) -> dict[tuple[int, int], int]:
     """Incidence signs from per-face reference bases.
 
-    Each face gets the first linearly independent extreme rays (in index
-    order, or reversed) as an ordered basis; the sign of a cover pair (G, F)
-    is the orientation of (basis of G, u) against the basis of F, where u is
-    the difference of the ray sums, a relative interior point of F modulo
-    the span of G.
+    Each face F gets the first linearly independent extreme rays (in index
+    order, or reversed) as an ordered basis B_F; the sign of a cover pair
+    (G, F) is the orientation of (B_G, u) against B_F, where u is the
+    difference of the ray sums, a relative interior point of F modulo the
+    span of G.  That orientation is the sign of det C, where C holds the
+    coordinates in B_F of the rows of X = [B_G; u].
+
+    It is computed on integers only.  The echelon pass that picks B_F also
+    picks pivot columns P with det B_F[:, P] != 0 (see _reference_basis).
+    Every row of X lies in span F, so C B_F = X, and restricting to the
+    columns P gives C B_F[:, P] = X[:, P], hence
+    det C = det X[:, P] / det B_F[:, P]: the sign is
+    sign det X[:, P] * sign det B_F[:, P], two Bareiss determinants.
     """
     rays = fl.cone.extreme_rays
-    order = (lambda s: sorted(s, reverse=True)) if reverse_rays else sorted
     basis_of: dict[int, list[Vec]] = {}
+    pivots_of: dict[int, list[int]] = {}
     ray_sum: dict[int, Vec] = {}
     for f in fl.faces:
-        chosen: list[Vec] = []
-        for i in order(f.ray_set):
-            if rank(chosen + [rays[i]]) > len(chosen):
-                chosen.append(rays[i])
-        basis_of[f.index] = chosen
+        ids = sorted(f.ray_set, reverse=reverse_rays)
+        basis_of[f.index], pivots_of[f.index] = _reference_basis(rays, ids, f.dim)
         total = (0,) * fl.cone.ambient_dim
         for i in f.ray_set:
             total = vadd(total, rays[i])
@@ -300,14 +338,12 @@ def _build_epsilon(fl: FaceLattice, reverse_rays: bool) -> dict[tuple[int, int],
 
     eps: dict[tuple[int, int], int] = {}
     for f in fl.faces:
-        bf = basis_of[f.index]
+        cols = pivots_of[f.index]
+        sign_f = _sign_of_minor(basis_of[f.index], cols)
         for gid in fl.down_covers[f.index]:
-            g = fl.faces[gid]
+            assert fl.faces[gid].ray_set < f.ray_set
             u = vsub(ray_sum[f.index], ray_sum[gid])
-            rows = [solve_rational(mat(bf), b) for b in basis_of[gid]]
-            rows.append(solve_rational(mat(bf), u))
-            assert all(r is not None for r in rows)
-            sign = sign_det_fractions([list(map(Fraction, r)) for r in rows])
+            sign = sign_f * _sign_of_minor(basis_of[gid] + [u], cols)
             assert sign != 0
             eps[(gid, f.index)] = sign
     return eps

@@ -6,6 +6,7 @@ import pytest
 
 from monoidring.cli import main, parse_input, write_model
 from monoidring.constructions import builtin
+from monoidring.errors import ParseError
 
 
 def run_cli(args, tmp_path=None):
@@ -62,6 +63,15 @@ class TestParseInput:
         code, _, err = run_cli(["analyze", str(p)])
         assert code == 2
         assert "error" in err
+
+    def test_bad_lattice_header(self, tmp_path):
+        p = tmp_path / "bad.model"
+        p.write_text("model 2\ngenerators\n1 0\n0 1\nlatticeX 0\n1 0\n")
+        with pytest.raises(ParseError, match="bad lattice header"):
+            parse_input(str(p))
+        code, _, err = run_cli(["analyze", str(p)])
+        assert code == 2
+        assert err.startswith("error: bad lattice header")
 
     def test_invalid_decoration_rejected(self, tmp_path):
         p = tmp_path / "bad.model"
@@ -136,9 +146,21 @@ class TestCohomology:
         assert r["dims"]["q"] == [0, 0, 0, 0, 0]
         assert len(r["filter"]) == 20
 
+    @staticmethod
+    def assert_input_error(args):
+        code, out, err = run_cli(args)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_out_of_range(self, model_file_71):
-        with pytest.raises(Exception):
-            run_cli(["cohomology", model_file_71, "--degree", "0 0 -1 0"])
+        self.assert_input_error(["cohomology", model_file_71, "--degree", "0 0 -1 0"])
+
+    def test_non_integer_degree(self, model_file_71):
+        self.assert_input_error(["cohomology", model_file_71, "--degree", "0 0 1/2 1"])
+
+    def test_degree_of_wrong_length(self, model_file_71):
+        self.assert_input_error(["cohomology", model_file_71, "--degree", "0 1 1"])
 
 
 class TestConstructAndCheck:

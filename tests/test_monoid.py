@@ -65,6 +65,13 @@ class TestMember:
         assert member(m, (0,))
         assert not member(m, (-2,))
 
+    def test_long_paths_need_no_recursion(self):
+        # the search paths run about 1700 and 2000 steps deep, past the
+        # interpreter's recursion limit; the second also backtracks from there
+        assert member(numeric([2, 3]), (5001,))
+        assert member(numeric([3, 5]), (10001,))
+        assert not member(numeric([3, 5]), (7,))
+
     def test_construct_then_check(self):
         rng = random.Random(21)
         m = monoid_new([(1, 0), (1, 2), (2, 1)])

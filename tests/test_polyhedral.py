@@ -1,8 +1,10 @@
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 from monoidring.errors import NotInCone, NotPointed
 from monoidring.exactlin import dot, lattice_from_rows, mat_mul, saturation, vadd
 from monoidring.polyhedral import (
@@ -220,6 +222,124 @@ class TestIncidence:
         fl = face_lattice(pyramid_cone())
         eps2 = alternative_epsilon(fl)
         assert set(eps2) == set(fl.epsilon)
+
+
+def _fraction_coords(basis, targets):
+    """Coordinates over Q of each target in the independent rows of basis,
+    or None for a target outside their span: one Gauss-Jordan elimination
+    of the transposed system with every target as a right-hand side."""
+    k, m = len(basis), len(targets[0])
+    aug = [[Fraction(b[j]) for b in basis] + [Fraction(t[j]) for t in targets] for j in range(m)]
+    for c in range(k):
+        piv = next(i for i in range(c, m) if aug[i][c])
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(m):
+            if i != c and aug[i][c]:
+                e = aug[i][c]
+                aug[i] = [x - e * y for x, y in zip(aug[i], aug[c])]
+    out = []
+    for t in range(k, k + len(targets)):
+        if any(aug[i][t] for i in range(k, m)):
+            out.append(None)
+        else:
+            out.append([aug[i][t] for i in range(k)])
+    return out
+
+
+def _fraction_sign_det(rows):
+    """Sign of a determinant by Gaussian elimination over Q."""
+    a = [list(r) for r in rows]
+    sign = 1
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        if a[c][c] < 0:
+            sign = -sign
+        for i in range(c + 1, len(a)):
+            e = a[i][c] / a[c][c]
+            a[i] = [x - e * y for x, y in zip(a[i], a[c])]
+    return sign
+
+
+def fraction_epsilon(fl, reverse_rays):
+    """The incidence function by definition, over Q: the orientation of
+    (basis of G, u) in the basis of F, with each face's basis the first
+    independent rays in index order (or reversed) and u the difference of
+    the ray sums.  Shares no elimination or determinant with the library."""
+    rays = fl.cone.extreme_rays
+    basis_of, ray_sum = {}, {}
+    for f in fl.faces:
+        chosen = []
+        for i in sorted(f.ray_set, reverse=reverse_rays):
+            if _fraction_coords(chosen, [rays[i]])[0] is None:
+                chosen.append(rays[i])
+        basis_of[f.index] = chosen
+        ray_sum[f.index] = [sum(rays[i][j] for i in f.ray_set) for j in range(len(rays[0]))]
+    eps = {}
+    for f in fl.faces:
+        covers = fl.down_covers[f.index]
+        targets = []
+        for g in covers:
+            u = [a - b for a, b in zip(ray_sum[f.index], ray_sum[g])]
+            targets += basis_of[g] + [u]
+        coords = iter(_fraction_coords(basis_of[f.index], targets) if covers else [])
+        for g in covers:
+            rows = [next(coords) for _ in range(len(basis_of[g]) + 1)]
+            eps[(g, f.index)] = _fraction_sign_det(rows)
+    return eps
+
+
+def random_full_cones(seed, count):
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        r = rng.randint(3, 5)
+        gens = sorted(
+            {tuple(rng.randint(-2, 2) for _ in range(r - 1)) + (1,) for _ in range(r + 3)}
+        )
+        cone = dual_description(gens, r)
+        if cone.dim == r:
+            cones.append(cone)
+    return cones
+
+
+ORACLE_COMPLEXES = {
+    "tetrahedron boundary": [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
+    "4-cycle": [(1, 2), (2, 3), (3, 4), (1, 4)],
+    "triangle + point": [(1, 2, 3), (4,)],
+    "path P4": [(1, 2), (2, 3), (3, 4)],
+    "triangle boundary + point": [(1, 2), (2, 3), (1, 3), (4,)],
+}
+
+
+class TestIncidenceOracle:
+    """The integer signs (one Bareiss minor per cover pair) equal the
+    orientation computed by definition over Q, for both ray orders."""
+
+    @staticmethod
+    def assert_matches_oracle(fl):
+        assert fl.epsilon == fraction_epsilon(fl, reverse_rays=False)
+        assert alternative_epsilon(fl) == fraction_epsilon(fl, reverse_rays=True)
+
+    @pytest.mark.parametrize("name", ["pyramid-7.1", "pyramid-7.3"])
+    def test_pyramids(self, name):
+        self.assert_matches_oracle(builtin(name).fl)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+    def test_constructed_models(self, name):
+        delta = SimplicialComplex.from_facets(ORACLE_COMPLEXES[name])
+        self.assert_matches_oracle(delta_construct(delta).model.fl)
+
+    def test_random_cones(self):
+        cones = random_full_cones(seed=31, count=60)
+        assert {c.dim for c in cones} == {3, 4, 5}
+        for cone in cones:
+            self.assert_matches_oracle(face_lattice(cone))
 
 
 class TestGrading:
