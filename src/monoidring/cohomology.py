@@ -12,7 +12,7 @@ can differ.
 from dataclasses import dataclass
 
 from .errors import NotUpClosed, OutOfRange
-from .exactlin import Mat, Vec, mat, mat_mul, prime_factors, rank, rank_mod, snf
+from .exactlin import Mat, invariant_factors, prime_factors
 from .monoid import DecoratedCone
 from .polyhedral import FaceLattice, minimal_face
 
@@ -60,36 +60,44 @@ class CochainComplex:
 
 
 def cochain_complex(fl: FaceLattice, face_ids: frozenset[int]) -> CochainComplex:
+    """The cochain complex of an up-closed face filter, with a d∘d = 0 check.
+
+    Entry (g, h) of the product of two consecutive differentials is the sum
+    of eps(g, f) * eps(f, h) over the faces f with g < f < h by covers.  An
+    up-closed filter holds every such f and h once it holds g, so walking
+    the up-cover paths g -> f -> h from each member g visits exactly the
+    entries of the dense product that can be nonzero, at the cost of the
+    cover pairs instead of a matrix product.
+    """
     if not is_up_closed(fl, face_ids):
         raise NotUpClosed("the face set is not an up-closed filter")
     d = fl.top.dim
+    eps = fl.epsilon
     by_deg = tuple(
         tuple(sorted(i for i in face_ids if fl.faces[i].dim == t)) for t in range(d + 1)
     )
     matrices = []
     for t in range(d):
-        rows = by_deg[t]
-        cols = by_deg[t + 1]
-        matrices.append(
-            mat(
-                [[fl.epsilon.get((g, f), 0) for f in cols] for g in rows]
-                if rows and cols
-                else [(0,) * len(cols) for _ in rows]
-            )
-        )
-    complex_ = CochainComplex(d, by_deg, tuple(matrices))
-    for t in range(d - 1):
-        a, b = complex_.matrices[t], complex_.matrices[t + 1]
-        if a and b and a[0]:
-            prod = mat_mul(a, b)
-            assert all(all(x == 0 for x in row) for row in prod), "differential squares to zero"
-    return complex_
+        col_of = {f: k for k, f in enumerate(by_deg[t + 1])}
+        rows = []
+        for g in by_deg[t]:
+            row = [0] * len(col_of)
+            for f in fl.up_covers[g]:
+                row[col_of[f]] = eps[(g, f)]
+            rows.append(tuple(row))
+        matrices.append(tuple(rows))
+    for g in face_ids:
+        paths: dict[int, int] = {}
+        for f in fl.up_covers[g]:
+            e = eps[(g, f)]
+            for h in fl.up_covers[f]:
+                paths[h] = paths.get(h, 0) + e * eps[(f, h)]
+        assert not any(paths.values()), "differential squares to zero"
+    return CochainComplex(d, by_deg, tuple(matrices))
 
 
-def cohomology_dims(complex_: CochainComplex, p: int | None = None) -> tuple[int, ...]:
-    """dim H^t for t = 0..d over Q (p=None) or over F_p."""
-    rk = rank if p is None else (lambda m: rank_mod(m, p))
-    ranks = [rk(m) if m and m[0] else 0 for m in complex_.matrices]
+def _dims(complex_: CochainComplex, ranks: list[int]) -> tuple[int, ...]:
+    """dim H^t for t = 0..d from the ranks of the differentials."""
     dims = []
     for t in range(complex_.top_dim + 1):
         n = len(complex_.faces_by_deg[t])
@@ -99,18 +107,24 @@ def cohomology_dims(complex_: CochainComplex, p: int | None = None) -> tuple[int
     return tuple(dims)
 
 
+def _rank(factors: tuple[int, ...], p: int | None) -> int:
+    """Rank over Q (p=None) or F_p from the nonzero invariant factors."""
+    return len(factors) if p is None else sum(1 for x in factors if x % p)
+
+
+def _torsion(factors) -> frozenset[int]:
+    return frozenset().union(*(prime_factors(x) for fs in factors for x in fs if x > 1))
+
+
+def cohomology_dims(complex_: CochainComplex, p: int | None = None) -> tuple[int, ...]:
+    """dim H^t for t = 0..d over Q (p=None) or over F_p."""
+    return _dims(complex_, [_rank(invariant_factors(m), p) for m in complex_.matrices])
+
+
 def torsion_primes(complex_: CochainComplex) -> frozenset[int]:
     """Primes dividing an invariant factor of some differential: exactly the
     primes p whose F_p dimensions differ from the rational ones."""
-    primes: set[int] = set()
-    for m in complex_.matrices:
-        if not m or not m[0]:
-            continue
-        s, _, _ = snf(m)
-        for i in range(min(len(s), len(s[0]))):
-            if s[i][i] > 1:
-                primes |= prime_factors(s[i][i])
-    return frozenset(primes)
+    return _torsion(invariant_factors(m) for m in complex_.matrices)
 
 
 @dataclass(frozen=True)
@@ -134,9 +148,14 @@ class CohomologyProfile:
 
 
 def profile_of_complex(complex_: CochainComplex, primes=()) -> CohomologyProfile:
-    dims_q = cohomology_dims(complex_)
-    tors = torsion_primes(complex_)
-    dims_p = {p: cohomology_dims(complex_, p) for p in sorted(set(primes) | tors)}
+    """Dimensions over Q, over the requested primes and over every torsion
+    prime, all from one invariant-factor elimination per differential."""
+    factors = [invariant_factors(m) for m in complex_.matrices]
+    tors = _torsion(factors)
+    dims_q = _dims(complex_, [len(fs) for fs in factors])
+    dims_p = {
+        p: _dims(complex_, [_rank(fs, p) for fs in factors]) for p in sorted(set(primes) | tors)
+    }
     for p, dims in dims_p.items():
         if p not in tors:
             assert dims == dims_q, "torsion primes must flag every deviating prime"

@@ -252,6 +252,72 @@ def snf(matrix) -> tuple[Mat, Mat, Mat]:
     return mat(s), mat(u), mat(v)
 
 
+def invariant_factors(matrix) -> tuple[int, ...]:
+    """The nonzero invariant factors of an integer matrix, in divisibility
+    order; their number is the rank over Q, those prime to p give the rank
+    over F_p, and their prime divisors are the torsion primes.
+
+    Entries +-1 are pivoted first, on sparse rows (column -> entry).  A unit
+    pivot (i, j) is cleared from column j by row operations and then from
+    row i by column operations, all unimodular, so the matrix splits as
+    (1) + its Schur complement on the other rows and columns: one factor 1
+    per unit pivot.  Only the core left without unit entries goes through
+    `snf` (Dumas-Saunders-Villard, JSC 2001).  A unit pivot is taken in the
+    sparsest column of its row to limit fill-in.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    col_rows: dict[int, set[int]] = {}
+    for i, r in enumerate(matrix):
+        row = {j: x for j, x in enumerate(r) if x}
+        if row:
+            rows[i] = row
+            for j in row:
+                col_rows.setdefault(j, set()).add(i)
+    units = 0
+    queue = list(rows)
+    queued = set(queue)
+    while queue:
+        i = queue.pop()
+        queued.discard(i)
+        row = rows.get(i)
+        if row is None:
+            continue
+        unit_cols = [j for j, x in row.items() if x == 1 or x == -1]
+        if not unit_cols:
+            continue
+        j = min(unit_cols, key=lambda c: len(col_rows[c]))
+        del rows[i]
+        p = row.pop(j)
+        for c in row:
+            col_rows[c].discard(i)
+        others = col_rows.pop(j)
+        others.discard(i)
+        for k in others:
+            target = rows[k]
+            f = target.pop(j) * p
+            for c, x in row.items():
+                y = target.get(c, 0) - f * x
+                if y:
+                    if c not in target:
+                        col_rows[c].add(k)
+                    target[c] = y
+                elif c in target:
+                    del target[c]
+                    col_rows[c].discard(k)
+            if not target:
+                del rows[k]
+            elif k not in queued:
+                queue.append(k)
+                queued.add(k)
+        units += 1
+    if not rows:
+        return (1,) * units
+    cols = sorted({c for row in rows.values() for c in row})
+    s, _, _ = snf([[row.get(c, 0) for c in cols] for row in rows.values()])
+    core = tuple(s[t][t] for t in range(min(len(rows), len(cols))) if s[t][t])
+    return (1,) * units + core
+
+
 def det(matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(matrix)

@@ -3,8 +3,9 @@
 Every admissible degree vector a determines the pair (G, S) of its minimal
 face and its filter; there are finitely many such fibers.  For a base face
 G the membership pattern of a point depends only on its class in the finite
-quotient A*/D, where A* collects the reference-group points of the span of
-G and D is the intersection of all face lattices above G inside A*.  The
+quotient A*/lambda_G, where A* collects the reference-group points of the
+span of G: the decoration is monotone, so lambda_G lies in every face
+lattice above G and is the intersection of their traces on A*.  The
 realizable fibers, one witness per fiber, and the cohomology profile of
 every realizable filter together determine the depth over any field.
 """
@@ -20,16 +21,14 @@ from .cohomology import (
 )
 from .errors import BadFilter, TooLarge
 from .exactlin import (
-    Lattice,
     Vec,
     dot,
     lattice_intersect,
     quotient_decomposition,
-    quotient_structure,
     vadd,
     vec_mat,
 )
-from .monoid import DecoratedCone
+from .monoid import DecoratedCone, model_point_in_relint
 from .polyhedral import Face
 
 
@@ -49,29 +48,13 @@ class CohomologyType:
     profile: CohomologyProfile | None
 
 
-def _interval_lattices(model: DecoratedCone, g: Face):
-    """A* and the lattices B_F = A* ∩ lambda_F for every face F above g."""
-    above = model.fl.faces_above(g)
-    a_star = lattice_intersect(g.span_lattice, model.reference)
-    b_lat = {f.index: lattice_intersect(a_star, model.lattice_of(f)) for f in above}
-    return above, a_star, b_lat
-
-
-def _relint_adjust(model: DecoratedCone, g: Face, x: Vec) -> Vec:
-    """Move x into relint(g) by adding a multiple of a face-lattice interior
-    point; the class modulo every face lattice above g is unchanged."""
-    fl = model.fl
-    rays = fl.cone.extreme_rays
-    total = (0,) * fl.cone.ambient_dim
-    for i in g.ray_set:
-        total = vadd(total, rays[i])
-    q = quotient_structure(g.span_lattice, model.lattice_of(g))
-    exponent = q.invariant_factors[-1] if q.invariant_factors else 1
-    step = tuple(exponent * t for t in total)
-    outside = [i for i in range(len(fl.cone.support_forms)) if i not in g.zero_set]
-    forms = fl.cone.support_forms
+def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
+    """Add step, a point of lambda_g in relint(g), to x until x lies in
+    relint(g); the class modulo every face lattice above g is unchanged."""
+    forms = model.cone.support_forms
+    outside = [forms[i] for i in range(len(forms)) if i not in g.zero_set]
     y = x
-    while any(dot(forms[i], y) <= 0 for i in outside):
+    while any(dot(form, y) <= 0 for form in outside):
         y = vadd(y, step)
     return y
 
@@ -81,18 +64,26 @@ def fiber_types(
 ) -> list[CohomologyType]:
     """All realizable fibers, with witnesses and profiles.
 
-    For each base face the finite quotient A*/D is enumerated through an
-    aligned basis; every class has a constant membership pattern, and a
-    relative-interior representative of the class is a witness for it.
+    For each base face g the finite quotient A*/lambda_g is enumerated
+    through an aligned basis; every class has a constant membership
+    pattern, and a relative-interior representative of the class is a
+    witness for it.
+
+    lambda_g is the lattice D = ∩_{F >= g} (A* ∩ lambda_F) of the classes:
+    the family includes F = g, lambda_g lies in A* (it spans g and lies in
+    the reference group by monotonicity), and lambda_g ⊆ lambda_F for every
+    F >= g by monotonicity, so the intersection is lambda_g itself.  For x
+    in A*, x lies in A* ∩ lambda_F exactly when lambda_F.member(x), so the
+    pattern of x is read off the face lattices directly.  Equal filters
+    have equal complexes, so each distinct filter is profiled once.
     """
     out: list[CohomologyType] = []
     fl = model.fl
+    profiles: dict[frozenset[int], CohomologyProfile] = {}
     for g in fl.faces:
-        above, a_star, b_lat = _interval_lattices(model, g)
-        d_lat = a_star
-        for f in above:
-            d_lat = lattice_intersect(d_lat, b_lat[f.index])
-        factors, basis = quotient_decomposition(a_star, d_lat)
+        above = fl.faces_above(g)
+        a_star = lattice_intersect(g.span_lattice, model.reference)
+        factors, basis = quotient_decomposition(a_star, model.lattice_of(g))
         n_classes = 1
         for f in factors:
             n_classes *= f
@@ -100,18 +91,22 @@ def fiber_types(
             raise TooLarge(
                 f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap"
             )
+        members = [(f.index, model.lattice_of(f).member) for f in above]
         seen: dict[frozenset[int], Vec] = {}
         for coords in product(*(range(f) for f in factors)):
             x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
-            pattern = frozenset(f.index for f in above if b_lat[f.index].member(x))
+            pattern = frozenset(i for i, member in members if member(x))
             if pattern not in seen:
                 seen[pattern] = x
+        step = model_point_in_relint(model, g)
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
             assert fl.top.index in pattern
             assert is_up_closed(fl, pattern)
-            witness = _relint_adjust(model, g, x)
-            complex_ = cochain_complex(fl, pattern)
-            profile = profile_of_complex(complex_, primes)
+            witness = _shift_into_relint(model, g, x, step)
+            profile = profiles.get(pattern)
+            if profile is None:
+                profile = profile_of_complex(cochain_complex(fl, pattern), primes)
+                profiles[pattern] = profile
             out.append(CohomologyType(g.index, pattern, True, witness, profile))
     return out
 
@@ -144,7 +139,7 @@ def realizable(
     for coords in product(*(range(f) for f in factors)):
         x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
         if not any(b_lat[i].member(x) for i in excluded):
-            return True, _relint_adjust(model, g, x)
+            return True, _shift_into_relint(model, g, x, model_point_in_relint(model, g))
     return False, None
 
 
@@ -245,13 +240,16 @@ def depth_report(model: DecoratedCone, primes=(2, 3)) -> DepthReport:
     The fiber at the full cone with the one-element filter always realizes
     nonzero top cohomology, so the minimum is well defined and the depth
     equals the rank exactly when all lower cohomology vanishes.
+
+    One enumeration serves every field, the torsion primes outside `primes`
+    included: each profile holds its dims for its own torsion primes, and
+    for any other prime p its F_p dims equal its Q dims, which is what
+    `CohomologyProfile.dims(p)` returns.
     """
     d = model.rank
     fibers = fiber_types(model, primes)
     tors = frozenset().union(*(t.profile.torsion_primes for t in fibers)) if fibers else frozenset()
     all_primes = sorted(set(primes) | tors)
-    if tors - set(primes):
-        fibers = fiber_types(model, tuple(all_primes))
 
     def field_depth(p: int | None) -> tuple[int, dict[int, Vec]]:
         best = d

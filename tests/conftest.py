@@ -1,17 +1,23 @@
-"""Shared fixtures: the square-pyramid models, generator sets for them, and
-a seeded corpus of random decorated cones."""
+"""Shared fixtures: the square-pyramid models, generator sets for them, a
+seeded corpus of random decorated cones and the six-vertex RP² model."""
 
 import itertools
 import random
 
 import pytest
 
+from monoidring.constructions import RP2_SIX_VERTEX, delta_construct
 from monoidring.exactlin import (
     dot,
     full_lattice,
     identity,
+    invariant_factors,
     lattice_from_rows,
     lattice_intersect,
+    prime_factors,
+    rank,
+    rank_mod,
+    snf,
 )
 from monoidring.monoid import DecoratedCone, decorated_cone, model_member, monoid_new
 from monoidring.polyhedral import dual_description, face_lattice
@@ -147,6 +153,38 @@ def random_decorated_model(rng, rank, max_index=3, n_extra=3):
     return decorate_by_facets(fl, facet_lattices, full_lattice(rank))
 
 
+def corpus(seed: int, count: int, ranks=(2, 3, 4), max_index=3):
+    """A seeded list of random decorated cones of the given ranks."""
+    rng = random.Random(seed)
+    return [
+        random_decorated_model(rng, rng.choice(ranks), max_index=max_index)
+        for _ in range(count)
+    ]
+
+
+def dense_matrices(fl, ids):
+    """The differentials of a filter complex, built entry by entry."""
+    by_deg = [sorted(i for i in ids if fl.faces[i].dim == t) for t in range(fl.top.dim + 1)]
+    return [
+        tuple(tuple(fl.epsilon.get((g, f), 0) for f in by_deg[t + 1]) for g in by_deg[t])
+        for t in range(fl.top.dim)
+    ]
+
+
+def assert_kernel_matches_dense_path(m):
+    """The invariant-factor kernel against the dense rank, rank_mod and snf:
+    Q rank, F_p ranks for p in 2, 3, 5, and the torsion primes."""
+    factors = invariant_factors(m)
+    assert len(factors) == rank(m)
+    for p in (2, 3, 5):
+        assert sum(1 for x in factors if x % p) == rank_mod(m, p)
+    s, _, _ = snf(m)
+    diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
+    dense_primes = set().union(*(prime_factors(x) for x in diag if x > 1))
+    assert set().union(*(prime_factors(x) for x in factors if x > 1)) == dense_primes
+    assert factors == tuple(x for x in diag if x)
+
+
 def random_normal_model(rng, rank, n_extra=3):
     """Random cone with fully saturated lattices everywhere."""
     model = random_decorated_model(rng, rank, max_index=1, n_extra=n_extra)
@@ -166,3 +204,8 @@ def model_73():
 @pytest.fixture(scope="session")
 def monoid_71():
     return pyramid_monoid(("F1", "F3"))
+
+
+@pytest.fixture(scope="session")
+def rp2_result():
+    return delta_construct(RP2_SIX_VERTEX)

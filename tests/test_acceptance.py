@@ -50,10 +50,10 @@ from monoidring.typology import depth_report, enumerate_types, fiber_types
 
 from conftest import (
     PYRAMID_FACETS,
+    corpus,
     PYRAMID_VERTICES,
     facet_by_label,
     model_points_up_to_height,
-    random_decorated_model,
 )
 from ishida import IshidaOracle, in_cone
 
@@ -64,11 +64,6 @@ def record(number: int, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
     print(f"\nACCEPTANCE {number}: {status}{suffix}")
-
-
-@pytest.fixture(scope="module")
-def rp2_result():
-    return delta_construct(RP2_SIX_VERTEX)
 
 
 @pytest.fixture(scope="module")
@@ -213,16 +208,8 @@ def test_acceptance_4_rp2_field_dependence(rp2_result):
     assert ok
 
 
-def _corpus(seed: int, count: int, ranks=(2, 3, 4), max_index=3):
-    rng = random.Random(seed)
-    return [
-        random_decorated_model(rng, rng.choice(ranks), max_index=max_index)
-        for _ in range(count)
-    ]
-
-
 def test_acceptance_5_depth_bound_chain():
-    models = _corpus(seed=501, count=30)
+    models = corpus(seed=501, count=30)
     assert len(models) >= 30
     ok = True
     for model in models:
@@ -234,7 +221,7 @@ def test_acceptance_5_depth_bound_chain():
 
 
 def test_acceptance_6_simple_cone_consequences():
-    models = _corpus(seed=601, count=20, ranks=(2, 3))
+    models = corpus(seed=601, count=20, ranks=(2, 3))
     ok = True
     for model in models:
         rep = depth_report(model, primes=(2, 3))
@@ -249,7 +236,7 @@ def test_acceptance_6_simple_cone_consequences():
 
 
 def test_acceptance_7_normal_models():
-    models = _corpus(seed=701, count=20, max_index=1)
+    models = corpus(seed=701, count=20, max_index=1)
     ok = True
     for model in models:
         rep = depth_report(model, primes=(2, 3))
@@ -266,7 +253,7 @@ def test_acceptance_7_normal_models():
 def test_acceptance_8_frobenius_primes_cross_check():
     # rank <= 3 models keep every face quotient of rank <= 2, so the
     # brute-force coset enumeration is available on all faces
-    models = _corpus(seed=801, count=12, ranks=(2, 3))
+    models = corpus(seed=801, count=12, ranks=(2, 3))
     ok = True
     for model in models:
         bad = f_bad_primes(model)
@@ -296,7 +283,7 @@ def test_acceptance_9_infrastructure():
     ok = True
 
     # differential squares to zero on every realizable filter complex
-    for model in _corpus(seed=902, count=4, ranks=(3, 4)):
+    for model in corpus(seed=902, count=4, ranks=(3, 4)):
         for t in fiber_types(model):
             c = cochain_complex(model.fl, t.filter_ids)
             for a, b in zip(c.matrices, c.matrices[1:]):

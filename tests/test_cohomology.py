@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,11 +15,19 @@ from monoidring.cohomology import (
     torsion_primes,
 )
 from monoidring.errors import NotUpClosed, OutOfRange
-from monoidring.exactlin import vadd, vscale
+from monoidring.exactlin import mat_mul, vadd, vscale
 from monoidring.monoid import model_point_in_relint
 from monoidring.polyhedral import alternative_epsilon, dual_description, face_lattice
+from monoidring.typology import enumerate_types, fiber_types
 
-from conftest import facet_by_label, pyramid_model, random_decorated_model
+from conftest import (
+    assert_kernel_matches_dense_path,
+    corpus,
+    dense_matrices,
+    facet_by_label,
+    pyramid_model,
+    random_decorated_model,
+)
 
 
 def odd_apex_ray_point(model):
@@ -221,3 +230,61 @@ class TestEpsilonIndependence:
             c2 = CochainComplex(d, by_deg, tuple(mats))
             assert cohomology_dims(c1) == cohomology_dims(c2)
             assert cohomology_dims(c1, 2) == cohomology_dims(c2, 2)
+
+
+def all_filters(model):
+    return {t.filter_ids for t in enumerate_types(model, max_filters_per_face=10**6)}
+
+
+class TestInvariantFactorKernel:
+    def test_filter_complexes_match_dense_path(self, model_71, model_73):
+        # every realizable filter of the seed-501 corpus, every up-closed
+        # filter of the two pyramids
+        cases = [({t.filter_ids for t in fiber_types(m)}, m) for m in corpus(seed=501, count=30)]
+        cases += [(all_filters(m), m) for m in (model_71, model_73)]
+        complexes = 0
+        for filters, model in cases:
+            fl = model.fl
+            for ids in filters:
+                for m in cochain_complex(fl, ids).matrices:
+                    assert_kernel_matches_dense_path(m)
+                complexes += 1
+        assert complexes > 500
+
+
+class TestSquareCheck:
+    def corrupted(self, fl):
+        """The face lattice with one sign flipped on the cover pair (h, top),
+        h a facet: every diamond from a ridge below h to the top breaks."""
+        top = fl.top.index
+        h = fl.down_covers[top][0]
+        eps = dict(fl.epsilon)
+        eps[(h, top)] = -eps[(h, top)]
+        return dataclasses.replace(fl, epsilon=eps)
+
+    def test_flipped_sign_raises_on_full_filter(self, model_71):
+        fl = model_71.fl
+        full = frozenset(f.index for f in fl.faces)
+        cochain_complex(fl, full)
+        with pytest.raises(AssertionError, match="squares to zero"):
+            cochain_complex(self.corrupted(fl), full)
+
+    def test_sparse_check_fires_exactly_with_dense_product(self, model_71):
+        # on every up-closed filter the path sums see what mat_mul sees
+        bad = self.corrupted(model_71.fl)
+        fired = 0
+        for ids in all_filters(model_71):
+            mats = dense_matrices(bad, ids)
+            dense_nonzero = any(
+                any(any(row) for row in mat_mul(a, b))
+                for a, b in zip(mats, mats[1:])
+                if a and b and a[0] and b[0]
+            )
+            try:
+                cochain_complex(bad, ids)
+                sparse_fired = False
+            except AssertionError:
+                sparse_fired = True
+            assert sparse_fired == dense_nonzero
+            fired += sparse_fired
+        assert fired > 0

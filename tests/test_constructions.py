@@ -95,6 +95,20 @@ class TestSimplicialHomology:
         assert hom.reduced_rank(2, 2) == 1
         assert hom.reduced_rank(1, 3) == 0
 
+    def test_oracle_keeps_its_own_dense_path(self, monkeypatch):
+        # the homology oracle checks the filter-complex kernel, so it must
+        # not run on it
+        import monoidring.constructions as constructions
+        import monoidring.exactlin as exactlin
+
+        def kernel_called(*args):
+            raise AssertionError("simplicial_homology called invariant_factors")
+
+        assert not hasattr(constructions, "invariant_factors")
+        monkeypatch.setattr(exactlin, "invariant_factors", kernel_called)
+        hom = simplicial_homology(RP2_SIX_VERTEX, primes=(2, 3))
+        assert hom.torsion_primes == frozenset({2})
+
     def test_full_triangle_boundary(self):
         circle = SimplicialComplex.from_facets([(1, 2), (2, 3), (1, 3)])
         hom = simplicial_homology(circle)

@@ -12,6 +12,7 @@ from monoidring.exactlin import (
     full_lattice,
     hnf,
     identity,
+    invariant_factors,
     lattice_from_rows,
     lattice_intersect,
     lattice_member,
@@ -28,6 +29,8 @@ from monoidring.exactlin import (
     unimodular_inverse,
     vec_mat,
 )
+
+from conftest import assert_kernel_matches_dense_path
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -316,3 +319,28 @@ class TestKernelRank:
         sol = solve_rational(rows, (2, 3, 2))
         assert sol == (Fraction(1), Fraction(1))
         assert solve_rational(rows, (0, 0, 1)) is None
+
+
+class TestInvariantFactors:
+    def test_random_matrices_match_dense_path(self):
+        rng = random.Random(1301)
+        for _ in range(400):
+            rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+            m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            for i in range(rows):
+                if rng.random() < 0.2:
+                    m[i] = [0] * cols
+            assert_kernel_matches_dense_path(mat(m))
+
+    def test_zero_and_empty_matrices(self):
+        for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (3, 4)]:
+            m = mat([[0] * cols for _ in range(rows)])
+            assert invariant_factors(m) == ()
+            assert_kernel_matches_dense_path(m)
+
+    def test_core_without_units(self):
+        # no entry is a unit, so everything goes through the core snf
+        m = mat([[2, 4], [6, 8]])
+        assert invariant_factors(m) == (2, 4)
+        assert invariant_factors(mat([[1, 0], [0, 6]])) == (1, 6)
+        assert invariant_factors(mat([[2, 3]])) == (1,)

@@ -1,13 +1,28 @@
 import random
+from itertools import product
 
 import pytest
 
-from monoidring.cohomology import filter_at, local_cohomology_at
+from monoidring import typology
+from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
 from monoidring.errors import BadFilter, TooLarge
-from monoidring.exactlin import vscale
+from monoidring.exactlin import (
+    dot,
+    lattice_intersect,
+    prime_factors,
+    quotient_decomposition,
+    quotient_structure,
+    rank,
+    rank_mod,
+    snf,
+    vadd,
+    vec_mat,
+    vscale,
+)
 from monoidring.monoid import model_point_in_relint, restrict_model
 from monoidring.polyhedral import dual_description, face_lattice, minimal_face
 from monoidring.typology import (
+    CohomologyType,
     depth_report,
     enumerate_types,
     fiber_types,
@@ -15,7 +30,9 @@ from monoidring.typology import (
 )
 
 from conftest import (
+    corpus,
     decorate_by_facets,
+    dense_matrices,
     facet_by_label,
     pyramid_model,
     random_decorated_model,
@@ -211,3 +228,95 @@ class TestDepthReport:
             rep = depth_report(model, primes=(2, 3))
             for p, dp in rep.depth_by_prime.items():
                 assert dp <= rep.depth_q
+
+
+def intersection_lattice(model, g):
+    """A* and D = ∩_{F >= g} (A* ∩ lambda_F), intersected one by one."""
+    above = model.fl.faces_above(g)
+    a_star = lattice_intersect(g.span_lattice, model.reference)
+    b_lat = {f.index: lattice_intersect(a_star, model.lattice_of(f)) for f in above}
+    d_lat = a_star
+    for f in above:
+        d_lat = lattice_intersect(d_lat, b_lat[f.index])
+    return above, a_star, b_lat, d_lat
+
+
+def dense_profile(fl, ids, primes):
+    """Filter-complex profile from matrices built entry by entry, with the
+    dense rank, rank_mod and snf."""
+    d = fl.top.dim
+    by_deg = [[i for i in ids if fl.faces[i].dim == t] for t in range(d + 1)]
+    mats = dense_matrices(fl, ids)
+    tors = set()
+    for m in mats:
+        if m and m[0]:
+            s, _, _ = snf(m)
+            for i in range(min(len(s), len(s[0]))):
+                if s[i][i] > 1:
+                    tors |= prime_factors(s[i][i])
+
+    def dims(p):
+        rk = [(rank(m) if p is None else rank_mod(m, p)) if m and m[0] else 0 for m in mats]
+        return tuple(
+            len(by_deg[t]) - (rk[t] if t < d else 0) - (rk[t - 1] if t > 0 else 0)
+            for t in range(d + 1)
+        )
+
+    dims_p = {p: dims(p) for p in sorted(set(primes) | tors)}
+    return CohomologyProfile(dims(None), dims_p, frozenset(tors))
+
+
+def intersection_fiber_types(model, primes):
+    """The enumeration by intersections of the face lattices above each base
+    face, with witnesses moved into relint(g) by repeated relint steps."""
+    fl = model.fl
+    rays = fl.cone.extreme_rays
+    forms = fl.cone.support_forms
+    out = []
+    for g in fl.faces:
+        above, a_star, b_lat, d_lat = intersection_lattice(model, g)
+        factors, basis = quotient_decomposition(a_star, d_lat)
+        seen = {}
+        for coords in product(*(range(f) for f in factors)):
+            x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
+            pattern = frozenset(f.index for f in above if b_lat[f.index].member(x))
+            seen.setdefault(pattern, x)
+        total = (0,) * fl.cone.ambient_dim
+        for i in g.ray_set:
+            total = vadd(total, rays[i])
+        q = quotient_structure(g.span_lattice, model.lattice_of(g))
+        step = vscale(q.invariant_factors[-1] if q.invariant_factors else 1, total)
+        outside = [forms[i] for i in range(len(forms)) if i not in g.zero_set]
+        for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
+            while any(dot(form, x) <= 0 for form in outside):
+                x = vadd(x, step)
+            out.append(CohomologyType(g.index, pattern, True, x, dense_profile(fl, pattern, primes)))
+    return out
+
+
+class TestFiberShortcuts:
+    def test_intersection_lattice_is_base_lattice(self, model_71, model_73):
+        # monotonicity makes D = ∩_{F >= G} (A* ∩ lambda_F) equal lambda_G
+        for model in corpus(seed=501, count=30) + [model_71, model_73]:
+            for g in model.fl.faces:
+                assert intersection_lattice(model, g)[3] == model.lattice_of(g)
+
+    def test_same_types_as_intersection_enumeration(self):
+        for model in corpus(seed=501, count=30):
+            assert fiber_types(model, primes=(2, 3)) == intersection_fiber_types(model, (2, 3))
+
+    def test_one_enumeration_serves_torsion_primes(self, rp2_result, monkeypatch):
+        # 2 is a torsion prime of RP² but not a requested one: its depth is
+        # read from the one enumeration
+        calls = []
+        original = typology.fiber_types
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(typology, "fiber_types", counted)
+        rep = typology.depth_report(rp2_result.model, primes=())
+        assert len(calls) == 1
+        assert rep.depth_by_prime == {2: 5}
+        assert rep.torsion_primes == frozenset({2})
