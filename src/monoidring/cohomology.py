@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import NotUpClosed, OutOfRange
 from .exactlin import Mat, invariant_factors, prime_factors
 from .monoid import DecoratedCone
-from .polyhedral import FaceLattice, minimal_face
+from .polyhedral import Face, FaceLattice, minimal_face
 
 
 def filter_at(model: DecoratedCone, a) -> frozenset[int]:
@@ -59,8 +59,16 @@ class CochainComplex:
         return sum((-1) ** t * len(fs) for t, fs in enumerate(self.faces_by_deg))
 
 
-def cochain_complex(fl: FaceLattice, face_ids: frozenset[int]) -> CochainComplex:
+def cochain_complex(
+    fl: FaceLattice, face_ids: frozenset[int], top: Face | None = None
+) -> CochainComplex:
     """The cochain complex of an up-closed face filter, with a d∘d = 0 check.
+
+    The filter lives in the interval of faces below top (default: the whole
+    cone) and is up-closed there; the complex runs over degrees 0..dim top,
+    with the incidence function restricted to the interval.  That
+    restriction is an incidence function of the interval's own face lattice,
+    because the diamond condition only involves faces between g and h.
 
     Entry (g, h) of the product of two consecutive differentials is the sum
     of eps(g, f) * eps(f, h) over the faces f with g < f < h by covers.  An
@@ -69,9 +77,14 @@ def cochain_complex(fl: FaceLattice, face_ids: frozenset[int]) -> CochainComplex
     entries of the dense product that can be nonzero, at the cost of the
     cover pairs instead of a matrix product.
     """
-    if not is_up_closed(fl, face_ids):
-        raise NotUpClosed("the face set is not an up-closed filter")
-    d = fl.top.dim
+    top = fl.top if top is None else top
+    if not all(fl.faces[i].ray_set <= top.ray_set for i in face_ids):
+        raise NotUpClosed("the face set leaves the interval below top")
+    for i in face_ids:
+        for u in fl.up_covers[i]:
+            if u not in face_ids and fl.faces[u].ray_set <= top.ray_set:
+                raise NotUpClosed("the face set is not an up-closed filter")
+    d = top.dim
     eps = fl.epsilon
     by_deg = tuple(
         tuple(sorted(i for i in face_ids if fl.faces[i].dim == t)) for t in range(d + 1)
@@ -83,15 +96,18 @@ def cochain_complex(fl: FaceLattice, face_ids: frozenset[int]) -> CochainComplex
         for g in by_deg[t]:
             row = [0] * len(col_of)
             for f in fl.up_covers[g]:
-                row[col_of[f]] = eps[(g, f)]
+                if f in col_of:
+                    row[col_of[f]] = eps[(g, f)]
             rows.append(tuple(row))
         matrices.append(tuple(rows))
     for g in face_ids:
         paths: dict[int, int] = {}
         for f in fl.up_covers[g]:
-            e = eps[(g, f)]
-            for h in fl.up_covers[f]:
-                paths[h] = paths.get(h, 0) + e * eps[(f, h)]
+            if f in face_ids:
+                e = eps[(g, f)]
+                for h in fl.up_covers[f]:
+                    if h in face_ids:
+                        paths[h] = paths.get(h, 0) + e * eps[(f, h)]
         assert not any(paths.values()), "differential squares to zero"
     return CochainComplex(d, by_deg, tuple(matrices))
 

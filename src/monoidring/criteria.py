@@ -7,9 +7,9 @@ Frobenius splitting, and the Gorenstein test for Cohen-Macaulay models.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
+from .cohomology import cochain_complex, profile_of_complex
 from .errors import HypothesisUnverified, NotCM
 from .exactlin import (
     Vec,
@@ -17,16 +17,11 @@ from .exactlin import (
     lattice_intersect,
     prime_factors,
     quotient_structure,
+    solve_rational,
 )
-from .monoid import (
-    AffineMonoid,
-    DecoratedCone,
-    face_group,
-    member,
-    restrict_model,
-)
+from .monoid import AffineMonoid, DecoratedCone, face_group, member
 from .polyhedral import Face, is_simple_face, minimal_face
-from .typology import DepthReport, depth_report
+from .typology import DepthReport, depth_report, fiber_types
 
 
 def s2_lattice_test(model: DecoratedCone) -> tuple[bool, int | None]:
@@ -148,12 +143,23 @@ def simple_cone_cm(model: DecoratedCone) -> tuple[bool | None, dict[int, bool]]:
 
 
 def n_value(model: DecoratedCone) -> int:
-    """Largest i such that every face of dimension <= i is normal (<= rank)."""
+    """Largest i such that every face of dimension <= i is normal (<= rank).
+
+    A face f is normal exactly when every cover g ⋖ h below f is tight,
+    lambda_g = lambda_h ∩ span g.  If f is normal, both sides equal
+    lambda_f ∩ span g.  Conversely, along a maximal chain from g up to f,
+    tight covers give lambda_h = lambda_f ∩ span h at every step, down to
+    h = g.  So the smallest non-normal face is the upper face h of a
+    non-tight cover, and one sweep over the cover pairs decides n.
+    """
     fl = model.fl
     worst = model.rank
-    for f in fl.faces:
-        if not model_face_is_normal(model, f):
-            worst = min(worst, f.dim - 1)
+    for g in fl.faces:
+        for h in fl.up_covers[g.index]:
+            dim_h = fl.faces[h].dim
+            if dim_h - 1 < worst:
+                if model.lattice_of(g) != lattice_intersect(model.lambdas[h], g.span_lattice):
+                    worst = dim_h - 1
     return worst
 
 
@@ -166,22 +172,54 @@ class DepthBounds:
 
 
 def depth_bounds_multi(model: DecoratedCone, primes=(2, 3)) -> dict[int | None, DepthBounds]:
-    """The chain depth >= c_K >= min(n + 1, rank) over Q and each prime,
-    sharing the per-face depth reports across the fields."""
-    n = n_value(model)
+    """The chain depth >= c_K >= min(n + 1, rank) over Q and each prime.
+
+    c_K needs the Cohen-Macaulay verdict of every face-restricted model
+    W_F, and all of them come from the parent's one fiber enumeration.  W_F
+    has the parent's lattices on the faces below F and reference lattice
+    lambda_F, so its classes at a face G <= F are those of
+    span G ∩ lambda_F, a subgroup of the parent's A*.  A parent class x in
+    A*/lambda_G with pattern S lies in it exactly when x is in lambda_F,
+    that is when F is in S, and its W_F pattern is then S ∩ [G, F].  So the
+    realizable filters of W_F are these sub-filters.  Each one's complex is
+    the interval complex below F with the parent's incidence signs; any two
+    incidence functions give isomorphic complexes (Bruns-Herzog, §6.2).
+    W_F is Cohen-Macaulay exactly when no sub-filter has cohomology below
+    degree dim F, and W_top is the model itself.
+
+    c_K over a field is one less than the dimension of the first face, by
+    increasing dimension, that is not Cohen-Macaulay (the rank if there is
+    none), so faces above that dimension are never profiled.
+    """
     fl = model.fl
-    reports = {
-        f.index: depth_report(restrict_model(model, f), primes=primes) for f in fl.faces
+    d = model.rank
+    fields = (None, *primes)
+    below: list[frozenset[int]] = []
+    for f in fl.faces:
+        below.append(frozenset({f.index}).union(*(below[g] for g in fl.down_covers[f.index])))
+    fibers = fiber_types(model, primes)
+    subs: list[set[frozenset[int]]] = [set() for _ in fl.faces]
+    for t in fibers:
+        for i in t.filter_ids:
+            subs[i].add(t.filter_ids & below[i])
+    depth = {
+        p: min(next((k for k, x in enumerate(t.profile.dims(p)) if x), d) for t in fibers)
+        for p in fields
     }
-    out = {}
-    for p in (None, *primes):
-        c_k = model.rank
-        for f in fl.faces:
-            if f.dim - 1 < c_k and not reports[f.index].cm(p):
-                c_k = f.dim - 1
-        depth = reports[fl.top.index].depth(p)
-        out[p] = DepthBounds(c_k, n, depth, depth >= c_k >= min(n + 1, model.rank))
-    return out
+    c_k = {p: d if depth[p] == d else d - 1 for p in fields}
+    for f in fl.faces[:-1]:
+        open_fields = [p for p in fields if f.dim - 1 < c_k[p]]
+        if not open_fields:
+            break
+        for sub in subs[f.index]:
+            profile = profile_of_complex(cochain_complex(fl, sub, f), primes)
+            for p in open_fields:
+                if any(profile.dims(p)[: f.dim]):
+                    c_k[p] = f.dim - 1
+    n = n_value(model)
+    return {
+        p: DepthBounds(c_k[p], n, depth[p], depth[p] >= c_k[p] >= min(n + 1, d)) for p in fields
+    }
 
 
 def depth_bounds(model: DecoratedCone, p: int | None = None) -> DepthBounds:
@@ -202,25 +240,6 @@ def f_bad_primes(model: DecoratedCone) -> frozenset[int]:
     return frozenset(out)
 
 
-def _sigma_forms(model: DecoratedCone) -> list[tuple[Vec, int]]:
-    """Per facet: the support form and the positive generator of its value
-    group on the reference lattice, so sigma = form / scale is the primitive
-    integer-valued form on the reference group vanishing on the facet."""
-    fl = model.fl
-    ref = model.reference
-    out = []
-    for i in fl.facet_indices():
-        facet = fl.faces[i]
-        form_idx = next(iter(facet.zero_set))
-        form = fl.cone.support_forms[form_idx]
-        scale = 0
-        for b in ref.basis:
-            scale = gcd(scale, dot(form, b))
-        assert scale > 0
-        out.append((form, scale))
-    return out
-
-
 def gorenstein_check(
     model: DecoratedCone, p: int | None = None, report: DepthReport | None = None
 ) -> tuple[bool, Vec | None]:
@@ -228,16 +247,19 @@ def gorenstein_check(
 
     Facets of group index > 2 rule it out.  Otherwise the candidate b is the
     unique reference point with sigma_F(b) = 0 on index-2 facets and = 1 on
-    the others; it must lie in the cone's reference points and outside every
-    index-2 facet lattice.
+    the others; it must exist and lie outside every index-2 facet lattice.
+    Here sigma_F = form_F / scale_F is the primitive form on the reference
+    group vanishing on F, scale_F the gcd of form_F over the reference
+    basis.  Such a b always lies in the cone: every sigma_F(b) is 0 or 1.
     """
     rep = report if report is not None else depth_report(model, primes=() if p is None else (p,))
     if not rep.cm(p):
         raise NotCM("the Gorenstein test requires a Cohen-Macaulay model")
     fl = model.fl
     ref = model.reference
+    facet_ids = fl.facet_indices()
     gammas = {}
-    for i in fl.facet_indices():
+    for i in facet_ids:
         facet = fl.faces[i]
         numerator = lattice_intersect(ref, facet.span_lattice)
         q = quotient_structure(numerator, model.lattice_of(facet))
@@ -246,44 +268,17 @@ def gorenstein_check(
         gammas[i] = gamma
         if gamma > 2:
             return False, None
-    sigma = _sigma_forms(model)
-    facet_ids = fl.facet_indices()
-    # solve sigma_F(b) = target over the reference coordinates
-    k = ref.rank
-    rows = []
-    rhs = []
-    for (form, scale), i in zip(sigma, facet_ids):
-        rows.append([Fraction(dot(form, b), scale) for b in ref.basis])
-        rhs.append(Fraction(0 if gammas[i] == 2 else 1))
-    # gaussian elimination on the overdetermined system
-    aug = [row + [r] for row, r in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c]:
-                e = aug[i][c]
-                aug[i] = [x - e * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][k]:
-            return False, None
-    assert len(piv_cols) == k, "facet forms span the dual space of a pointed cone"
-    coords = [Fraction(0)] * k
-    for i, c in enumerate(piv_cols):
-        coords[c] = aug[i][k]
-    if any(c.denominator != 1 for c in coords):
+    # sigma_F(b) = target over the reference coordinates, times scale_F:
+    # row j is (form_F . b_j)_F, the target scale_F * target_F
+    forms = [fl.cone.support_forms[next(iter(fl.faces[i].zero_set))] for i in facet_ids]
+    rows = [tuple(dot(form, b) for form in forms) for b in ref.basis]
+    scales = [gcd(*column) for column in zip(*rows)]
+    rhs = [0 if gammas[i] == 2 else scale for i, scale in zip(facet_ids, scales)]
+    coords = solve_rational(rows, rhs)
+    if coords is None or any(c.denominator != 1 for c in coords):
         return False, None
     b = ref.from_coords([int(c) for c in coords])
-    if not model.cone.contains(b):
-        return False, None
+    assert model.cone.contains(b), "every sigma_F(b) is 0 or 1"
     for i in facet_ids:
         if gammas[i] == 2 and model.lambdas[i].member(b):
             return False, None

@@ -168,14 +168,14 @@ def face_group(monoid: AffineMonoid, f: Face) -> Lattice:
 
 
 def _primitive_multiple_in(lat: Lattice, ray: Vec) -> Vec:
-    """Smallest positive multiple of a primitive ray lying in the lattice."""
-    k = 1
-    while True:
-        candidate = tuple(k * r for r in ray)
-        if lat.member(candidate):
-            return candidate
-        k += 1
-        assert k <= 10**6, "ray is not in the rational span of the lattice"
+    """Smallest positive multiple of a primitive ray lying in the lattice:
+    k * ray lies in lat exactly when k * coords is integral, so k is the lcm
+    of the denominators of the ray's rational lattice coordinates."""
+    coords = solve_rational(lat.basis, ray)
+    if coords is None:
+        raise ValueError("ray is not in the rational span of the lattice")
+    k = math.lcm(*(c.denominator for c in coords))
+    return tuple(k * r for r in ray)
 
 
 def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:

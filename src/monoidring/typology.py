@@ -59,6 +59,9 @@ def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
     return y
 
 
+_latest: dict[tuple, tuple[DecoratedCone, tuple[CohomologyType, ...]]] = {}
+
+
 def fiber_types(
     model: DecoratedCone, primes=(), max_classes_per_face: int = 100000
 ) -> list[CohomologyType]:
@@ -76,7 +79,14 @@ def fiber_types(
     in A*, x lies in A* ∩ lambda_F exactly when lambda_F.member(x), so the
     pattern of x is read off the face lattices directly.  Equal filters
     have equal complexes, so each distinct filter is profiled once.
+
+    The latest enumeration is kept, so depth_report and depth_bounds_multi
+    on one model share it; only one is kept, so no other model's fibers
+    stay alive.
     """
+    key = (id(model), tuple(primes), max_classes_per_face)
+    if key in _latest:
+        return list(_latest[key][1])
     out: list[CohomologyType] = []
     fl = model.fl
     profiles: dict[frozenset[int], CohomologyProfile] = {}
@@ -108,6 +118,8 @@ def fiber_types(
                 profile = profile_of_complex(cochain_complex(fl, pattern), primes)
                 profiles[pattern] = profile
             out.append(CohomologyType(g.index, pattern, True, witness, profile))
+    _latest.clear()
+    _latest[key] = (model, tuple(out))  # the model stays alive, so its id is not reused
     return out
 
 

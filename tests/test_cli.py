@@ -127,6 +127,16 @@ class TestAnalyze:
         _, out2, _ = run_cli(["analyze", model_file_71])
         assert out1 == out2
 
+    def test_class_cap_exits_three(self, tmp_path):
+        # the ray (0, 1) carries a lattice of index 100001, one class more
+        # than the fiber enumeration's cap
+        p = tmp_path / "wide.model"
+        p.write_text("model 2\ngenerators\n1 0\n0 1\nlattice 0\n0 100001\n")
+        code, out, err = run_cli(["analyze", str(p)])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestCohomology:
     def test_odd_ray_degree(self, model_file_71):
@@ -182,6 +192,15 @@ class TestConstructAndCheck:
         )
         r = json.loads(out)
         assert r["dims"]["q"][3] == 1
+
+    def test_check_exits_one_on_a_failed_invariant(self, m23_file, monkeypatch):
+        import monoidring.monoid
+
+        monkeypatch.setattr(monoidring.monoid, "sn_member", lambda monoid, x: False)
+        code, out, _ = run_cli(["check", m23_file])
+        assert code == 1
+        failed = [r["check"] for r in json.loads(out) if not r["ok"]]
+        assert failed == ["generators pass the membership chain"]
 
     def test_check_passes_on_shipped_model(self, model_file_71):
         code, out, _ = run_cli(["check", model_file_71])

@@ -16,7 +16,7 @@ from monoidring.cohomology import (
 )
 from monoidring.errors import NotUpClosed, OutOfRange
 from monoidring.exactlin import mat_mul, vadd, vscale
-from monoidring.monoid import model_point_in_relint
+from monoidring.monoid import model_point_in_relint, restrict_model
 from monoidring.polyhedral import alternative_epsilon, dual_description, face_lattice
 from monoidring.typology import enumerate_types, fiber_types
 
@@ -105,6 +105,33 @@ class TestCochainComplex:
         fl = model_71.fl
         with pytest.raises(NotUpClosed):
             cochain_complex(fl, frozenset({fl.apex.index}))
+
+    def test_not_up_closed_in_an_interval(self, model_71):
+        fl = model_71.fl
+        ray = fl.faces_of_dim(1)[0]
+        with pytest.raises(NotUpClosed):
+            cochain_complex(fl, frozenset({fl.apex.index}), ray)
+        other = fl.faces_of_dim(1)[1]
+        with pytest.raises(NotUpClosed):
+            cochain_complex(fl, frozenset({ray.index, other.index}), ray)
+
+    @pytest.mark.parametrize("restricted", [("F1", "F3"), ("F1",)])
+    def test_interval_complex_matches_restricted_model(self, restricted):
+        # every realizable filter of a face-restricted model, moved onto the
+        # parent's faces below that face, has the same cohomology there
+        model = pyramid_model(restricted)
+        fl = model.fl
+
+        def ray_vectors(model, g):
+            return frozenset(model.cone.extreme_rays[i] for i in g.ray_set)
+
+        by_rays = {ray_vectors(model, g): g.index for g in fl.faces}
+        for f in fl.faces:
+            sub = restrict_model(model, f)
+            for t in fiber_types(sub, primes=(2, 3)):
+                ids = frozenset(by_rays[ray_vectors(sub, sub.fl.faces[i])] for i in t.filter_ids)
+                profile = profile_of_complex(cochain_complex(fl, ids, f), primes=(2, 3))
+                assert profile == t.profile
 
 
 class TestCohomologyDims:

@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+import monoidring.criteria
+import monoidring.monoid
 from monoidring.cohomology import top_support_member
 from monoidring.criteria import (
     depth_bounds,
+    depth_bounds_multi,
     f_bad_primes,
     gorenstein_check,
     m_prime_member,
@@ -29,6 +32,7 @@ from monoidring.polyhedral import dual_description, face_lattice
 from monoidring.typology import depth_report
 
 from conftest import (
+    corpus,
     decorate_by_facets,
     even_degree_lattice,
     facet_by_label,
@@ -329,6 +333,37 @@ class TestGorenstein:
         ok, b = gorenstein_check(model)
         assert not ok and b is None
 
+    def test_inconsistent_system(self):
+        # cone over the unit square, facet x = 0 of index 2: the targets
+        # x = 0, y = 1 and z - x = 1 force z - y = 0, but its target is 1
+        fl = face_lattice(dual_description([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]))
+        x_facet = fl.cone.support_forms.index((1, 0, 0))
+        model = decorate_by_facets(
+            fl, {x_facet: lattice_from_rows(3, [(0, 1, 0), (0, 0, 2)])}, full_lattice(3)
+        )
+        assert depth_report(model, primes=()).cm_q
+        assert gorenstein_check(model) == (False, None)
+
+    def test_non_integral_solution(self):
+        # normal cone over (1, 0), (1, 3): y = 1 and 3x - y = 1 give x = 2/3
+        fl = face_lattice(dual_description([(1, 0), (1, 3)]))
+        model = decorate_by_facets(fl, {}, full_lattice(2))
+        assert depth_report(model, primes=()).cm_q
+        assert gorenstein_check(model) == (False, None)
+
+    def test_candidate_in_index_two_facet_lattice(self):
+        # both axes of index 2: every target is 0, so b = 0, which lies in
+        # both facet lattices
+        fl = face_lattice(dual_description([(1, 0), (0, 1)]))
+        forms = fl.cone.support_forms
+        facet_lattices = {
+            forms.index((1, 0)): lattice_from_rows(2, [(0, 2)]),
+            forms.index((0, 1)): lattice_from_rows(2, [(2, 0)]),
+        }
+        model = decorate_by_facets(fl, facet_lattices, full_lattice(2))
+        assert depth_report(model, primes=()).cm_q
+        assert gorenstein_check(model) == (False, None)
+
     def test_not_cm_raises(self, model_71):
         with pytest.raises(NotCM):
             gorenstein_check(model_71)
@@ -342,3 +377,56 @@ class TestNormalFaceDetection:
         f2 = facet_by_label(fl, "F2")
         assert not model_face_is_normal(model_71, f2)
         assert n_value(model_71) == 1
+
+
+def rebuilt_depth_bounds(model, primes=(2, 3)):
+    """The depth chain from one rebuilt restricted model per face: depth
+    reports of restrict_model(model, f), then c_K and the depth over each
+    field, with n from the per-face normality test."""
+    fl = model.fl
+    n = min([model.rank] + [f.dim - 1 for f in fl.faces if not model_face_is_normal(model, f)])
+    reports = {f.index: depth_report(restrict_model(model, f), primes=primes) for f in fl.faces}
+    out = {}
+    for p in (None, *primes):
+        c_k = model.rank
+        for f in fl.faces:
+            if f.dim - 1 < c_k and not reports[f.index].cm(p):
+                c_k = f.dim - 1
+        depth = reports[fl.top.index].depth(p)
+        out[p] = (c_k, n, depth, depth >= c_k >= min(n + 1, model.rank))
+    return out
+
+
+class TestDepthChainOnParentLattice:
+    """depth_bounds_multi reads every face's verdict off the parent's fibers;
+    a rebuild of every restricted model is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def models(self, model_71, model_73):
+        return corpus(seed=501, count=30) + [model_71, model_73]
+
+    def test_matches_rebuilt_restrictions(self, models):
+        below_rank = 0
+        for model in models:
+            got = depth_bounds_multi(model, primes=(2, 3))
+            want = rebuilt_depth_bounds(model, primes=(2, 3))
+            assert {p: (b.c_k, b.n, b.depth, b.chain_holds) for p, b in got.items()} == want
+            below_rank += any(b.c_k < model.rank for b in got.values())
+        assert below_rank > 0  # the corpus reaches non-CM faces
+
+    def test_n_value_is_per_face_minimum(self, models):
+        for model in models:
+            want = model.rank
+            for f in model.fl.faces:
+                if not model_face_is_normal(model, f):
+                    want = min(want, f.dim - 1)
+            assert n_value(model) == want
+
+    def test_no_restricted_model_is_built(self, monkeypatch, model_73):
+        def rebuild(*args):
+            raise AssertionError("restrict_model called")
+
+        monkeypatch.setattr(monoidring.monoid, "restrict_model", rebuild)
+        monkeypatch.setattr(monoidring.criteria, "restrict_model", rebuild, raising=False)
+        bounds = depth_bounds_multi(model_73, primes=(2, 3))
+        assert bounds[None].c_k == 2

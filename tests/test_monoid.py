@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from monoidring.exactlin import (
     vadd,
 )
 from monoidring.monoid import (
+    _primitive_multiple_in,
     face_group,
     face_submonoid_generators,
     hilbert_basis,
@@ -122,6 +124,30 @@ class TestHilbertBasis:
     def test_half_line(self):
         c = dual_description([(1,)])
         assert hilbert_basis(c, full_lattice(1)) == ((1,),)
+
+    def test_primitive_multiple_against_brute_force(self):
+        # k * ray lies in the lattice for k = |det| at the latest, because
+        # det * (span ∩ Z^3) is inside a lattice of full rank in the span
+        # lattice coordinates (1/2, 1/3): the multiple is their lcm, 6
+        two_three = lattice_from_rows(3, [(2, 0, 0), (0, 3, 0)])
+        assert _primitive_multiple_in(two_three, (1, 1, 0)) == (6, 6, 0)
+        rng = random.Random(29)
+        checked = 0
+        while checked < 40:
+            k = rng.choice((2, 3))
+            rows = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(k)]
+            lat = lattice_from_rows(3, rows)
+            if lat.rank < k:
+                continue
+            coeffs = [rng.randint(-3, 3) for _ in range(k)]
+            ray = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(3))
+            g = math.gcd(*ray)
+            if g == 0:
+                continue
+            ray = tuple(x // g for x in ray)
+            brute = next(m for m in range(1, 10**4) if lat.member(tuple(m * x for x in ray)))
+            assert _primitive_multiple_in(lat, ray) == tuple(brute * x for x in ray)
+            checked += 1
 
     def test_minimality_and_generation(self):
         rng = random.Random(23)

@@ -320,3 +320,20 @@ class TestFiberShortcuts:
         assert len(calls) == 1
         assert rep.depth_by_prime == {2: 5}
         assert rep.torsion_primes == frozenset({2})
+
+    def test_latest_fibers_are_reused(self, monkeypatch):
+        # the depth chain after a depth report enumerates nothing again
+        from monoidring.criteria import depth_bounds_multi
+
+        model = pyramid_model(("F1",))
+        rep = depth_report(model, primes=(2, 3))
+        first = fiber_types(model, primes=(2, 3))
+
+        def enumerated(*args):
+            raise AssertionError("fibers enumerated twice")
+
+        monkeypatch.setattr(typology, "quotient_decomposition", enumerated)
+        assert fiber_types(model, primes=(2, 3)) == first
+        assert depth_bounds_multi(model, primes=(2, 3))[None].depth == rep.depth_q
+        with pytest.raises(AssertionError, match="twice"):
+            fiber_types(model, primes=(3,))
