@@ -54,10 +54,11 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .exactlin import Lattice, lattice_from_rows, lattice_intersect, vec
+from .exactlin import Lattice, lattice_from_rows, prime_factors, vec
 from .monoid import (
     AffineMonoid,
     DecoratedCone,
+    decorate_by_facet_cuts,
     decorated_cone,
     default_seminormality_bound,
     is_normal,
@@ -121,54 +122,31 @@ def _parse_model(lines: list[str], m: int) -> DecoratedCone:
         raise ParseError("model file lists no generators")
     cone = dual_description(gens, m)
     fl = face_lattice(cone)
-    blocks: dict[frozenset[int], Lattice] = {}
+    by_rays = {f.ray_set: f.index for f in fl.faces}
+    given: dict[int, Lattice] = {}
     while i < len(lines):
         header = lines[i].split()
         if header[0] != "lattice":
             raise ParseError(f"bad lattice header: {lines[i]!r}")
         if header[1:] == ["*"]:
-            key = frozenset(range(len(cone.extreme_rays)))
+            key = fl.top.ray_set
         else:
             try:
                 key = frozenset(int(t) for t in header[1:])
             except ValueError as exc:
                 raise ParseError(f"bad lattice header: {lines[i]!r}") from exc
+        if key not in by_rays:
+            raise ParseError(f"lattice block {sorted(key)} names no face")
         i += 1
         rows = []
         while i < len(lines) and not lines[i].startswith("lattice"):
             rows.append(_parse_vector(lines[i], m))
             i += 1
-        if key in blocks:
+        if by_rays[key] in given:
             raise ParseError("duplicate lattice block")
-        blocks[key] = lattice_from_rows(m, rows)
-    by_rays = {f.ray_set: f for f in fl.faces}
-    for key in blocks:
-        if key not in by_rays:
-            raise ParseError(f"lattice block {sorted(key)} names no face")
-    reference = blocks.get(
-        frozenset(range(len(cone.extreme_rays))), cone.span_lattice
-    )
-    facet_blocks = {
-        f.index: blocks[f.ray_set]
-        for f in fl.faces
-        if f.dim == fl.top.dim - 1 and f.ray_set in blocks
-    }
-    lambdas = []
-    for f in fl.faces:
-        if f.ray_set in blocks and f.index != fl.top.index:
-            lambdas.append(blocks[f.ray_set])
-            continue
-        if f.index == fl.top.index:
-            lambdas.append(reference)
-            continue
-        lam = lattice_intersect(f.span_lattice, reference)
-        for j in f.zero_set:
-            facet = fl.by_zero_set(frozenset({j}))
-            if facet.index in facet_blocks:
-                lam = lattice_intersect(lam, facet_blocks[facet.index])
-        lambdas.append(lam)
+        given[by_rays[key]] = lattice_from_rows(m, rows)
     try:
-        return decorated_cone(fl, lambdas)
+        return decorate_by_facet_cuts(fl, given)
     except MonoidRingError as exc:
         raise ParseError(f"invalid decoration: {exc}") from exc
 
@@ -199,10 +177,10 @@ def _parse_fields(spec: str) -> list[int | None]:
         tok = tok.strip().lower()
         if tok == "q":
             out.append(None)
-        elif tok.isdigit():
+        elif tok.isdecimal() and len(tok) <= 12 and prime_factors(int(tok)) == {int(tok)}:
             out.append(int(tok))
         else:
-            raise ParseError(f"bad field {tok!r}; use q or a prime")
+            raise ParseError(f"bad field {tok!r}; use q or a prime below 10^12")
     return out
 
 
@@ -223,6 +201,9 @@ def _face_label(fl, index):
 
 
 def cmd_analyze(args) -> int:
+    bound = args.degree_bound
+    if bound is not None and bound < 0:
+        raise ParseError(f"--degree-bound {bound} is negative")
     kind, obj = parse_input(args.input)
     fields = _parse_fields(args.fields)
     primes = tuple(p for p in fields if p is not None)
@@ -230,7 +211,7 @@ def cmd_analyze(args) -> int:
     if kind == "monoid":
         monoid: AffineMonoid = obj
         model = to_model(monoid)
-        bound = args.degree_bound or default_seminormality_bound(monoid)
+        bound = default_seminormality_bound(monoid) if bound is None else bound
         report["input"]["ambient_dim"] = monoid.ambient_dim
         report["input"]["generators"] = [list(g) for g in monoid.generators]
         report["rank"] = monoid.rank

@@ -7,18 +7,11 @@ Frobenius splitting, and the Gorenstein test for Cohen-Macaulay models.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .cohomology import cochain_complex, profile_of_complex
 from .errors import HypothesisUnverified, NotCM
-from .exactlin import (
-    Vec,
-    dot,
-    lattice_intersect,
-    prime_factors,
-    quotient_structure,
-    solve_rational,
-)
+from .exactlin import Vec, dot, lattice_intersect, prime_factors, solve_rational
 from .monoid import AffineMonoid, DecoratedCone, face_group, member
 from .polyhedral import Face, is_simple_face, minimal_face
 from .typology import DepthReport, depth_report, fiber_types
@@ -26,16 +19,13 @@ from .typology import DepthReport, depth_report, fiber_types
 
 def s2_lattice_test(model: DecoratedCone) -> tuple[bool, int | None]:
     """Exact (S2) test for seminormal models: every proper face lattice must
-    be cut out by the facet lattices above it.  Returns a failing face index
-    when the test fails."""
-    fl = model.fl
-    for f in fl.faces[:-1]:
-        expected = f.span_lattice
-        for i in f.zero_set:
-            facet = fl.by_zero_set(frozenset({i}))
-            assert facet is not None
-            expected = lattice_intersect(expected, model.lattice_of(facet))
-        if expected != model.lattice_of(f):
+    be cut out by the facet lattices above it, lambda_F = span F ∩ ⋂ lambda_G
+    over the facets G ⊇ F.  That is the facet cut of the face table: a
+    proper face lies in some facet, whose lattice lies in the reference, so
+    span F may be replaced by A_F = reference ∩ span F.  Returns a failing
+    face index when the test fails."""
+    for f, row in zip(model.fl.faces[:-1], model.face_table):
+        if row.cut != model.lattice_of(f):
             return False, f.index
     return True, None
 
@@ -229,15 +219,9 @@ def depth_bounds(model: DecoratedCone, p: int | None = None) -> DepthBounds:
 
 def f_bad_primes(model: DecoratedCone) -> frozenset[int]:
     """Primes p where the ring fails to be F-split / F-pure / F-injective:
-    the torsion primes of the quotients (reference ∩ face span) / lambda_F."""
-    out: set[int] = set()
-    ref = model.reference
-    for f in model.fl.faces:
-        numerator = lattice_intersect(ref, f.span_lattice)
-        q = quotient_structure(numerator, model.lattice_of(f))
-        for factor in q.invariant_factors:
-            out |= prime_factors(factor)
-    return frozenset(out)
+    the torsion primes of the quotients A_F / lambda_F."""
+    factors = (x for row in model.face_table for x in row.factors)
+    return frozenset().union(*map(prime_factors, factors))
 
 
 def gorenstein_check(
@@ -258,16 +242,9 @@ def gorenstein_check(
     fl = model.fl
     ref = model.reference
     facet_ids = fl.facet_indices()
-    gammas = {}
-    for i in facet_ids:
-        facet = fl.faces[i]
-        numerator = lattice_intersect(ref, facet.span_lattice)
-        q = quotient_structure(numerator, model.lattice_of(facet))
-        gamma = q.order
-        assert gamma is not None
-        gammas[i] = gamma
-        if gamma > 2:
-            return False, None
+    gammas = {i: prod(model.face_table[i].factors) for i in facet_ids}
+    if any(gamma > 2 for gamma in gammas.values()):
+        return False, None
     # sigma_F(b) = target over the reference coordinates, times scale_F:
     # row j is (form_F . b_j)_F, the target scale_F * target_F
     forms = [fl.cone.support_forms[next(iter(fl.faces[i].zero_set))] for i in facet_ids]

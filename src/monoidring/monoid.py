@@ -21,11 +21,14 @@ from .exactlin import (
     is_zero_vec,
     lattice_from_rows,
     lattice_intersect,
+    left_kernel,
     mat,
+    quotient_decomposition,
     quotient_structure,
     saturation,
     solve_rational,
     vadd,
+    vec_mat,
     vsub,
 )
 from .polyhedral import (
@@ -353,6 +356,75 @@ class DecoratedCone:
     def lattice_of(self, f: Face) -> Lattice:
         return self.lambdas[f.index]
 
+    @cached_property
+    def _cuts(self) -> tuple[tuple[Lattice, Lattice], ...]:
+        return face_group_cuts(self.fl, self.reference, dict(enumerate(self.lambdas)))
+
+    @cached_property
+    def face_table(self) -> tuple["FaceGroups", ...]:
+        """The groups of every face, by face index, computed once per model:
+        the (S2) test, normality, the fibers, the F-bad primes and the
+        Gorenstein indices all read them here."""
+        return tuple(
+            FaceGroups(group, cut, *quotient_decomposition(group, lam))
+            for (group, cut), lam in zip(self._cuts, self.lambdas)
+        )
+
+
+@dataclass(frozen=True)
+class FaceGroups:
+    """The groups of one face F of a decorated cone.
+
+    group is A_F = reference ∩ span F and cut is its facet cut
+    A_F ∩ ⋂_{facets G ⊇ F} lambda_G.  (factors, basis) is the aligned
+    decomposition of the finite quotient A_F / lambda_F: its classes are the
+    sums sum c_i basis[i] with 0 <= c_i < factors[i].
+    """
+
+    group: Lattice
+    cut: Lattice
+    factors: tuple[int, ...]
+    basis: Mat
+
+
+def face_group_cuts(
+    fl: FaceLattice, reference: Lattice, lattices: dict[int, Lattice]
+) -> tuple[tuple[Lattice, Lattice], ...]:
+    """(A_F, facet cut of A_F) for every face F, by face index.
+
+    lattices maps face indices to their lattices; only the facets are read,
+    and a facet missing from it carries its whole group.
+
+    A_F is the integer kernel, in reference coordinates, of the support
+    forms phi_i that vanish on F.  This is exact for a reference inside
+    span C, because span F = span C ∩ {phi_i = 0 : i in zero_set(F)}: the
+    forms vanish on F; conversely, for x on the right and p in relint F,
+    where every other form is positive, p + t x lies in C and on every
+    phi_i = 0 for small t > 0, hence in F, and x = ((p + t x) - p) / t.
+
+    The cut meets A_F only with the facet lattices that differ from their
+    group: any other facet G above F has lambda_G = A_G, which contains A_F.
+    """
+    forms = fl.cone.support_forms
+    ref = reference.basis
+    groups = []
+    for f in fl.faces:
+        values = [tuple(dot(forms[i], b) for i in sorted(f.zero_set)) for b in ref]
+        kernel = left_kernel(values, len(ref))
+        groups.append(lattice_from_rows(fl.cone.ambient_dim, [vec_mat(k, ref) for k in kernel]))
+    cutting = {}
+    for i in fl.facet_indices():
+        lam = lattices.get(i, groups[i])
+        if lam != groups[i]:
+            cutting[next(iter(fl.faces[i].zero_set))] = lam
+    cuts = []
+    for f, group in zip(fl.faces, groups):
+        cut = group
+        for i in f.zero_set & cutting.keys():
+            cut = lattice_intersect(cut, cutting[i])
+        cuts.append(cut)
+    return tuple(zip(groups, cuts))
+
 
 def decorated_cone(fl: FaceLattice, lambdas) -> DecoratedCone:
     """Validate and freeze a face-lattice decoration."""
@@ -371,6 +443,21 @@ def decorated_cone(fl: FaceLattice, lambdas) -> DecoratedCone:
                 if not lambdas[up].member(row):
                     raise DegenerateFace("face lattices are not monotone along covers")
     return DecoratedCone(fl, lambdas)
+
+
+def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> DecoratedCone:
+    """Validate the decoration that keeps the given lattices (by face index)
+    and gives every other face its facet cut; the reference defaults to the
+    saturated span of the cone.  The model keeps the cuts: its reference and
+    facet lattices are the ones cut here, so its face table computes no A_F
+    again."""
+    reference = given.get(fl.top.index, fl.cone.span_lattice)
+    if not all(map(fl.cone.span_lattice.member, reference.basis)):
+        raise DegenerateFace("the reference lattice leaves the span of the cone")
+    cuts = face_group_cuts(fl, reference, given)
+    model = decorated_cone(fl, [given.get(i, cut) for i, (_, cut) in enumerate(cuts)])
+    model.__dict__["_cuts"] = cuts  # the slot of the cached DecoratedCone._cuts
+    return model
 
 
 def to_model(monoid: AffineMonoid) -> DecoratedCone:
@@ -422,8 +509,5 @@ def restrict_model(model: DecoratedCone, f: Face) -> DecoratedCone:
 
 
 def model_is_normal(model: DecoratedCone) -> bool:
-    """True when every face lattice is saturated in the reference group."""
-    ref = model.reference
-    return all(
-        model.lattice_of(f) == lattice_intersect(f.span_lattice, ref) for f in model.fl.faces
-    )
+    """True when every face lattice is its whole group A_F = reference ∩ span F."""
+    return all(row.group == lam for row, lam in zip(model.face_table, model.lambdas))

@@ -12,6 +12,7 @@ every realizable filter together determine the depth over any field.
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .cohomology import (
     CohomologyProfile,
@@ -68,9 +69,9 @@ def fiber_types(
     """All realizable fibers, with witnesses and profiles.
 
     For each base face g the finite quotient A*/lambda_g is enumerated
-    through an aligned basis; every class has a constant membership
-    pattern, and a relative-interior representative of the class is a
-    witness for it.
+    through the aligned basis of the model's face table (A* is the table's
+    group A_g); every class has a constant membership pattern, and a
+    relative-interior representative of the class is a witness for it.
 
     lambda_g is the lattice D = ∩_{F >= g} (A* ∩ lambda_F) of the classes:
     the family includes F = g, lambda_g lies in A* (it spans g and lies in
@@ -90,21 +91,17 @@ def fiber_types(
     out: list[CohomologyType] = []
     fl = model.fl
     profiles: dict[frozenset[int], CohomologyProfile] = {}
-    for g in fl.faces:
+    for g, row in zip(fl.faces, model.face_table):
         above = fl.faces_above(g)
-        a_star = lattice_intersect(g.span_lattice, model.reference)
-        factors, basis = quotient_decomposition(a_star, model.lattice_of(g))
-        n_classes = 1
-        for f in factors:
-            n_classes *= f
+        n_classes = prod(row.factors)
         if n_classes > max_classes_per_face:
             raise TooLarge(
                 f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap"
             )
         members = [(f.index, model.lattice_of(f).member) for f in above]
         seen: dict[frozenset[int], Vec] = {}
-        for coords in product(*(range(f) for f in factors)):
-            x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
+        for coords in product(*(range(f) for f in row.factors)):
+            x = vec_mat(coords, row.basis) if row.basis else (0,) * fl.cone.ambient_dim
             pattern = frozenset(i for i, member in members if member(x))
             if pattern not in seen:
                 seen[pattern] = x

@@ -37,6 +37,20 @@ def model_file_71(tmp_path):
 
 
 @pytest.fixture()
+def rank3_file(tmp_path):
+    p = tmp_path / "rank3.txt"
+    p.write_text("monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n")
+    return str(p)
+
+
+def assert_input_error(args):
+    code, out, err = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.fixture()
 def delta_file(tmp_path):
     p = tmp_path / "twopoints.delta"
     p.write_text("# two vertices, no edge\n1\n2\n")
@@ -72,6 +86,14 @@ class TestParseInput:
         code, _, err = run_cli(["analyze", str(p)])
         assert code == 2
         assert err.startswith("error: bad lattice header")
+
+    def test_reference_outside_the_cone_span(self, tmp_path):
+        p = tmp_path / "bad.model"
+        p.write_text("model 3\ngenerators\n1 0 0\n0 1 0\nlattice *\n1 0 0\n0 1 0\n0 0 1\n")
+        code, out, err = run_cli(["analyze", str(p)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid decoration: the reference lattice leaves the span of the cone\n"
 
     def test_invalid_decoration_rejected(self, tmp_path):
         p = tmp_path / "bad.model"
@@ -127,6 +149,23 @@ class TestAnalyze:
         _, out2, _ = run_cli(["analyze", model_file_71])
         assert out1 == out2
 
+    @pytest.mark.parametrize("fields", ["q,0", "q,1", "q,4"])
+    def test_fields_must_be_primes(self, model_file_71, fields):
+        assert_input_error(["analyze", model_file_71, "--fields", fields])
+
+    def test_degree_bound_zero_is_honoured(self, rank3_file):
+        code, out, _ = run_cli(["analyze", rank3_file])
+        assert code == 0
+        assert json.loads(out)["seminormal"]["method"] != "bounded(0)"
+        code, out, _ = run_cli(["analyze", rank3_file, "--degree-bound", "0"])
+        assert code == 0
+        r = json.loads(out)
+        assert r["seminormal"]["method"] == "bounded(0)"
+        assert r["s2_bounded"]["method"] == "bounded(0)"
+
+    def test_negative_degree_bound(self, rank3_file):
+        assert_input_error(["analyze", rank3_file, "--degree-bound", "-1"])
+
     def test_class_cap_exits_three(self, tmp_path):
         # the ray (0, 1) carries a lattice of index 100001, one class more
         # than the fiber enumeration's cap
@@ -156,21 +195,20 @@ class TestCohomology:
         assert r["dims"]["q"] == [0, 0, 0, 0, 0]
         assert len(r["filter"]) == 20
 
-    @staticmethod
-    def assert_input_error(args):
-        code, out, err = run_cli(args)
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
     def test_out_of_range(self, model_file_71):
-        self.assert_input_error(["cohomology", model_file_71, "--degree", "0 0 -1 0"])
+        assert_input_error(["cohomology", model_file_71, "--degree", "0 0 -1 0"])
 
     def test_non_integer_degree(self, model_file_71):
-        self.assert_input_error(["cohomology", model_file_71, "--degree", "0 0 1/2 1"])
+        assert_input_error(["cohomology", model_file_71, "--degree", "0 0 1/2 1"])
 
     def test_degree_of_wrong_length(self, model_file_71):
-        self.assert_input_error(["cohomology", model_file_71, "--degree", "0 1 1"])
+        assert_input_error(["cohomology", model_file_71, "--degree", "0 1 1"])
+
+    @pytest.mark.parametrize("fields", ["q,0", "q,1", "q,4"])
+    def test_fields_must_be_primes(self, model_file_71, fields):
+        assert_input_error(
+            ["cohomology", model_file_71, "--degree", "0 0 1 1", "--fields", fields]
+        )
 
 
 class TestConstructAndCheck:

@@ -332,7 +332,7 @@ class TestFiberShortcuts:
         def enumerated(*args):
             raise AssertionError("fibers enumerated twice")
 
-        monkeypatch.setattr(typology, "quotient_decomposition", enumerated)
+        monkeypatch.setattr(typology, "profile_of_complex", enumerated)
         assert fiber_types(model, primes=(2, 3)) == first
         assert depth_bounds_multi(model, primes=(2, 3))[None].depth == rep.depth_q
         with pytest.raises(AssertionError, match="twice"):
