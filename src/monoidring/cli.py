@@ -415,26 +415,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="monoid or model file")
+    def fields(p):
         p.add_argument(
             "--fields",
             default="q,2,3",
             help="comma-separated fields: q and/or primes (default q,2,3)",
         )
-        p.add_argument(
-            "--degree-bound",
-            type=int,
-            default=None,
-            help="bound for the seminormality and (S2) scans",
-        )
 
     p_analyze = sub.add_parser("analyze", help="full ring-property report")
-    common(p_analyze)
+    p_analyze.add_argument("input", help="monoid or model file")
+    fields(p_analyze)
+    p_analyze.add_argument(
+        "--degree-bound",
+        type=int,
+        default=None,
+        help="bound for the seminormality and (S2) scans",
+    )
     p_analyze.set_defaults(fn=cmd_analyze)
 
     p_coh = sub.add_parser("cohomology", help="profile at one degree")
-    common(p_coh)
+    p_coh.add_argument("input", help="monoid or model file")
+    fields(p_coh)
     p_coh.add_argument("--degree", required=True, help="degree vector, e.g. '0 0 1 1'")
     p_coh.set_defaults(fn=cmd_cohomology)
 
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(fn=cmd_construct)
 
     p_check = sub.add_parser("check", help="run the invariant suite")
-    common(p_check)
+    p_check.add_argument("input", help="monoid or model file")
     p_check.set_defaults(fn=cmd_check)
     return parser
 

@@ -322,14 +322,7 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         raise VerificationFailed("the distinguished ray must not be simple after planing")
 
     # decoration: parity facets carry the even-degree lattice
-    even = _even_last_lattice(d)
-    lambdas = []
-    for face in fl.faces:
-        lam = face.span_lattice
-        if any(form_kind[i] == "parity" for i in face.zero_set):
-            lam = lattice_intersect(lam, even)
-        lambdas.append(lam)
-    model = decorated_cone(fl, lambdas)
+    model = _decorate_even_on(fl, {i for i, kind in form_kind.items() if kind == "parity"})
 
     # the filter at the apex must be the complex, upside down
     ids = filter_at(model, apex)
@@ -349,10 +342,21 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
     return model, apex
 
 
-def _even_last_lattice(dim: int):
+def _decorate_even_on(fl, forms: set[int]) -> DecoratedCone:
+    """Decorate every face by its saturated span, cut to the points of even
+    last coordinate on the faces that lie on a facet of the given support
+    forms."""
+    dim = fl.cone.ambient_dim
     rows = [list(r) for r in identity(dim)]
     rows[-1][-1] = 2
-    return lattice_from_rows(dim, rows)
+    even = lattice_from_rows(dim, rows)
+    return decorated_cone(
+        fl,
+        [
+            lattice_intersect(f.span_lattice, even) if f.zero_set & forms else f.span_lattice
+            for f in fl.faces
+        ],
+    )
 
 
 def builtin(name: str) -> DecoratedCone:
@@ -377,7 +381,6 @@ def builtin(name: str) -> DecoratedCone:
         raise ValueError(f"unknown builtin {name!r}")
     cone = dual_description(sorted(verts))
     fl = face_lattice(cone)
-    even = _even_last_lattice(4)
     restricted_forms = set()
     for rays in restricted:
         want = frozenset(cone.extreme_rays.index(r) for r in rays)
@@ -385,13 +388,7 @@ def builtin(name: str) -> DecoratedCone:
             f for f in fl.faces if f.dim == 3 and f.ray_set == want
         )
         restricted_forms.add(next(iter(facet.zero_set)))
-    lambdas = []
-    for face in fl.faces:
-        lam = face.span_lattice
-        if face.zero_set & restricted_forms:
-            lam = lattice_intersect(lam, even)
-        lambdas.append(lam)
-    return decorated_cone(fl, lambdas)
+    return _decorate_even_on(fl, restricted_forms)
 
 
 def verify_eq_homology(result: ConstructionResult, delta: SimplicialComplex, p: int | None = None) -> bool:

@@ -91,7 +91,7 @@ def s2_up_to(monoid: AffineMonoid, bound: int, hypothesis_bound: int | None = No
         if d == 0:
             continue
         in_m = member(monoid, x)
-        in_mp = m_prime_member(monoid, x, hypothesis_bound or bound)
+        in_mp = m_prime_member(monoid, x, bound if hypothesis_bound is None else hypothesis_bound)
         assert not (in_m and not in_mp), "the monoid always sits inside M'"
         if in_mp and not in_m:
             return S2Verdict(bound, x)

@@ -29,10 +29,6 @@ def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zero_matrix(rows: int, cols: int) -> Mat:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
@@ -80,10 +76,6 @@ def primitive(u: Vec) -> Vec:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
     return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
-def mat_vec(m: Mat, x) -> Vec:
-    return tuple(dot(r, x) for r in m)
 
 
 def vec_mat(x, m: Mat) -> Vec:

@@ -21,14 +21,12 @@ from .exactlin import (
     is_zero_vec,
     lattice_from_rows,
     lattice_intersect,
-    left_kernel,
     mat,
     quotient_decomposition,
     quotient_structure,
     saturation,
     solve_rational,
     vadd,
-    vec_mat,
     vsub,
 )
 from .polyhedral import (
@@ -39,6 +37,7 @@ from .polyhedral import (
     face_lattice,
     grading_form,
     minimal_face,
+    zero_set_kernel,
 )
 
 
@@ -395,23 +394,15 @@ def face_group_cuts(
     lattices maps face indices to their lattices; only the facets are read,
     and a facet missing from it carries its whole group.
 
-    A_F is the integer kernel, in reference coordinates, of the support
-    forms phi_i that vanish on F.  This is exact for a reference inside
-    span C, because span F = span C ∩ {phi_i = 0 : i in zero_set(F)}: the
-    forms vanish on F; conversely, for x on the right and p in relint F,
-    where every other form is positive, p + t x lies in C and on every
-    phi_i = 0 for small t > 0, hence in F, and x = ((p + t x) - p) / t.
+    A_F is the integer kernel on the reference of the support forms that
+    vanish on F, which is exact for a reference inside span C (argument in
+    polyhedral.zero_set_kernel).
 
     The cut meets A_F only with the facet lattices that differ from their
     group: any other facet G above F has lambda_G = A_G, which contains A_F.
     """
     forms = fl.cone.support_forms
-    ref = reference.basis
-    groups = []
-    for f in fl.faces:
-        values = [tuple(dot(forms[i], b) for i in sorted(f.zero_set)) for b in ref]
-        kernel = left_kernel(values, len(ref))
-        groups.append(lattice_from_rows(fl.cone.ambient_dim, [vec_mat(k, ref) for k in kernel]))
+    groups = [zero_set_kernel(forms, f.zero_set, reference) for f in fl.faces]
     cutting = {}
     for i in fl.facet_indices():
         lam = lattices.get(i, groups[i])

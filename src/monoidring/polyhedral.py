@@ -8,7 +8,12 @@ full-dimensional in its own span and support forms are pulled back to
 integer forms on the ambient Z^m.
 
 The face lattice enumerates every face exactly once, keyed by the set of
-extreme rays it contains (cones here are always pointed), and carries an
+extreme rays it contains (cones here are always pointed), and works from
+the ray-facet incidences: a face's zero set (the support forms vanishing on
+it) is the intersection of its rays' zero sets, its saturated span is the
+integer kernel of its zero-set forms (zero_set_kernel, which also gives the
+face groups of a decorated cone), and the faces covering G are the joins of
+G with one more ray that have dimension dim G + 1.  The lattice carries an
 incidence function epsilon on cover pairs.  epsilon is built from a
 deterministic ordered basis per face and is verified against the diamond
 condition exhaustively at construction time.
@@ -26,6 +31,7 @@ from .exactlin import (
     dot,
     is_zero_vec,
     lattice_from_rows,
+    left_kernel,
     mat,
     primitive,
     rank,
@@ -197,9 +203,6 @@ class FaceLattice:
     def apex(self) -> Face:
         return self.faces[0]
 
-    def le(self, g: Face, f: Face) -> bool:
-        return g.ray_set <= f.ray_set
-
     def faces_of_dim(self, d: int) -> list[Face]:
         return [f for f in self.faces if f.dim == d]
 
@@ -214,8 +217,40 @@ class FaceLattice:
         return None if idx is None else self.faces[idx]
 
 
+def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
+    """lat ∩ {phi_i = 0 : i in zero_set}: the integer kernel of those forms
+    on lat, one HNF of the (rank × |zero_set|) matrix of their values on the
+    basis of lat.
+
+    For a face F of C, the zero set of F and a lattice lat inside span C,
+    this is lat ∩ span F, because span F = span C ∩ {phi_i = 0 : i in
+    zero_set(F)}: the forms vanish on F; conversely, for x on the right and
+    p in relint F, where every other form is positive, p + t x lies in C
+    and on every phi_i = 0 for small t > 0, hence in F, and
+    x = ((p + t x) - p) / t.  On lat = span C ∩ Z^m the kernel is the
+    saturated span of F: a kernel is saturated in lat, and lat in Z^m.
+    """
+    cols = sorted(zero_set)
+    values = [tuple(dot(forms[i], b) for i in cols) for b in lat.basis]
+    kernel = left_kernel(values, lat.rank)
+    return lattice_from_rows(lat.ambient_dim, [vec_mat(k, lat.basis) for k in kernel])
+
+
 def face_lattice(cone: RationalCone) -> FaceLattice:
-    """Enumerate all faces, the Hasse diagram, and the incidence function."""
+    """Enumerate all faces, the Hasse diagram, and the incidence function.
+
+    The faces are the intersections of facets, as sets of extreme rays.  A
+    face's zero set is the intersection of the zero sets of its rays (all
+    forms for the apex), and its saturated span is the kernel of its
+    zero-set forms on span C ∩ Z^m (see zero_set_kernel).
+
+    Covers come from joins, after Kaibel and Pfetsch (Comput. Geom. 23,
+    2002).  The join of G and a ray r not on G is the smallest face
+    cl(G ∪ r); its zero set is zs(G) ∩ zs(r).  If F covers G, then for
+    every r in F ∖ G the join is a face with G ⊊ cl(G ∪ r) ⊆ F; as the
+    lattice is graded, its dimension is dim G + 1 = dim F, so it is F.  The
+    faces covering G are thus the joins of dimension dim G + 1.
+    """
     rays = cone.extreme_rays
     forms = cone.support_forms
     n_rays = len(rays)
@@ -236,28 +271,26 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     if frozenset() not in seen:
         seen.add(frozenset())
 
-    def span_of(ray_idx: frozenset[int]) -> Lattice:
-        return saturation(lattice_from_rows(cone.ambient_dim, [rays[i] for i in ray_idx]))
-
+    all_forms = frozenset(range(len(forms)))
     entries = []
     for rs in seen:
-        lat = span_of(rs)
-        zs = frozenset(
-            i for i in range(len(forms)) if all(dot(forms[i], rays[j]) == 0 for j in rs)
-        )
+        zs = all_forms.intersection(*(ray_zero[j] for j in rs))
+        lat = zero_set_kernel(forms, zs, cone.span_lattice)
         entries.append((lat.rank, tuple(sorted(rs)), rs, zs, lat))
     entries.sort(key=lambda e: (e[0], e[1]))
     faces = tuple(
         Face(idx, dim, rs, zs, lat) for idx, (dim, _, rs, zs, lat) in enumerate(entries)
     )
+    by_zero_set = {f.zero_set: f.index for f in faces}
 
     up: list[list[int]] = [[] for _ in faces]
     down: list[list[int]] = [[] for _ in faces]
     for g in faces:
-        for f in faces:
-            if f.dim == g.dim + 1 and g.ray_set <= f.ray_set:
-                up[g.index].append(f.index)
-                down[f.index].append(g.index)
+        # a ray on g joins it to g itself, which the dimension test drops
+        for j in {by_zero_set[g.zero_set & z] for z in ray_zero}:
+            if faces[j].dim == g.dim + 1:
+                up[g.index].append(j)
+                down[j].append(g.index)
 
     fl = FaceLattice(
         cone=cone,
@@ -265,7 +298,7 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
         up_covers=tuple(tuple(sorted(u)) for u in up),
         down_covers=tuple(tuple(sorted(d)) for d in down),
         epsilon={},
-        _by_zero_set={f.zero_set: f.index for f in faces},
+        _by_zero_set=by_zero_set,
     )
     fl.epsilon.update(_build_epsilon(fl, reverse_rays=False))
     _verify_diamond(fl, fl.epsilon)

@@ -250,6 +250,24 @@ class TestConstructAndCheck:
         code, out, _ = run_cli(["check", m23_file])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "{monoid}", "--degree-bound", "-5"],
+            ["check", "{monoid}", "--fields", "q"],
+            ["cohomology", "{model}", "--degree", "0 0 1 1", "--degree-bound", "-5"],
+        ],
+    )
+    def test_options_a_command_does_not_read_are_rejected(
+        self, args, m23_file, model_file_71, capsys
+    ):
+        # each subcommand declares only the options it reads
+        args = [a.format(monoid=m23_file, model=model_file_71) for a in args]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_console_entry_point(self, m23_file):
         proc = subprocess.run(
             [sys.executable, "-m", "monoidring", "analyze", m23_file],

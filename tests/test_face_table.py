@@ -142,7 +142,7 @@ class TestFaceTable:
             monoid_path: len(parse_input(str(monoid_path))[1].face_lattice.faces),
         }
         tables, kernels = [], []
-        cuts, kernel = monoidring.monoid.face_group_cuts, monoidring.monoid.left_kernel
+        cuts, kernel = monoidring.monoid.face_group_cuts, monoidring.monoid.zero_set_kernel
 
         def counted_cuts(*args):
             tables.append(args)
@@ -153,7 +153,7 @@ class TestFaceTable:
             return kernel(*args)
 
         monkeypatch.setattr(monoidring.monoid, "face_group_cuts", counted_cuts)
-        monkeypatch.setattr(monoidring.monoid, "left_kernel", counted_kernel)
+        monkeypatch.setattr(monoidring.monoid, "zero_set_kernel", counted_kernel)
         for path, n_faces in faces.items():
             tables.clear()
             kernels.clear()

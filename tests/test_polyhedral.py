@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 from monoidring.errors import NotInCone, NotPointed
-from monoidring.exactlin import dot, lattice_from_rows, mat_mul, saturation, vadd
+from monoidring.exactlin import dot, lattice_from_rows, mat_mul, rank, saturation, vadd
 from monoidring.polyhedral import (
     alternative_epsilon,
     dual_description,
@@ -317,6 +318,52 @@ ORACLE_COMPLEXES = {
 }
 
 
+@functools.cache
+def constructed_lattice(name):
+    delta = SimplicialComplex.from_facets(ORACLE_COMPLEXES[name])
+    return delta_construct(delta).model.fl
+
+
+@functools.cache
+def random_lattices():
+    return tuple(face_lattice(cone) for cone in random_full_cones(seed=31, count=60))
+
+
+def lower_dimensional_cones(seed, count, ambient_dim=5):
+    """Pointed cones of dimension 2-4 in Z^5 spanned by a random basis: every
+    generator has last coordinate 1 in that basis."""
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        d = rng.randint(2, 4)
+        basis = [tuple(rng.randint(-2, 2) for _ in range(ambient_dim)) for _ in range(d)]
+        gens = set()
+        for _ in range(d + 2):
+            coeffs = [rng.randint(-2, 2) for _ in range(d - 1)] + [1]
+            gens.add(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(ambient_dim)))
+        gens.discard((0,) * ambient_dim)
+        if gens and rank(sorted(gens)) == d:
+            cones.append(dual_description(sorted(gens), ambient_dim))
+    return cones
+
+
+@functools.cache
+def lower_dimensional_lattices():
+    return tuple(face_lattice(cone) for cone in lower_dimensional_cones(seed=5, count=10))
+
+
+@pytest.fixture(scope="module")
+def oracle_lattices():
+    """The 67 face lattices of TestIncidenceOracle and 10 lower-dimensional
+    ones."""
+    return (
+        [builtin(name).fl for name in ["pyramid-7.1", "pyramid-7.3"]]
+        + [constructed_lattice(name) for name in sorted(ORACLE_COMPLEXES)]
+        + list(random_lattices())
+        + list(lower_dimensional_lattices())
+    )
+
+
 class TestIncidenceOracle:
     """The integer signs (one Bareiss minor per cover pair) equal the
     orientation computed by definition over Q, for both ray orders."""
@@ -332,14 +379,19 @@ class TestIncidenceOracle:
 
     @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
     def test_constructed_models(self, name):
-        delta = SimplicialComplex.from_facets(ORACLE_COMPLEXES[name])
-        self.assert_matches_oracle(delta_construct(delta).model.fl)
+        self.assert_matches_oracle(constructed_lattice(name))
 
     def test_random_cones(self):
-        cones = random_full_cones(seed=31, count=60)
-        assert {c.dim for c in cones} == {3, 4, 5}
-        for cone in cones:
-            self.assert_matches_oracle(face_lattice(cone))
+        lattices = random_lattices()
+        assert {fl.cone.dim for fl in lattices} == {3, 4, 5}
+        for fl in lattices:
+            self.assert_matches_oracle(fl)
+
+    def test_lower_dimensional_cones(self):
+        lattices = lower_dimensional_lattices()
+        assert {fl.cone.dim for fl in lattices} == {2, 3, 4}
+        for fl in lattices:
+            self.assert_matches_oracle(fl)
 
 
 class TestGrading:
@@ -368,9 +420,52 @@ class TestGrading:
 
 
 class TestSpanLattices:
-    def test_face_span_is_saturated(self):
-        fl = face_lattice(pyramid_cone())
+    def test_face_span_is_saturated(self, oracle_lattices, rp2_result):
+        # the kernel spans against the saturated ray spans, and the zero sets
+        # against a scan of the forms
+        for fl in [face_lattice(pyramid_cone()), rp2_result.model.fl] + oracle_lattices:
+            cone = fl.cone
+            for f in fl.faces:
+                rays = [cone.extreme_rays[i] for i in f.ray_set]
+                assert f.span_lattice == saturation(lattice_from_rows(cone.ambient_dim, rays))
+                assert f.span_lattice.rank == f.dim
+                assert f.zero_set == {
+                    i for i, a in enumerate(cone.support_forms) if all(dot(a, r) == 0 for r in rays)
+                }
+            keys = [(f.dim, sorted(f.ray_set)) for f in fl.faces]
+            assert keys == sorted(keys)
+            assert [f.index for f in fl.faces] == list(range(len(fl.faces)))
+
+
+def pairwise_covers(fl):
+    """Up-covers by definition: every face of one dimension more that
+    contains the face."""
+    up = [[] for _ in fl.faces]
+    for g in fl.faces:
         for f in fl.faces:
-            rays = [fl.cone.extreme_rays[i] for i in f.ray_set]
-            assert f.span_lattice == saturation(lattice_from_rows(4, rays))
-            assert f.span_lattice.rank == f.dim
+            if f.dim == g.dim + 1 and g.ray_set <= f.ray_set:
+                up[g.index].append(f.index)
+    return tuple(map(tuple, up))
+
+
+class TestCovers:
+    """The covers from joins equal the pairwise definition."""
+
+    @staticmethod
+    def assert_matches_pairwise(fl):
+        up = pairwise_covers(fl)
+        assert fl.up_covers == up
+        down = [[] for _ in fl.faces]
+        for g, covers in enumerate(up):
+            for f in covers:
+                down[f].append(g)
+        assert fl.down_covers == tuple(map(tuple, down))
+
+    def test_oracle_cones(self, oracle_lattices):
+        for fl in oracle_lattices:
+            self.assert_matches_pairwise(fl)
+
+    def test_rp2(self, rp2_result):
+        fl = rp2_result.model.fl
+        assert len(fl.faces) == 2920
+        self.assert_matches_pairwise(fl)
