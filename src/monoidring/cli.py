@@ -358,6 +358,7 @@ def cmd_check(args) -> int:
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             results.append({"check": name, "ok": False, "detail": str(exc)})
 
+    # the checks raise explicitly, so that they also run under python -O
     def check_diamond():
         from .polyhedral import _verify_diamond
 
@@ -375,18 +376,21 @@ def cmd_check(args) -> int:
         for f in fl.faces:
             a = model_point_in_relint(model, f)
             ids = filter_at(model, a)
-            assert is_up_closed(fl, ids)
+            if not is_up_closed(fl, ids):
+                raise AssertionError
             profile_of_complex(cochain_complex(fl, ids))
 
     def check_canonical_lattices():
         for lam in model.lambdas:
-            assert lattice_from_rows(lam.ambient_dim, lam.basis) == lam
+            if lattice_from_rows(lam.ambient_dim, lam.basis) != lam:
+                raise AssertionError
 
     def check_intersection_closed():
         ray_sets = {f.ray_set for f in fl.faces}
         for a in ray_sets:
             for b in ray_sets:
-                assert a & b in ray_sets
+                if a & b not in ray_sets:
+                    raise AssertionError
 
     run("incidence diamond condition", check_diamond)
     run("differential squares to zero", check_full_complex)
@@ -399,8 +403,8 @@ def cmd_check(args) -> int:
             from .monoid import member, sn_member
 
             for g in obj.generators[:20]:
-                assert member(obj, g)
-                assert sn_member(obj, g)
+                if not (member(obj, g) and sn_member(obj, g)):
+                    raise AssertionError
 
         run("generators pass the membership chain", check_member_chain)
     json.dump(results, sys.stdout, indent=2, sort_keys=True)

@@ -12,7 +12,13 @@ from math import gcd, prod
 from .cohomology import cochain_complex, profile_of_complex
 from .errors import HypothesisUnverified, NotCM
 from .exactlin import Vec, dot, lattice_intersect, prime_factors, solve_rational
-from .monoid import AffineMonoid, DecoratedCone, face_group, member
+from .monoid import (
+    AffineMonoid,
+    DecoratedCone,
+    default_seminormality_bound,
+    gap_scan,
+    in_facet_groups,
+)
 from .polyhedral import Face, is_simple_face, minimal_face
 from .typology import DepthReport, depth_report, fiber_types
 
@@ -30,18 +36,12 @@ def s2_lattice_test(model: DecoratedCone) -> tuple[bool, int | None]:
     return True, None
 
 
-def _verify_interior_hypothesis(monoid: AffineMonoid, bound: int) -> None:
-    """Check gp ∩ relint cn ⊆ M on all points of degree <= bound."""
-    from .monoid import _box_points_of_degree_slice
-
-    forms = monoid.cone.support_forms
-    for d, x in _box_points_of_degree_slice(monoid, bound):
-        if d == 0:
-            continue
-        if all(dot(a, x) > 0 for a in forms) and not member(monoid, x):
-            raise HypothesisUnverified(
-                f"interior point {x} of degree {d} is outside the monoid"
-            )
+def _check_interior_hypothesis(monoid: AffineMonoid, gap: Vec | None) -> None:
+    """Raise on a point of gp ∩ relint cn outside M found by the scan."""
+    if gap is not None:
+        raise HypothesisUnverified(
+            f"interior point {gap} of degree {monoid.deg(gap)} is outside the monoid"
+        )
 
 
 def m_prime_member(monoid: AffineMonoid, x, hypothesis_bound: int | None = None) -> bool:
@@ -50,24 +50,15 @@ def m_prime_member(monoid: AffineMonoid, x, hypothesis_bound: int | None = None)
     Valid under the hypothesis that all interior group points belong to the
     monoid; the hypothesis is verified up to hypothesis_bound (default: the
     seminormality default bound) and a violation raises HypothesisUnverified.
+    The check reads the shared scan of the monoid up to that bound
+    (monoid.gap_scan), and the facet groups come from the monoid's table.
     """
-    from .monoid import default_seminormality_bound
-
-    bound = hypothesis_bound if hypothesis_bound is not None else default_seminormality_bound(monoid)
-    cache_key = ("interior_hypothesis", bound)
-    if not monoid.__dict__.get(cache_key):
-        _verify_interior_hypothesis(monoid, bound)
-        monoid.__dict__[cache_key] = True
+    bound = default_seminormality_bound(monoid) if hypothesis_bound is None else hypothesis_bound
+    _check_interior_hypothesis(monoid, gap_scan(monoid, bound).interior_gap)
     x = tuple(x)
     if not monoid.group.member(x) or not monoid.cone.contains(x):
         return False
-    f = minimal_face(monoid.face_lattice, x)
-    fl = monoid.face_lattice
-    for i in f.zero_set:
-        facet = fl.by_zero_set(frozenset({i}))
-        if not face_group(monoid, facet).member(x):
-            return False
-    return True
+    return in_facet_groups(monoid, minimal_face(monoid.face_lattice, x), x)
 
 
 @dataclass(frozen=True)
@@ -84,18 +75,19 @@ class S2Verdict:
 
 def s2_up_to(monoid: AffineMonoid, bound: int, hypothesis_bound: int | None = None) -> S2Verdict:
     """Compare the monoid with M' on all cone-and-group points up to degree
-    bound; the first discrepancy certifies the failure of (S2)."""
-    from .monoid import _box_points_of_degree_slice
+    bound; the first discrepancy certifies the failure of (S2).  When there
+    is a point to compare, the interior hypothesis is checked up to
+    hypothesis_bound (default: bound).  Both read one shared scan of the
+    monoid up to the larger bound (monoid.gap_scan)."""
+    hypothesis_bound = bound if hypothesis_bound is None else hypothesis_bound
+    scan = gap_scan(monoid, max(bound, hypothesis_bound))
 
-    for d, x in _box_points_of_degree_slice(monoid, bound):
-        if d == 0:
-            continue
-        in_m = member(monoid, x)
-        in_mp = m_prime_member(monoid, x, bound if hypothesis_bound is None else hypothesis_bound)
-        assert not (in_m and not in_mp), "the monoid always sits inside M'"
-        if in_mp and not in_m:
-            return S2Verdict(bound, x)
-    return S2Verdict(bound, None)
+    def up_to(gap, b):
+        return gap if gap is not None and monoid.deg(gap) <= b else None
+
+    if scan.least_degree is not None and scan.least_degree <= bound:
+        _check_interior_hypothesis(monoid, up_to(scan.interior_gap, hypothesis_bound))
+    return S2Verdict(bound, up_to(scan.m_prime_gap, bound))
 
 
 def model_face_is_normal(model: DecoratedCone, f: Face) -> bool:

@@ -7,12 +7,13 @@ represents the seminormalization of the monoid exactly and is the input for
 all cohomological analyses.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegenerateFace, NotPointed, NotPositive, ZeroGenerator
+from .errors import DegenerateFace, NotPointed, NotPositive, TooLarge, ZeroGenerator
 from .exactlin import (
     Lattice,
     Mat,
@@ -41,6 +42,13 @@ from .polyhedral import (
 )
 
 
+# Largest box of integer points an enumeration walks (the degree box of the
+# seminormality and (S2) scans, the zonotope box of a Hilbert basis).  The
+# test suite walks boxes of at most 5929 points, the benchmark's generator
+# files at most 4913.
+BOX_CAP = 10**7
+
+
 @dataclass(eq=False)
 class AffineMonoid:
     """A positive affine monoid in Z^m with cached polyhedral data."""
@@ -48,6 +56,7 @@ class AffineMonoid:
     ambient_dim: int
     generators: Mat
     _member_cache: dict[Vec, bool] = field(default_factory=dict, repr=False)
+    _scans: dict[int, "GapScan"] = field(default_factory=dict, repr=False)
 
     @cached_property
     def cone(self) -> RationalCone:
@@ -56,6 +65,12 @@ class AffineMonoid:
     @cached_property
     def face_lattice(self) -> FaceLattice:
         return face_lattice(self.cone)
+
+    @cached_property
+    def face_groups(self) -> tuple[Lattice, ...]:
+        """gp(M ∩ F) for every face F, by face index, computed once per
+        monoid: the model, sn(M) and M' all read them here."""
+        return tuple(face_group(self, f) for f in self.face_lattice.faces)
 
     @cached_property
     def group(self) -> Lattice:
@@ -180,6 +195,20 @@ def _primitive_multiple_in(lat: Lattice, ray: Vec) -> Vec:
     return tuple(k * r for r in ray)
 
 
+def _box_points(lat: Lattice, lo, hi, forms) -> list[Vec]:
+    """The points of lat whose coordinates lie in the box lo <= c <= hi and
+    that satisfy every form a . x >= 0, in lexicographic coordinate order.
+
+    The box is counted before it is walked: past BOX_CAP points it raises
+    TooLarge instead of starting the loop.
+    """
+    size = math.prod(h - l + 1 for l, h in zip(lo, hi))
+    if size > BOX_CAP:
+        raise TooLarge(f"an enumeration box of {size} points exceeds the cap of {BOX_CAP}")
+    points = map(lat.from_coords, itertools.product(*map(range, lo, [h + 1 for h in hi])))
+    return [x for x in points if all(dot(a, x) >= 0 for a in forms)]
+
+
 def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
     """Unique minimal generating set of the normal monoid cone ∩ lat.
 
@@ -200,26 +229,12 @@ def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
     lo = [sum(min(0, rv[i]) for rv in rho) for i in range(k)]
     hi = [sum(max(0, rv[i]) for rv in rho) for i in range(k)]
     b_stop = sum(dot(deg_form, r) for r in ray_mults)
-
-    candidates = []
-    def walk(i, coords):
-        if i == k:
-            x = lat.from_coords(coords)
-            if is_zero_vec(x):
-                return
-            if all(dot(a, x) >= 0 for a in cone.support_forms):
-                d = dot(deg_form, x)
-                if 0 < d <= b_stop:
-                    candidates.append((d, x))
-            return
-        for c in range(lo[i], hi[i] + 1):
-            walk(i + 1, coords + [c])
-
-    walk(0, [])
-    candidates.sort(key=lambda t: (t[0], t[1]))
+    # the grading is positive on the cone outside the apex, so 0 < d drops it
+    graded = ((dot(deg_form, x), x) for x in _box_points(lat, lo, hi, cone.support_forms))
+    candidates = sorted(t for t in graded if 0 < t[0] <= b_stop)
 
     kept: list[Vec] = []
-    for d, x in candidates:
+    for _, x in candidates:
         reducible = False
         for h in kept:
             y = vsub(x, h)
@@ -250,8 +265,13 @@ def sn_member(monoid: AffineMonoid, x) -> bool:
     x = tuple(x)
     if not monoid.cone.contains(x):
         return False
-    f = minimal_face(monoid.face_lattice, x)
-    return face_group(monoid, f).member(x)
+    return monoid.face_groups[minimal_face(monoid.face_lattice, x).index].member(x)
+
+
+def in_facet_groups(monoid: AffineMonoid, f: Face, x: Vec) -> bool:
+    """The facet test of M': x lies in gp(M ∩ G) for every facet G ⊇ f."""
+    facet = monoid.face_lattice.by_zero_set
+    return all(monoid.face_groups[facet(frozenset({i})).index].member(x) for i in f.zero_set)
 
 
 @dataclass(frozen=True)
@@ -273,59 +293,91 @@ class SeminormalityVerdict:
 
 
 def _box_points_of_degree_slice(monoid: AffineMonoid, bound: int):
-    """All x in cn(M) ∩ gp(M) with deg(x) <= bound, sorted by (deg, coords).
+    """All x in cn(M) ∩ gp(M) with deg(x) <= bound, as (deg, x) sorted by
+    (deg, coords).
 
     The vertices of the degree-``bound`` slice are (bound/deg r) · r over the
     extreme rays, so group coordinates of candidates live in the integer box
     spanned by those rational vertices.
     """
     group = monoid.group
-    if group.rank == 0:
-        return [(0, (0,) * monoid.ambient_dim)]
-    vertices = []
-    for r in monoid.cone.extreme_rays:
-        coords = solve_rational(group.basis, r)
-        assert coords is not None
-        scale = Fraction(bound, monoid.deg(r))
-        vertices.append([scale * c for c in coords])
-    k = group.rank
-    lo = [min(0, math.floor(min(v[i] for v in vertices))) for i in range(k)]
-    hi = [max(0, math.ceil(max(v[i] for v in vertices))) for i in range(k)]
-    forms = monoid.cone.support_forms
-    out = []
-
-    def walk(i, coords):
-        if i == k:
-            x = group.from_coords(coords)
-            if all(dot(a, x) >= 0 for a in forms):
-                d = monoid.deg(x)
-                if d <= bound:
-                    out.append((d, x))
-            return
-        for c in range(lo[i], hi[i] + 1):
-            walk(i + 1, coords + [c])
-
-    walk(0, [])
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    vertices = [
+        [Fraction(bound, monoid.deg(r)) * c for c in solve_rational(group.basis, r)]
+        for r in monoid.cone.extreme_rays
+    ]
+    lo = [min(0, math.floor(min(v[i] for v in vertices))) for i in range(group.rank)]
+    hi = [max(0, math.ceil(max(v[i] for v in vertices))) for i in range(group.rank)]
+    graded = ((monoid.deg(x), x) for x in _box_points(group, lo, hi, monoid.cone.support_forms))
+    return sorted(t for t in graded if t[0] <= bound)
 
 
 def default_seminormality_bound(monoid: AffineMonoid) -> int:
     return (monoid.rank + 1) * max((monoid.deg(g) for g in monoid.generators), default=0)
 
 
+@dataclass(frozen=True)
+class GapScan:
+    """The first gaps of M among the points of cn(M) ∩ gp(M) of positive
+    degree up to the bound of the scan, first by (degree, coordinates); each
+    is None when there is none.  ``least_degree`` is the degree of the first
+    such point at all, in M or not."""
+
+    least_degree: int | None
+    sn_gap: Vec | None  # the first point of sn(M) outside M
+    interior_gap: Vec | None  # the first point of gp(M) ∩ relint C outside M
+    m_prime_gap: Vec | None  # the first point of M' outside M
+
+
+def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
+    """The scan up to bound (a negative bound scans nothing), walked once per
+    monoid and bound: it tests membership in M once per point.
+
+    M ⊆ sn(M) ⊆ M': a point x of sn(M) lies in gp(M ∩ F) for its minimal
+    face F, and gp(M ∩ F) lies in gp(M ∩ G) for every facet G ⊇ F, which is
+    the facet test of M' (the scan's points lie in cn(M) ∩ gp(M)).  So a
+    member of M needs no other test, except the check that it lies in M'.
+    A point of gp(M) ∩ relint C has the whole cone as its minimal face and
+    gp(M ∩ C) = gp(M), so every interior gap is a seminormality gap, and
+    every seminormality gap is a gap of M'.  Hence the first M' gap comes no
+    later than the first sn gap, and that no later than the first interior
+    gap: the scan stops there, with all three found.  The points are walked
+    in (degree, coordinates) order, so for B <= bound the first gap up to
+    degree B is this scan's first gap when its degree is <= B, and none
+    otherwise.
+    """
+    bound = max(bound, 0)
+    if bound in monoid._scans:
+        return monoid._scans[bound]
+    fl = monoid.face_lattice
+    points = [(d, x) for d, x in _box_points_of_degree_slice(monoid, bound) if d > 0]
+    sn_gap = interior_gap = m_prime_gap = None
+    for _, x in points:
+        f = minimal_face(fl, x)
+        in_m = member(monoid, x)
+        in_mp = in_facet_groups(monoid, f, x)
+        assert not (in_m and not in_mp), "the monoid always sits inside M'"
+        if in_m:
+            continue
+        if m_prime_gap is None and in_mp:
+            m_prime_gap = x
+        if sn_gap is None and monoid.face_groups[f.index].member(x):
+            sn_gap = x
+        if f is fl.top:
+            interior_gap = x
+            break
+    scan = GapScan(points[0][0] if points else None, sn_gap, interior_gap, m_prime_gap)
+    monoid._scans[bound] = scan
+    return scan
+
+
 def is_seminormal_up_to(monoid: AffineMonoid, bound: int) -> SeminormalityVerdict:
     """Scan all cone-and-group points of degree <= bound for a point of the
     seminormalization missing from the monoid; the first one (by degree,
-    then lexicographically) is returned as a certificate."""
+    then lexicographically) is returned as a certificate.  It is read from
+    the shared scan of the monoid up to bound (gap_scan)."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    for d, x in _box_points_of_degree_slice(monoid, bound):
-        if d == 0:
-            continue
-        if sn_member(monoid, x) and not member(monoid, x):
-            return SeminormalityVerdict(bound, x)
-    return SeminormalityVerdict(bound, None)
+    return SeminormalityVerdict(bound, gap_scan(monoid, bound).sn_gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,9 +505,7 @@ def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> Decora
 
 def to_model(monoid: AffineMonoid) -> DecoratedCone:
     """The decorated-cone model of the seminormalization of the monoid."""
-    fl = monoid.face_lattice
-    lambdas = [face_group(monoid, f) for f in fl.faces]
-    return decorated_cone(fl, lambdas)
+    return decorated_cone(monoid.face_lattice, monoid.face_groups)
 
 
 def model_member(model: DecoratedCone, x) -> bool:

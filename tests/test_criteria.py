@@ -97,17 +97,13 @@ class TestMPrime:
         v = s2_up_to(monoid_71, 10, hypothesis_bound=10)
         assert v.s2_up_to_bound
 
-    def test_s2_up_to_passes_an_explicit_zero_hypothesis_bound(self, monkeypatch):
-        received = []
-        m_prime = monoidring.criteria.m_prime_member
+    def test_s2_up_to_passes_an_explicit_zero_hypothesis_bound(self):
+        from monoidring.errors import HypothesisUnverified
 
-        def recorded(monoid, x, hypothesis_bound=None):
-            received.append(hypothesis_bound)
-            return m_prime(monoid, x, hypothesis_bound)
-
-        monkeypatch.setattr(monoidring.criteria, "m_prime_member", recorded)
-        assert s2_up_to(monoid_new([(1, 0), (0, 1), (1, 1)]), 3, hypothesis_bound=0).s2_up_to_bound
-        assert received and set(received) == {0}
+        m = monoid_new([(1, 0), (1, 2), (1, 3)])  # (1,1) is interior, not in M
+        s2_up_to(m, 4, hypothesis_bound=0)  # checks the hypothesis up to 0 only
+        with pytest.raises(HypothesisUnverified):
+            s2_up_to(m, 4, hypothesis_bound=None)
 
     def test_hypothesis_violation_raises(self):
         from monoidring.errors import HypothesisUnverified

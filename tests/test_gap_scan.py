@@ -1,0 +1,232 @@
+"""The shared scan of the generator side against an oracle of three separate
+scans, and the counts and caps of the box walk.
+
+The oracle walks the degree box once each for seminormality, the interior
+hypothesis and (S2), and recomputes the group of the face submonoid with
+face_group for every point; it shares no scan code with the library."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+import monoidring.monoid
+from monoidring.cli import parse_input
+from monoidring.criteria import m_prime_member, s2_up_to
+from monoidring.errors import HypothesisUnverified, TooLarge
+from monoidring.exactlin import dot, full_lattice, rank, solve_rational
+from monoidring.monoid import (
+    default_seminormality_bound,
+    face_group,
+    hilbert_basis,
+    is_seminormal_up_to,
+    member,
+    monoid_new,
+)
+from monoidring.polyhedral import dual_description, minimal_face
+
+from test_cli import run_cli
+
+
+# --- the oracle: separate scans, face_group per point ----------------------
+
+
+def oracle_box(m, bound):
+    """cn(M) ∩ gp(M) up to degree bound, as sorted (deg, x), by a recursive
+    walk of the box spanned by the vertices of the degree slice."""
+    group = m.group
+    vertices = []
+    for r in m.cone.extreme_rays:
+        scale = Fraction(bound, m.deg(r))
+        vertices.append([scale * c for c in solve_rational(group.basis, r)])
+    k = group.rank
+    lo = [min(0, math.floor(min(v[i] for v in vertices))) for i in range(k)]
+    hi = [max(0, math.ceil(max(v[i] for v in vertices))) for i in range(k)]
+    out = []
+
+    def walk(i, coords):
+        if i == k:
+            x = group.from_coords(coords)
+            if all(dot(a, x) >= 0 for a in m.cone.support_forms) and m.deg(x) <= bound:
+                out.append((m.deg(x), x))
+            return
+        for c in range(lo[i], hi[i] + 1):
+            walk(i + 1, coords + [c])
+
+    walk(0, [])
+    return sorted(out)
+
+
+def oracle_seminormal(m, bound):
+    for d, x in oracle_box(m, bound):
+        if d and face_group(m, minimal_face(m.face_lattice, x)).member(x) and not member(m, x):
+            return x
+    return None
+
+
+def oracle_hypothesis(m, bound):
+    forms = m.cone.support_forms
+    for d, x in oracle_box(m, bound):
+        if d and all(dot(a, x) > 0 for a in forms) and not member(m, x):
+            raise HypothesisUnverified(f"interior point {x} of degree {d} is outside the monoid")
+
+
+def oracle_m_prime(m, x, hypothesis_bound, verified):
+    """M' membership; the hypothesis is checked on the first call only, as
+    the verified set records."""
+    if hypothesis_bound not in verified:
+        oracle_hypothesis(m, hypothesis_bound)
+        verified.add(hypothesis_bound)
+    if not m.group.member(x) or not m.cone.contains(x):
+        return False
+    fl = m.face_lattice
+    f = minimal_face(fl, x)
+    return all(face_group(m, fl.by_zero_set(frozenset({i}))).member(x) for i in f.zero_set)
+
+
+def oracle_s2(m, bound, hypothesis_bound):
+    hb = bound if hypothesis_bound is None else hypothesis_bound
+    verified = set()
+    for d, x in oracle_box(m, bound):
+        if d == 0:
+            continue
+        in_m = member(m, x)
+        in_mp = oracle_m_prime(m, x, hb, verified)
+        assert in_mp or not in_m
+        if in_mp and not in_m:
+            return x
+    return None
+
+
+def outcome(fn, *args):
+    """The value, or the text of the HypothesisUnverified raised."""
+    try:
+        return fn(*args)
+    except HypothesisUnverified as exc:
+        return f"raised: {exc}"
+
+
+# --- seeded inputs -----------------------------------------------------------
+
+
+def seeded_monoids():
+    rng = random.Random(81)
+    out = []
+    while len(out) < 6:
+        gens = sorted(rng.sample(range(2, 10), rng.randint(2, 4)))
+        if math.gcd(*gens) == 1:
+            out.append(monoid_new([(g,) for g in gens]))
+    for dim, count, height, max_bound in ((2, 4, 3, 9), (3, 5, 2, 8)):
+        k = 0
+        while k < 6:
+            gens = set()
+            while len(gens) < count:
+                d = rng.randint(1, height)
+                gens.add(tuple(rng.randint(0, d) for _ in range(dim - 1)) + (d,))
+            gens = sorted(gens)
+            if rank(gens) == dim:
+                m = monoid_new(gens)
+                if default_seminormality_bound(m) <= max_bound:
+                    out.append(m)
+                    k += 1
+    # the draw above rarely gives a rank-3 set that is not seminormal; this
+    # one misses the interior group point (2, 2, 3)
+    out.append(monoid_new([(0, 2, 2), (1, 0, 1), (1, 1, 2), (2, 0, 2), (2, 1, 2), (2, 2, 2)]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def monoids():
+    return seeded_monoids()
+
+
+class TestAgainstSeparateScans:
+    def test_verdicts_witnesses_and_hypothesis_text(self, monoids):
+        interior = witnesses = 0
+        for m in monoids:
+            big = default_seminormality_bound(m)
+            for bound in range(big + 1):
+                assert is_seminormal_up_to(m, bound).witness == oracle_seminormal(m, bound)
+                for hb in (None, 0, big - 1, big + 2):
+                    got = outcome(lambda: s2_up_to(m, bound, hb).witness)
+                    assert got == outcome(oracle_s2, m, bound, hb), (m.generators, bound, hb)
+                    interior += isinstance(got, str)
+                    witnesses += got is not None and not isinstance(got, str)
+        assert interior and witnesses
+
+    def test_m_prime_member(self, monoids):
+        for m in monoids:
+            big = default_seminormality_bound(m)
+            for hb in (None, 0, big - 1, big + 2):
+                verified = set()
+                for _, x in oracle_box(m, big):
+                    want = outcome(oracle_m_prime, m, x, big if hb is None else hb, verified)
+                    assert outcome(m_prime_member, m, x, hb) == want
+
+    def test_inputs_cover_every_outcome(self, monoids):
+        big = [default_seminormality_bound(m) for m in monoids]
+        assert sum(oracle_seminormal(m, b) is not None for m, b in zip(monoids, big)) >= 6
+        assert sum(isinstance(outcome(oracle_hypothesis, m, b), str) for m, b in zip(monoids, big)) >= 6
+        assert any(m.rank == 3 and oracle_seminormal(m, b) for m, b in zip(monoids, big))
+
+
+class TestOneWalk:
+    def test_analyze_walks_the_box_once_and_builds_each_face_group_once(
+        self, tmp_path, monkeypatch
+    ):
+        walks, groups = [], []
+        box, group = monoidring.monoid._box_points_of_degree_slice, monoidring.monoid.face_group
+
+        def counted_box(*args):
+            walks.append(args)
+            return box(*args)
+
+        def counted_group(*args):
+            groups.append(args)
+            return group(*args)
+
+        monkeypatch.setattr(monoidring.monoid, "_box_points_of_degree_slice", counted_box)
+        monkeypatch.setattr(monoidring.monoid, "face_group", counted_group)
+        texts = {
+            "rank3": "monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n",
+            "gaps": "monoid 2\n1 0\n1 2\n1 3\n",  # (1, 1) is an interior gap
+            "semigroup": "monoid 1\n3\n5\n",
+        }
+        for name, text in texts.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            n_faces = len(parse_input(str(path))[1].face_lattice.faces)
+            walks.clear()
+            groups.clear()
+            code, _, _ = run_cli(["analyze", str(path)])
+            assert code == 0
+            assert len(walks) == 1
+            assert len(groups) == n_faces
+
+
+def no_walk(*args):
+    pytest.fail("the box was walked")
+
+
+class TestBoxCap:
+    def test_degree_box_past_the_cap(self, monkeypatch):
+        m = monoid_new([(2, 0), (1, 1), (0, 1)])
+        monkeypatch.setattr(itertools, "product", no_walk)
+        with pytest.raises(TooLarge, match="exceeds the cap"):
+            is_seminormal_up_to(m, 100000)
+
+    def test_degree_box_cap_exits_three(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("monoid 2\n2 0\n1 1\n0 1\n")
+        code, out, err = run_cli(["analyze", str(path), "--degree-bound", "100000"])
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_zonotope_box_past_the_cap(self, monkeypatch):
+        cone = dual_description([(1, 0), (1, 10**9)])
+        monkeypatch.setattr(itertools, "product", no_walk)
+        with pytest.raises(TooLarge, match="exceeds the cap"):
+            hilbert_basis(cone, full_lattice(2))
