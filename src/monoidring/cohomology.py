@@ -160,9 +160,6 @@ class CohomologyProfile:
         assert p not in self.torsion_primes
         return self.dims_q
 
-    def fields_differ(self) -> bool:
-        return any(self.dims_p[p] != self.dims_q for p in self.dims_p)
-
 
 def profile_of_complex(complex_: CochainComplex, primes=()) -> CohomologyProfile:
     """Dimensions over Q, over the requested primes and over every torsion

@@ -14,7 +14,7 @@ of the complex.  Steps:
 4. decorate: facets matching the vertex-derived side facets keep their full
    saturated lattice, every other facet keeps only the points of even last
    coordinate; faces inherit the intersection of the facet lattices above
-   them.
+   them, the facet cut of monoid.decorate_by_facet_cuts.
 
 The apex of the second pyramid is the distinguished degree.  Construction
 success is verified (facet inventory, survival and dimension of the
@@ -46,7 +46,7 @@ from .exactlin import (
     rank_mod,
     snf,
 )
-from .monoid import DecoratedCone, decorated_cone
+from .monoid import DecoratedCone, decorate_by_facet_cuts
 from .polyhedral import (
     _dd_extreme_rays,
     dual_description,
@@ -295,7 +295,6 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         raise VerificationFailed("facet inventory differs from the expected forms")
 
     fl = face_lattice(cone)
-    form_kind = {i: expected[f] for i, f in enumerate(cone.support_forms)}
     vertex_form = {}
     for v, pos in vertex_pos.items():
         lin, rhs = _side_constraint(n, pos)
@@ -322,7 +321,8 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         raise VerificationFailed("the distinguished ray must not be simple after planing")
 
     # decoration: parity facets carry the even-degree lattice
-    model = _decorate_even_on(fl, {i for i, kind in form_kind.items() if kind == "parity"})
+    parity = [i for i, f in enumerate(cone.support_forms) if expected[f] == "parity"]
+    model = _decorate_even_on(fl, [fl.by_zero_set(frozenset({i})).index for i in parity])
 
     # the filter at the apex must be the complex, upside down
     ids = filter_at(model, apex)
@@ -342,20 +342,16 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
     return model, apex
 
 
-def _decorate_even_on(fl, forms: set[int]) -> DecoratedCone:
-    """Decorate every face by its saturated span, cut to the points of even
-    last coordinate on the faces that lie on a facet of the given support
-    forms."""
+def _decorate_even_on(fl, facets) -> DecoratedCone:
+    """Decorate the given facets (by face index) by the points of their
+    saturated span with even last coordinate, and every other face by its
+    facet cut (monoid.decorate_by_facet_cuts).  On a face F below such a
+    facet G that cut is span F ∩ even, since A_F ∩ (span G ∩ even) = A_F ∩
+    even; a face on none of them keeps its saturated span."""
     dim = fl.cone.ambient_dim
-    rows = [list(r) for r in identity(dim)]
-    rows[-1][-1] = 2
-    even = lattice_from_rows(dim, rows)
-    return decorated_cone(
-        fl,
-        [
-            lattice_intersect(f.span_lattice, even) if f.zero_set & forms else f.span_lattice
-            for f in fl.faces
-        ],
+    even = lattice_from_rows(dim, [*identity(dim)[:-1], (0,) * (dim - 1) + (2,)])
+    return decorate_by_facet_cuts(
+        fl, {i: lattice_intersect(fl.faces[i].span_lattice, even) for i in facets}
     )
 
 
@@ -381,14 +377,10 @@ def builtin(name: str) -> DecoratedCone:
         raise ValueError(f"unknown builtin {name!r}")
     cone = dual_description(sorted(verts))
     fl = face_lattice(cone)
-    restricted_forms = set()
-    for rays in restricted:
-        want = frozenset(cone.extreme_rays.index(r) for r in rays)
-        facet = next(
-            f for f in fl.faces if f.dim == 3 and f.ray_set == want
-        )
-        restricted_forms.add(next(iter(facet.zero_set)))
-    return _decorate_even_on(fl, restricted_forms)
+    by_rays = {f.ray_set: f.index for f in fl.faces}
+    return _decorate_even_on(
+        fl, [by_rays[frozenset(map(cone.extreme_rays.index, rays))] for rays in restricted]
+    )
 
 
 def verify_eq_homology(result: ConstructionResult, delta: SimplicialComplex, p: int | None = None) -> bool:

@@ -448,31 +448,55 @@ def face_group_cuts(
 
     A_F is the integer kernel on the reference of the support forms that
     vanish on F, which is exact for a reference inside span C (argument in
-    polyhedral.zero_set_kernel).
+    polyhedral.zero_set_kernel).  On the reference span C ∩ Z^m that kernel
+    is the saturated span of F, which the face lattice already holds.
 
-    The cut meets A_F only with the facet lattices that differ from their
-    group: any other facet G above F has lambda_G = A_G, which contains A_F.
+    The cut of F is A_F ∩ ⋂ lambda_G over the cutting facets G ⊇ F, the
+    facets whose lattice differs from A_G: any other facet contains A_F.  A
+    cutting facet's cut is A_G ∩ lambda_G, which is lambda_G in a valid
+    decoration; so the cuts are A_F ∩ ⋂ lambda_G also on an input that
+    validation then refuses.  A face on no cutting facet keeps A_F.
+
+    Every other cut is read from the faces covering F, walked top-down.
+    For a cover H of F, A_F ⊆ A_H, and one form phi that vanishes on F but
+    not on H cuts span H down to span F, as F is a facet of H.  So the
+    kernel of phi on the cut of H is A_H ∩ span F ∩ ⋂_{G ⊇ H} lambda_G =
+    A_F ∩ ⋂_{G ⊇ H} lambda_G.  The cuts of further covers are met with it
+    until the facets above the covers used include every cutting facet
+    through F.  That happens: the lattice is graded, so every facet G ⊋ F
+    contains a face covering F.
     """
     forms = fl.cone.support_forms
-    groups = [zero_set_kernel(forms, f.zero_set, reference) for f in fl.faces]
-    cutting = {}
+    groups = [f.span_lattice for f in fl.faces]
+    if reference != fl.cone.span_lattice:
+        groups = [zero_set_kernel(forms, f.zero_set, reference) for f in fl.faces]
+    cuts = list(groups)
+    cutting: set[int] = set()  # the forms of the cutting facets
     for i in fl.facet_indices():
-        lam = lattices.get(i, groups[i])
-        if lam != groups[i]:
-            cutting[next(iter(fl.faces[i].zero_set))] = lam
-    cuts = []
-    for f, group in zip(fl.faces, groups):
-        cut = group
-        for i in f.zero_set & cutting.keys():
-            cut = lattice_intersect(cut, cutting[i])
-        cuts.append(cut)
+        if lattices.get(i, groups[i]) != groups[i]:
+            cuts[i] = lattice_intersect(groups[i], lattices[i])
+            cutting |= fl.faces[i].zero_set
+    for f in reversed(fl.faces):
+        need, covered = f.zero_set & cutting, set()
+        # the covers on the most cutting facets first, so few cuts are met
+        covers = sorted(fl.up_covers[f.index], key=lambda h: -len(fl.faces[h].zero_set & need))
+        for h in covers:
+            above = fl.faces[h].zero_set & need
+            if above - covered:
+                if covered:
+                    cuts[f.index] = lattice_intersect(cuts[f.index], cuts[h])
+                else:
+                    phi = min(f.zero_set - fl.faces[h].zero_set)
+                    cuts[f.index] = zero_set_kernel(forms, (phi,), cuts[h])
+                covered |= above
     return tuple(zip(groups, cuts))
 
 
 def decorated_cone(fl: FaceLattice, lambdas) -> DecoratedCone:
     """Validate and freeze a face-lattice decoration."""
     lambdas = tuple(lambdas)
-    assert len(lambdas) == len(fl.faces)
+    if len(lambdas) != len(fl.faces):
+        raise DegenerateFace(f"{len(lambdas)} lattices for {len(fl.faces)} faces")
     for f in fl.faces:
         lam = lambdas[f.index]
         if lam.rank != f.dim:

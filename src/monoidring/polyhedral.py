@@ -20,6 +20,7 @@ condition exhaustively at construction time.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NotInCone, NotPointed
 from .exactlin import (
@@ -207,7 +208,19 @@ class FaceLattice:
         return [f for f in self.faces if f.dim == d]
 
     def faces_above(self, g: Face) -> list[Face]:
-        return [f for f in self.faces if g.ray_set <= f.ray_set]
+        """The faces containing g, in index order."""
+        return [self.faces[i] for i in self._up_sets[g.index]]
+
+    @cached_property
+    def _up_sets(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted indices of the faces above each face, filled top-down:
+        a face and the faces above its covers, as every face above F
+        contains a cover of F (the lattice is graded)."""
+        ups: list[tuple[int, ...]] = [()] * len(self.faces)
+        for f in reversed(self.faces):
+            above = {f.index}.union(*(ups[h] for h in self.up_covers[f.index]))
+            ups[f.index] = tuple(sorted(above))
+        return tuple(ups)
 
     def facet_indices(self) -> list[int]:
         return [f.index for f in self.faces if f.dim == self.top.dim - 1]

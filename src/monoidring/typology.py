@@ -62,9 +62,13 @@ def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
 
 _latest: dict[tuple, tuple[DecoratedCone, tuple[CohomologyType, ...]]] = {}
 
+# Largest finite quotient, in classes, that realizable walks; also the
+# default per-face cap of fiber_types.
+CLASS_CAP = 100000
+
 
 def fiber_types(
-    model: DecoratedCone, primes=(), max_classes_per_face: int = 100000
+    model: DecoratedCone, primes=(), max_classes_per_face: int = CLASS_CAP
 ) -> list[CohomologyType]:
     """All realizable fibers, with witnesses and profiles.
 
@@ -145,6 +149,8 @@ def realizable(
     for i in excluded:
         c_prime = lattice_intersect(c_prime, b_lat[i])
     factors, basis = quotient_decomposition(a_g, c_prime)
+    if prod(factors) > CLASS_CAP:
+        raise TooLarge(f"face {sorted(g.ray_set)}: {prod(factors)} classes exceed the cap")
     for coords in product(*(range(f) for f in factors)):
         x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
         if not any(b_lat[i].member(x) for i in excluded):
@@ -156,11 +162,11 @@ def _up_sets_of_interval(fl, g: Face, cap: int) -> list[frozenset[int]]:
     """All up-closed subsets of the interval above g that contain the top.
 
     DFS over the interval in a top-down linear extension; a face may be
-    included only when all of its covers are in.
+    included only when all of its covers are in.  Every cover of a face
+    above g is above g, and the top has no covers.
     """
     above = sorted(fl.faces_above(g), key=lambda f: (-f.dim, f.index))
     top = fl.top.index
-    interval_ids = {f.index for f in above}
     out: list[frozenset[int]] = []
 
     def walk(pos: int, current: set[int]):
@@ -173,9 +179,7 @@ def _up_sets_of_interval(fl, g: Face, cap: int) -> list[frozenset[int]]:
             return
         f = above[pos]
         walk(pos + 1, current)
-        if f.index == top or all(
-            u not in interval_ids or u in current for u in fl.up_covers[f.index]
-        ):
+        if all(u in current for u in fl.up_covers[f.index]):
             current.add(f.index)
             walk(pos + 1, current)
             current.remove(f.index)

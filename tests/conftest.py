@@ -1,12 +1,14 @@
 """Shared fixtures: the square-pyramid models, generator sets for them, a
-seeded corpus of random decorated cones and the six-vertex RP² model."""
+seeded corpus of random decorated cones, the constructions of a few small
+complexes and the six-vertex RP² model."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
-from monoidring.constructions import RP2_SIX_VERTEX, delta_construct
+from monoidring.constructions import RP2_SIX_VERTEX, SimplicialComplex, delta_construct
 from monoidring.exactlin import (
     dot,
     full_lattice,
@@ -37,6 +39,21 @@ PYRAMID_FACETS = {
     "F3": ("m0", "m3", "m4"),
     "F4": ("m0", "m1", "m4"),
 }
+
+
+ORACLE_COMPLEXES = {
+    "tetrahedron boundary": [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
+    "4-cycle": [(1, 2), (2, 3), (3, 4), (1, 4)],
+    "triangle + point": [(1, 2, 3), (4,)],
+    "path P4": [(1, 2), (2, 3), (3, 4)],
+    "triangle boundary + point": [(1, 2), (2, 3), (1, 3), (4,)],
+}
+
+
+@functools.cache
+def oracle_construction(name):
+    """delta_construct of one of the ORACLE_COMPLEXES, built once."""
+    return delta_construct(SimplicialComplex.from_facets(ORACLE_COMPLEXES[name]))
 
 
 def even_degree_lattice(ambient_dim):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import monoidring.monoid
 from monoidring.cohomology import local_cohomology_at, top_support_member
 from monoidring.constructions import (
     RP2_SIX_VERTEX,
@@ -12,12 +13,18 @@ from monoidring.constructions import (
     verify_eq_homology,
 )
 from monoidring.criteria import s2_lattice_test
-from monoidring.exactlin import vscale
+from monoidring.exactlin import lattice_intersect, vscale
 from monoidring.monoid import model_point_in_relint
 from monoidring.polyhedral import minimal_face
 from monoidring.typology import depth_report
 
-from conftest import facet_by_label, pyramid_model
+from conftest import (
+    ORACLE_COMPLEXES,
+    even_degree_lattice,
+    facet_by_label,
+    oracle_construction,
+    pyramid_model,
+)
 
 
 def two_points():
@@ -142,6 +149,57 @@ class TestBuiltins:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             builtin("pyramid-0")
+
+
+def even_span_decoration(fl, parity_forms):
+    """The decoration face by face: span F ∩ even on every face that lies on
+    a facet of the parity forms, span F on every other face."""
+    even = even_degree_lattice(fl.cone.ambient_dim)
+    return tuple(
+        lattice_intersect(f.span_lattice, even) if f.zero_set & parity_forms else f.span_lattice
+        for f in fl.faces
+    )
+
+
+def vertex_forms(n):
+    """The side facets of the first pyramid, one per vertex, lifted to the
+    cone: x_i - z >= 0 for i < n - 1 and n - sum x - z >= 0."""
+    forms = {
+        tuple(1 if j == i else -1 if j == n - 1 else 0 for j in range(n)) + (0, 0)
+        for i in range(n - 1)
+    }
+    return forms | {(-1,) * n + (-n, n)}
+
+
+class TestDecoration:
+    """The models are decorated by their facet cut; face by face that is the
+    even sublattice of the span below a parity facet and the span elsewhere."""
+
+    @pytest.mark.parametrize("name, labels", [("pyramid-7.1", ("F1", "F3")), ("pyramid-7.3", ("F1",))])
+    def test_pyramids(self, name, labels):
+        model = builtin(name)
+        forms = frozenset().union(*(facet_by_label(model.fl, label).zero_set for label in labels))
+        assert model.lambdas == even_span_decoration(model.fl, forms)
+
+    def test_constructed_models(self, rp2_result):
+        results = [oracle_construction(name) for name in sorted(ORACLE_COMPLEXES)] + [rp2_result]
+        for result in results:
+            cone = result.model.cone
+            sides = vertex_forms(result.rank - 2)
+            assert len(sides & set(cone.support_forms)) == result.rank - 2
+            parity = frozenset(i for i, a in enumerate(cone.support_forms) if a not in sides)
+            assert result.model.lambdas == even_span_decoration(result.model.fl, parity)
+
+    def test_models_keep_their_cuts(self, monkeypatch):
+        # the decoration hands its facet cuts to the model, so no criterion
+        # cuts the faces again
+        models = [builtin("pyramid-7.3"), delta_construct(path_on_four()).model]
+        calls = []
+        monkeypatch.setattr(monoidring.monoid, "face_group_cuts", lambda *a: calls.append(a))
+        for model in models:
+            depth_report(model, primes=(2, 3))
+            s2_lattice_test(model)
+        assert calls == []
 
 
 class TestDeltaConstruct:

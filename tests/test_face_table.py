@@ -13,7 +13,15 @@ from monoidring.criteria import s2_lattice_test
 from monoidring.exactlin import lattice_from_rows, lattice_intersect, rank
 from monoidring.monoid import monoid_new, to_model
 
-from conftest import corpus, decorate_by_facets, even_degree_lattice, pyramid_model
+from conftest import (
+    ORACLE_COMPLEXES,
+    corpus,
+    decorate_by_facets,
+    even_degree_lattice,
+    facet_by_label,
+    oracle_construction,
+    pyramid_model,
+)
 from test_cli import run_cli
 
 
@@ -30,6 +38,36 @@ def random_monoid_models(seed, count):
         if rank(sorted(gens)) == 3:
             out.append(to_model(monoid_new(sorted(gens))))
     return out
+
+
+def even_reference_models(models):
+    """The models decorated again on the reference of even last coordinate:
+    each facet keeps its lattice cut to it, every other face its facet cut."""
+    out = []
+    for model in models:
+        fl = model.fl
+        reference = even_degree_lattice(fl.cone.ambient_dim)
+        facets = {
+            next(iter(fl.faces[j].zero_set)): lattice_intersect(model.lambdas[j], reference)
+            for j in fl.facet_indices()
+        }
+        out.append(decorate_by_facets(fl, facets, reference))
+    return out
+
+
+def kernels_of_the_cut(model):
+    """The kernels one face_group_cuts takes: one per face for A_F unless the
+    reference is span C ∩ Z^m, and one per face strictly below a facet whose
+    lattice is not its whole group, cut from a cover."""
+    fl = model.fl
+    cutting = [
+        fl.faces[i]
+        for i in fl.facet_indices()
+        if model.lambdas[i] != lattice_intersect(model.reference, fl.faces[i].span_lattice)
+    ]
+    below = [f for f in fl.faces if any(f.ray_set < g.ray_set for g in cutting)]
+    groups = 0 if model.reference == model.cone.span_lattice else len(fl.faces)
+    return groups + len(below)
 
 
 def facet_loop_s2(model):
@@ -65,14 +103,24 @@ def models():
     )
 
 
+@pytest.fixture(scope="module")
+def cut_models(models, rp2_result):
+    """The models, the constructed ones with RP², and models whose reference
+    is not span C ∩ Z^m."""
+    constructed = [oracle_construction(name).model for name in sorted(ORACLE_COMPLEXES)]
+    out = models + constructed + [rp2_result.model] + even_reference_models(models[:32])
+    assert sum(m.reference != m.cone.span_lattice for m in out) >= 32
+    return out
+
+
 class TestFaceTable:
-    def test_kernel_group_is_the_span_cut(self, models):
-        for model in models:
+    def test_kernel_group_is_the_span_cut(self, cut_models):
+        for model in cut_models:
             for f, row in zip(model.fl.faces, model.face_table):
                 assert row.group == lattice_intersect(model.reference, f.span_lattice)
 
-    def test_cut_meets_every_facet_above(self, models):
-        for model in models:
+    def test_cut_meets_every_facet_above(self, cut_models):
+        for model in cut_models:
             fl = model.fl
             for f, row in zip(fl.faces, model.face_table):
                 want = lattice_intersect(model.reference, f.span_lattice)
@@ -80,6 +128,16 @@ class TestFaceTable:
                     facet = fl.by_zero_set(frozenset({i}))
                     want = lattice_intersect(want, model.lattice_of(facet))
                 assert row.cut == want
+
+    def test_cut_by_a_facet_lattice_outside_its_group(self):
+        # a facet lattice leaving span G still cuts every face to A_F ∩ lambda_G
+        fl = pyramid_model().fl
+        f1 = facet_by_label(fl, "F1")
+        odd = lattice_from_rows(4, [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        cuts = monoidring.monoid.face_group_cuts(fl, fl.cone.span_lattice, {f1.index: odd})
+        for f, (group, cut) in zip(fl.faces, cuts):
+            assert group == f.span_lattice
+            assert cut == (lattice_intersect(group, odd) if f.ray_set <= f1.ray_set else group)
 
     def test_aligned_quotient_basis(self, models):
         # the basis spans A_F and its factor multiples span lambda_F
@@ -133,14 +191,25 @@ class TestFaceTable:
             assert parsed.lambdas == want.lambdas
 
     def test_parse_then_analyze_computes_the_table_once(self, tmp_path, monkeypatch):
+        # one face_group_cuts per analyze, taking the kernels of
+        # kernels_of_the_cut: pyramid-7.3 on span C ∩ Z^m and on the
+        # reference of even first coordinate, and a monoid file
         model_path = tmp_path / "p73.model"
         write_model(pyramid_model(("F1",)), str(model_path))
+        even_path = tmp_path / "p73-even-x.model"
+        fl = pyramid_model(("F1",)).fl
+        even_x = lattice_from_rows(4, [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+        f1 = {next(iter(facet_by_label(fl, "F1").zero_set)): even_degree_lattice(4)}
+        write_model(decorate_by_facets(fl, f1, even_x), str(even_path))
         monoid_path = tmp_path / "rank3.txt"
         monoid_path.write_text("monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n")
-        faces = {
-            model_path: len(parse_input(str(model_path))[1].fl.faces),
-            monoid_path: len(parse_input(str(monoid_path))[1].face_lattice.faces),
+        want = {
+            model_path: kernels_of_the_cut(parse_input(str(model_path))[1]),
+            even_path: kernels_of_the_cut(parse_input(str(even_path))[1]),
+            monoid_path: kernels_of_the_cut(to_model(parse_input(str(monoid_path))[1])),
         }
+        assert want[model_path] == 7  # the faces strictly below the facet F1
+        assert want[even_path] == 20 + 7  # and the 20 groups A_F
         tables, kernels = [], []
         cuts, kernel = monoidring.monoid.face_group_cuts, monoidring.monoid.zero_set_kernel
 
@@ -154,10 +223,10 @@ class TestFaceTable:
 
         monkeypatch.setattr(monoidring.monoid, "face_group_cuts", counted_cuts)
         monkeypatch.setattr(monoidring.monoid, "zero_set_kernel", counted_kernel)
-        for path, n_faces in faces.items():
+        for path, n_kernels in want.items():
             tables.clear()
             kernels.clear()
             code, _, _ = run_cli(["analyze", str(path)])
             assert code == 0
             assert len(tables) == 1
-            assert len(kernels) == n_faces
+            assert len(kernels) == n_kernels

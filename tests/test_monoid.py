@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from monoidring.errors import NotPositive, ZeroGenerator
+from monoidring.errors import DegenerateFace, NotPositive, ZeroGenerator
 from monoidring.exactlin import (
     dot,
     full_lattice,
@@ -13,6 +13,7 @@ from monoidring.exactlin import (
 )
 from monoidring.monoid import (
     _primitive_multiple_in,
+    decorated_cone,
     face_group,
     face_submonoid_generators,
     hilbert_basis,
@@ -308,6 +309,13 @@ class TestDecoratedCone:
         assert odd[-1] % 2 == 1
         assert not model_member(model_71, odd)
         assert model_member(model_71, tuple(2 * c for c in odd))
+
+    def test_one_lattice_per_face(self, model_71):
+        # a short or a long tuple is refused as an input, also under python -O
+        lambdas = model_71.lambdas
+        for wrong in (lambdas[:-1], lambdas + lambdas[-1:]):
+            with pytest.raises(DegenerateFace, match="lattices for 20 faces"):
+                decorated_cone(model_71.fl, wrong)
 
     def test_random_models_validate(self):
         rng = random.Random(25)

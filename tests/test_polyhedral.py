@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from monoidring.constructions import SimplicialComplex, builtin, delta_construct
+from monoidring.constructions import builtin
 from monoidring.errors import NotInCone, NotPointed
 from monoidring.exactlin import dot, lattice_from_rows, mat_mul, rank, saturation, vadd
 from monoidring.polyhedral import (
@@ -17,6 +17,8 @@ from monoidring.polyhedral import (
     is_simple_face,
     minimal_face,
 )
+
+from conftest import ORACLE_COMPLEXES, oracle_construction
 
 PYRAMID = [
     (0, 0, 1, 1),
@@ -309,19 +311,8 @@ def random_full_cones(seed, count):
     return cones
 
 
-ORACLE_COMPLEXES = {
-    "tetrahedron boundary": [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
-    "4-cycle": [(1, 2), (2, 3), (3, 4), (1, 4)],
-    "triangle + point": [(1, 2, 3), (4,)],
-    "path P4": [(1, 2), (2, 3), (3, 4)],
-    "triangle boundary + point": [(1, 2), (2, 3), (1, 3), (4,)],
-}
-
-
-@functools.cache
 def constructed_lattice(name):
-    delta = SimplicialComplex.from_facets(ORACLE_COMPLEXES[name])
-    return delta_construct(delta).model.fl
+    return oracle_construction(name).model.fl
 
 
 @functools.cache
@@ -469,3 +460,20 @@ class TestCovers:
         fl = rp2_result.model.fl
         assert len(fl.faces) == 2920
         self.assert_matches_pairwise(fl)
+
+
+class TestFacesAbove:
+    """The up-sets stored from the covers equal a scan of all faces by ray
+    sets, in index order."""
+
+    @staticmethod
+    def assert_matches_scan(fl):
+        for g in fl.faces:
+            assert fl.faces_above(g) == [f for f in fl.faces if g.ray_set <= f.ray_set]
+
+    def test_oracle_cones(self, oracle_lattices):
+        for fl in oracle_lattices:
+            self.assert_matches_scan(fl)
+
+    def test_rp2(self, rp2_result):
+        self.assert_matches_scan(rp2_result.model.fl)

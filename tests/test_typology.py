@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from monoidring import typology
+from monoidring.cli import parse_input
 from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
 from monoidring.errors import BadFilter, TooLarge
 from monoidring.exactlin import (
@@ -85,6 +86,22 @@ class TestRealizable:
             realizable(model_71, ray, frozenset({ray.index}))  # missing the top
         with pytest.raises(BadFilter):
             realizable(model_71, fl.top, frozenset({fl.top.index, ray.index}))
+
+
+    def test_quotient_past_the_cap_starts_no_loop(self, tmp_path, monkeypatch):
+        # the ray (0, 1) carries a lattice of index CLASS_CAP + 1, so the
+        # quotient of the filter {top} on it has one class too many
+        p = tmp_path / "wide.model"
+        p.write_text(f"model 2\ngenerators\n1 0\n0 1\nlattice 0\n0 {typology.CLASS_CAP + 1}\n")
+        _, model = parse_input(str(p))
+        ray = next(f for f in model.fl.faces if f.ray_set == {0})
+
+        def no_loop(*args):
+            raise AssertionError("the quotient walk started")
+
+        monkeypatch.setattr(typology, "product", no_loop)
+        with pytest.raises(TooLarge, match="classes exceed the cap"):
+            realizable(model, ray, frozenset({model.fl.top.index}))
 
 
 class TestFiberTypes:
