@@ -26,6 +26,7 @@ decorated facet above them.  ``#`` comments are allowed everywhere.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -265,7 +266,7 @@ def cmd_analyze(args) -> int:
         if key in {_field_key(p) for p in fields}
     }
     report["f_bad_primes"] = sorted(f_bad_primes(model))
-    multi = depth_bounds_multi(model, primes=primes)
+    multi = depth_bounds_multi(model, rep)
     report["depth_bounds"] = {
         _field_key(p): {
             "c_k": multi[p].c_k,
@@ -412,7 +413,10 @@ def cmd_check(args) -> int:
     return 0 if all(r["ok"] for r in results) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="monoidring",
         description="Exact combinatorial analysis of affine monoid rings",

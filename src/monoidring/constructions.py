@@ -226,7 +226,11 @@ def _polytope_vertices(constraints: list[tuple[Vec, int]], dim: int) -> list[tup
     return sorted(vertices)
 
 
-def delta_construct(delta: SimplicialComplex, max_retries: int = 8) -> ConstructionResult:
+# Each failed attempt doubles the displacement scale before the next one.
+MAX_ATTEMPTS = 8
+
+
+def delta_construct(delta: SimplicialComplex) -> ConstructionResult:
     """Build the decorated model attached to a simplicial complex.
 
     The rank is the vertex count plus two; the distinguished degree is the
@@ -241,7 +245,7 @@ def delta_construct(delta: SimplicialComplex, max_retries: int = 8) -> Construct
     scale = 3 * (n + 2)
     provenance: list[str] = []
     last_error = None
-    for attempt in range(max_retries):
+    for attempt in range(MAX_ATTEMPTS):
         try:
             result = _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
             provenance.append(f"attempt {attempt}: verified with displacement scale {scale}")
@@ -251,7 +255,7 @@ def delta_construct(delta: SimplicialComplex, max_retries: int = 8) -> Construct
             last_error = exc
             scale *= 2
     raise VerificationFailed(
-        f"construction failed after {max_retries} attempts: {last_error}"
+        f"construction failed after {MAX_ATTEMPTS} attempts: {last_error}"
     )
 
 

@@ -20,7 +20,7 @@ from .monoid import (
     in_facet_groups,
 )
 from .polyhedral import Face, is_simple_face, minimal_face
-from .typology import DepthReport, depth_report, fiber_types
+from .typology import DepthReport, depth_report
 
 
 def s2_lattice_test(model: DecoratedCone) -> tuple[bool, int | None]:
@@ -104,12 +104,14 @@ def model_face_is_normal(model: DecoratedCone, f: Face) -> bool:
 
 def normal_facets_cm(model: DecoratedCone) -> bool | None:
     """Cohen-Macaulay for every field when all facet submonoids are normal;
-    no verdict otherwise."""
-    fl = model.fl
-    for i in fl.facet_indices():
-        if not model_face_is_normal(model, fl.faces[i]):
-            return None
-    return True
+    no verdict otherwise.
+
+    Every facet is normal exactly when every face of dimension at most
+    rank - 1 is: a subface of a normal face is normal, and every proper face
+    lies in a facet.  So the facets are all normal exactly when
+    n_value(model) >= rank - 1.
+    """
+    return True if n_value(model) >= model.rank - 1 else None
 
 
 def simple_cone_cm(model: DecoratedCone) -> tuple[bool | None, dict[int, bool]]:
@@ -153,21 +155,24 @@ class DepthBounds:
     chain_holds: bool
 
 
-def depth_bounds_multi(model: DecoratedCone, primes=(2, 3)) -> dict[int | None, DepthBounds]:
-    """The chain depth >= c_K >= min(n + 1, rank) over Q and each prime.
+def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | None, DepthBounds]:
+    """The chain depth >= c_K >= min(n + 1, rank) over Q and each prime of
+    the model's depth report.
 
-    c_K needs the Cohen-Macaulay verdict of every face-restricted model
-    W_F, and all of them come from the parent's one fiber enumeration.  W_F
-    has the parent's lattices on the faces below F and reference lattice
-    lambda_F, so its classes at a face G <= F are those of
-    span G ∩ lambda_F, a subgroup of the parent's A*.  A parent class x in
+    The depth over each field is the report's, and c_K is read off the
+    fibers the report was computed from.  c_K needs the Cohen-Macaulay
+    verdict of every face-restricted model W_F, and all of them come from
+    the parent's fibers.  W_F has the parent's lattices on the faces below
+    F and reference lattice lambda_F, so its classes at a face G <= F are
+    those of span G ∩ lambda_F, a subgroup of the parent's A*.  A parent class x in
     A*/lambda_G with pattern S lies in it exactly when x is in lambda_F,
     that is when F is in S, and its W_F pattern is then S ∩ [G, F].  So the
     realizable filters of W_F are these sub-filters.  Each one's complex is
     the interval complex below F with the parent's incidence signs; any two
     incidence functions give isomorphic complexes (Bruns-Herzog, §6.2).
     W_F is Cohen-Macaulay exactly when no sub-filter has cohomology below
-    degree dim F, and W_top is the model itself.
+    degree dim F, and W_top is the model itself.  A profile holds its dims
+    for every torsion prime of its complex, so it answers every field.
 
     c_K over a field is one less than the dimension of the first face, by
     increasing dimension, that is not Cohen-Macaulay (the rank if there is
@@ -175,38 +180,34 @@ def depth_bounds_multi(model: DecoratedCone, primes=(2, 3)) -> dict[int | None, 
     """
     fl = model.fl
     d = model.rank
-    fields = (None, *primes)
+    fields = (None, *report.depth_by_prime)
     below: list[frozenset[int]] = []
     for f in fl.faces:
         below.append(frozenset({f.index}).union(*(below[g] for g in fl.down_covers[f.index])))
-    fibers = fiber_types(model, primes)
     subs: list[set[frozenset[int]]] = [set() for _ in fl.faces]
-    for t in fibers:
+    for t in report.fibers:
         for i in t.filter_ids:
             subs[i].add(t.filter_ids & below[i])
-    depth = {
-        p: min(next((k for k, x in enumerate(t.profile.dims(p)) if x), d) for t in fibers)
-        for p in fields
-    }
-    c_k = {p: d if depth[p] == d else d - 1 for p in fields}
+    c_k = {p: d if report.cm(p) else d - 1 for p in fields}
     for f in fl.faces[:-1]:
         open_fields = [p for p in fields if f.dim - 1 < c_k[p]]
         if not open_fields:
             break
         for sub in subs[f.index]:
-            profile = profile_of_complex(cochain_complex(fl, sub, f), primes)
+            profile = profile_of_complex(cochain_complex(fl, sub, f))
             for p in open_fields:
                 if any(profile.dims(p)[: f.dim]):
                     c_k[p] = f.dim - 1
     n = n_value(model)
     return {
-        p: DepthBounds(c_k[p], n, depth[p], depth[p] >= c_k[p] >= min(n + 1, d)) for p in fields
+        p: DepthBounds(c_k[p], n, report.depth(p), report.depth(p) >= c_k[p] >= min(n + 1, d))
+        for p in fields
     }
 
 
 def depth_bounds(model: DecoratedCone, p: int | None = None) -> DepthBounds:
     """The chain depth >= c_K >= min(n + 1, rank), evaluated exactly."""
-    return depth_bounds_multi(model, primes=() if p is None else (p,))[p]
+    return depth_bounds_multi(model, depth_report(model, primes=() if p is None else (p,)))[p]
 
 
 def f_bad_primes(model: DecoratedCone) -> frozenset[int]:

@@ -26,11 +26,11 @@ class NotSublattice(MonoidRingError):
 
 
 class DegenerateFace(MonoidRingError):
-    """A face lattice assignment is not full rank in the face span."""
+    """A face lattice assignment, or a set of rows, is not of full rank."""
 
 
 class OutOfRange(MonoidRingError):
-    """A degree vector lies outside the admissible region."""
+    """A degree vector or a face lies outside the admissible region."""
 
 
 class NotUpClosed(MonoidRingError):

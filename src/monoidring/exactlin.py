@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import NotSublattice
+from .errors import DegenerateFace, NotSublattice
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -395,7 +395,8 @@ def left_kernel(matrix, nrows: int) -> Mat:
 def solve_rational(rows: Mat, target) -> tuple[Fraction, ...] | None:
     """Solve t @ rows == target over Q for linearly independent rows.
 
-    Returns None when target is outside the rational row span.
+    Returns None when target is outside the rational row span, and raises
+    DegenerateFace on dependent rows.
     """
     k = len(rows)
     if k == 0:
@@ -421,7 +422,8 @@ def solve_rational(rows: Mat, target) -> tuple[Fraction, ...] | None:
     for i in range(r, m):
         if aug[i][k]:
             return None
-    assert len(piv_cols) == k, "solve_rational requires independent rows"
+    if len(piv_cols) != k:
+        raise DegenerateFace("solve_rational requires independent rows")
     sol = [Fraction(0)] * k
     for i, c in enumerate(piv_cols):
         sol[c] = aug[i][k]

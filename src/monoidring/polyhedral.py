@@ -22,7 +22,7 @@ condition exhaustively at construction time.
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotInCone, NotPointed
+from .errors import NotInCone, NotPointed, OutOfRange
 from .exactlin import (
     Lattice,
     Mat,
@@ -439,9 +439,11 @@ def minimal_face(fl: FaceLattice, x) -> Face:
 
 
 def is_simple_face(fl: FaceLattice, f: Face) -> bool:
-    """True when the interval [f, C] is the face lattice of a simplex."""
+    """True when the interval [f, C] is the face lattice of a simplex; f
+    must be a proper face."""
     top = fl.top
-    assert f.index != top.index, "simplicity is defined for proper faces"
+    if f.index == top.index:
+        raise OutOfRange("simplicity is defined for proper faces")
     codim = top.dim - f.dim
     over = f.zero_set  # exactly the facets containing f
     if len(over) != codim:

@@ -60,16 +60,11 @@ def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
     return y
 
 
-_latest: dict[tuple, tuple[DecoratedCone, tuple[CohomologyType, ...]]] = {}
-
-# Largest finite quotient, in classes, that realizable walks; also the
-# default per-face cap of fiber_types.
+# Largest finite quotient, in classes, that fiber_types and realizable walk.
 CLASS_CAP = 100000
 
 
-def fiber_types(
-    model: DecoratedCone, primes=(), max_classes_per_face: int = CLASS_CAP
-) -> list[CohomologyType]:
+def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     """All realizable fibers, with witnesses and profiles.
 
     For each base face g the finite quotient A*/lambda_g is enumerated
@@ -85,20 +80,16 @@ def fiber_types(
     pattern of x is read off the face lattices directly.  Equal filters
     have equal complexes, so each distinct filter is profiled once.
 
-    The latest enumeration is kept, so depth_report and depth_bounds_multi
-    on one model share it; only one is kept, so no other model's fibers
-    stay alive.
+    Nothing is cached: depth_report keeps the fibers it was computed from,
+    and depth_bounds_multi reads them from that report.
     """
-    key = (id(model), tuple(primes), max_classes_per_face)
-    if key in _latest:
-        return list(_latest[key][1])
     out: list[CohomologyType] = []
     fl = model.fl
     profiles: dict[frozenset[int], CohomologyProfile] = {}
     for g, row in zip(fl.faces, model.face_table):
         above = fl.faces_above(g)
         n_classes = prod(row.factors)
-        if n_classes > max_classes_per_face:
+        if n_classes > CLASS_CAP:
             raise TooLarge(
                 f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap"
             )
@@ -119,8 +110,6 @@ def fiber_types(
                 profile = profile_of_complex(cochain_complex(fl, pattern), primes)
                 profiles[pattern] = profile
             out.append(CohomologyType(g.index, pattern, True, witness, profile))
-    _latest.clear()
-    _latest[key] = (model, tuple(out))  # the model stays alive, so its id is not reused
     return out
 
 
@@ -161,43 +150,32 @@ def realizable(
 def _up_sets_of_interval(fl, g: Face, cap: int) -> list[frozenset[int]]:
     """All up-closed subsets of the interval above g that contain the top.
 
-    DFS over the interval in a top-down linear extension; a face may be
-    included only when all of its covers are in.  Every cover of a face
-    above g is above g, and the top has no covers.
+    The sets grow top-down along a linear extension of the interval, in a
+    loop: each set is kept, followed by itself with the next face when all
+    of that face's covers are in it.  Every cover of a face above g is
+    above g, and the top has no covers.  No set is ever dropped, so the
+    walk stops as soon as the count passes the cap.  The only up-closed set
+    without the top is the empty one; it stays first and is not counted.
     """
     above = sorted(fl.faces_above(g), key=lambda f: (-f.dim, f.index))
-    top = fl.top.index
-    out: list[frozenset[int]] = []
-
-    def walk(pos: int, current: set[int]):
-        if len(out) > cap:
+    out = [frozenset()]
+    for f in above:
+        covers = fl.up_covers[f.index]
+        out = [t for s in out for t in ((s, s | {f.index}) if s.issuperset(covers) else (s,))]
+        if len(out) - 1 > cap:
             raise TooLarge(
                 f"face {sorted(g.ray_set)}: more than {cap} filters; raise the cap"
             )
-        if pos == len(above):
-            out.append(frozenset(current))
-            return
-        f = above[pos]
-        walk(pos + 1, current)
-        if all(u in current for u in fl.up_covers[f.index]):
-            current.add(f.index)
-            walk(pos + 1, current)
-            current.remove(f.index)
-
-    walk(0, set())
-    return [s for s in out if top in s]
+    return out[1:]
 
 
 def enumerate_types(
-    model: DecoratedCone,
-    primes=(),
-    max_filters_per_face: int = 5000,
-    profiles_for_all: bool = False,
+    model: DecoratedCone, primes=(), max_filters_per_face: int = 5000
 ) -> list[CohomologyType]:
     """Every (base face, up-closed filter) combination, flagged realizable or
-    not.  Realizability and witnesses come from the fiber enumeration, so no
-    per-filter group computation is repeated; profiles of unrealizable
-    combinations are only computed on request."""
+    not.  Realizability, witnesses and profiles come from the fiber
+    enumeration, so no per-filter group computation is repeated; the
+    unrealizable combinations carry neither witness nor profile."""
     fibers = fiber_types(model, primes)
     fiber_map = {(t.base_face, t.filter_ids): t for t in fibers}
     fl = model.fl
@@ -205,26 +183,22 @@ def enumerate_types(
     for g in fl.faces:
         for s in _up_sets_of_interval(fl, g, max_filters_per_face):
             hit = fiber_map.get((g.index, s))
-            if hit is not None:
-                out.append(hit)
-            else:
-                profile = None
-                if profiles_for_all:
-                    profile = profile_of_complex(cochain_complex(fl, s), primes)
-                out.append(CohomologyType(g.index, s, False, None, profile))
+            out.append(hit if hit is not None else CohomologyType(g.index, s, False, None, None))
     out.sort(key=lambda t: (fl.faces[t.base_face].dim, t.base_face, sorted(t.filter_ids)))
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class DepthReport:
-    """Depth and Cohen-Macaulayness over Q and the requested primes."""
+    """Depth and Cohen-Macaulayness over Q and the requested primes, with
+    the realizable fibers they were read from."""
 
     rank: int
     depth_q: int
     depth_by_prime: dict[int, int]
     witnesses: dict[str, dict[int, Vec]]
     torsion_primes: frozenset[int]
+    fibers: tuple[CohomologyType, ...]
 
     @property
     def cm_q(self) -> bool:
@@ -260,7 +234,7 @@ def depth_report(model: DecoratedCone, primes=(2, 3)) -> DepthReport:
     `CohomologyProfile.dims(p)` returns.
     """
     d = model.rank
-    fibers = fiber_types(model, primes)
+    fibers = tuple(fiber_types(model, primes))
     tors = frozenset().union(*(t.profile.torsion_primes for t in fibers)) if fibers else frozenset()
     all_primes = sorted(set(primes) | tors)
 
@@ -283,4 +257,4 @@ def depth_report(model: DecoratedCone, primes=(2, 3)) -> DepthReport:
         dp, wp = field_depth(p)
         depth_by_prime[p] = dp
         witnesses[str(p)] = wp
-    return DepthReport(d, depth_q, depth_by_prime, witnesses, tors)
+    return DepthReport(d, depth_q, depth_by_prime, witnesses, tors, fibers)

@@ -213,7 +213,7 @@ def test_acceptance_5_depth_bound_chain():
     assert len(models) >= 30
     ok = True
     for model in models:
-        bounds = depth_bounds_multi(model, primes=(2, 3))
+        bounds = depth_bounds_multi(model, depth_report(model, primes=(2, 3)))
         for p in FIELDS:
             ok &= bounds[p].chain_holds
     record(5, ok, f"{len(models)} models x 3 fields")

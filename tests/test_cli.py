@@ -268,6 +268,34 @@ class TestConstructAndCheck:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_one_parser_serves_successive_calls(self, rank3_file, model_file_71, capsys):
+        # the parser is built once per process; calls in a row, with
+        # different subcommands and a parse error between them, print
+        # what a fresh process prints for each
+        import monoidring.cli as cli
+
+        assert cli.build_parser() is cli.build_parser()
+        calls = [
+            ["analyze", rank3_file, "--degree-bound", "0", "--fields", "q"],
+            ["cohomology", model_file_71, "--degree", "0 0 1 1"],
+            ["analyze", rank3_file, "--degree-bound", "x"],
+            ["analyze", rank3_file],
+        ]
+        codes = []
+        for args in calls:
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "monoidring", *args], capture_output=True, text=True
+            )
+            assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+            codes.append(code)
+        assert codes == [0, 0, 2, 0]
+        assert json.loads(out)["seminormal"]["method"] != "bounded(0)"
+
     def test_console_entry_point(self, m23_file):
         proc = subprocess.run(
             [sys.executable, "-m", "monoidring", "analyze", m23_file],

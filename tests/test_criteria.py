@@ -387,7 +387,7 @@ class TestNormalFaceDetection:
         assert n_value(model_71) == 1
 
 
-def rebuilt_depth_bounds(model, primes=(2, 3)):
+def rebuilt_depth_bounds(model, primes):
     """The depth chain from one rebuilt restricted model per face: depth
     reports of restrict_model(model, f), then c_K and the depth over each
     field, with n from the per-face normality test."""
@@ -416,8 +416,10 @@ class TestDepthChainOnParentLattice:
     def test_matches_rebuilt_restrictions(self, models):
         below_rank = 0
         for model in models:
-            got = depth_bounds_multi(model, primes=(2, 3))
-            want = rebuilt_depth_bounds(model, primes=(2, 3))
+            rep = depth_report(model, primes=(2, 3))
+            got = depth_bounds_multi(model, rep)
+            # the fields are Q and the report's primes
+            want = rebuilt_depth_bounds(model, tuple(rep.depth_by_prime))
             assert {p: (b.c_k, b.n, b.depth, b.chain_holds) for p, b in got.items()} == want
             below_rank += any(b.c_k < model.rank for b in got.values())
         assert below_rank > 0  # the corpus reaches non-CM faces
@@ -430,11 +432,22 @@ class TestDepthChainOnParentLattice:
                     want = min(want, f.dim - 1)
             assert n_value(model) == want
 
+    def test_normal_facets_cm_is_the_per_facet_test(self, models):
+        rng = random.Random(71)
+        draws = [random_decorated_model(rng, rng.randint(2, 4)) for _ in range(40)]
+        verdicts = []
+        for model in models + draws:
+            fl = model.fl
+            facets_normal = all(model_face_is_normal(model, fl.faces[i]) for i in fl.facet_indices())
+            verdicts.append(normal_facets_cm(model))
+            assert verdicts[-1] is (True if facets_normal else None)
+        assert True in verdicts and None in verdicts
+
     def test_no_restricted_model_is_built(self, monkeypatch, model_73):
         def rebuild(*args):
             raise AssertionError("restrict_model called")
 
         monkeypatch.setattr(monoidring.monoid, "restrict_model", rebuild)
         monkeypatch.setattr(monoidring.criteria, "restrict_model", rebuild, raising=False)
-        bounds = depth_bounds_multi(model_73, primes=(2, 3))
+        bounds = depth_bounds_multi(model_73, depth_report(model_73, primes=(2, 3)))
         assert bounds[None].c_k == 2

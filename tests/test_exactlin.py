@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from monoidring.errors import NotSublattice
+from monoidring.errors import DegenerateFace, NotSublattice
 from monoidring.exactlin import (
     AbelianQuotient,
     Lattice,
@@ -319,6 +319,12 @@ class TestKernelRank:
         sol = solve_rational(rows, (2, 3, 2))
         assert sol == (Fraction(1), Fraction(1))
         assert solve_rational(rows, (0, 0, 1)) is None
+
+    def test_solve_rational_refuses_dependent_rows(self):
+        # a typed error, so the check also runs under python -O
+        rows = mat([[1, 2, 0], [2, 4, 0]])
+        with pytest.raises(DegenerateFace, match="independent rows"):
+            solve_rational(rows, (1, 2, 0))
 
 
 class TestInvariantFactors:

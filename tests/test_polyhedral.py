@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from monoidring.constructions import builtin
-from monoidring.errors import NotInCone, NotPointed
+from monoidring.errors import NotInCone, NotPointed, OutOfRange
 from monoidring.exactlin import dot, lattice_from_rows, mat_mul, rank, saturation, vadd
 from monoidring.polyhedral import (
     alternative_epsilon,
@@ -180,6 +180,12 @@ class TestSimpleFaces:
         fl = face_lattice(dual_description([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
         for f in fl.faces[:-1]:
             assert is_simple_face(fl, f)
+
+    def test_top_face_is_refused(self):
+        # a typed error, so the check also runs under python -O
+        fl = face_lattice(pyramid_cone())
+        with pytest.raises(OutOfRange, match="proper faces"):
+            is_simple_face(fl, fl.top)
 
 
 class TestIncidence:

@@ -35,7 +35,6 @@ from conftest import (
     decorate_by_facets,
     dense_matrices,
     facet_by_label,
-    pyramid_model,
     random_decorated_model,
 )
 from monoidring.exactlin import full_lattice
@@ -338,19 +337,83 @@ class TestFiberShortcuts:
         assert rep.depth_by_prime == {2: 5}
         assert rep.torsion_primes == frozenset({2})
 
-    def test_latest_fibers_are_reused(self, monkeypatch):
-        # the depth chain after a depth report enumerates nothing again
-        from monoidring.criteria import depth_bounds_multi
+    def test_one_enumeration_per_analyze(self, tmp_path, monkeypatch):
+        # depth_report hands its fibers to the depth chain; typology keeps
+        # no module-level state that could share them
+        from monoidring.cli import main, write_model
+        from monoidring.constructions import builtin
 
-        model = pyramid_model(("F1",))
-        rep = depth_report(model, primes=(2, 3))
-        first = fiber_types(model, primes=(2, 3))
+        model_path = tmp_path / "p73.model"
+        write_model(builtin("pyramid-7.3"), str(model_path))
+        monoid_path = tmp_path / "rank3.txt"
+        monoid_path.write_text("monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n")
+        calls = []
+        original = typology.fiber_types
 
-        def enumerated(*args):
-            raise AssertionError("fibers enumerated twice")
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(typology, "profile_of_complex", enumerated)
-        assert fiber_types(model, primes=(2, 3)) == first
-        assert depth_bounds_multi(model, primes=(2, 3))[None].depth == rep.depth_q
-        with pytest.raises(AssertionError, match="twice"):
-            fiber_types(model, primes=(3,))
+        monkeypatch.setattr(typology, "fiber_types", counted)
+        for path in (model_path, monoid_path):
+            calls.clear()
+            assert main(["analyze", str(path), "--fields", "q,2,3"]) == 0
+            assert len(calls) == 1
+        assert not [
+            name for name, value in vars(typology).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        ]
+
+    def test_report_carries_its_fibers(self, model_73):
+        rep = depth_report(model_73, primes=(2, 3))
+        assert rep.fibers == tuple(fiber_types(model_73, primes=(2, 3)))
+
+
+def recursive_up_sets(fl, g, cap):
+    """The up-set walk as a depth-first recursion: exclude a face, then
+    include it when all its covers are in; TooLarge once more than cap
+    sets, the empty one included, are out and a further set is due."""
+    above = sorted(fl.faces_above(g), key=lambda f: (-f.dim, f.index))
+    out = []
+
+    def walk(pos, current):
+        if len(out) > cap:
+            raise TooLarge("cap")
+        if pos == len(above):
+            out.append(frozenset(current))
+            return
+        f = above[pos]
+        walk(pos + 1, current)
+        if all(u in current for u in fl.up_covers[f.index]):
+            walk(pos + 1, current | {f.index})
+
+    walk(0, frozenset())
+    return [s for s in out if fl.top.index in s]
+
+
+class TestUpSetWalk:
+    def test_same_sets_and_cap_as_the_recursion(self, model_71, model_73):
+        for model in corpus(seed=501, count=10) + [model_71, model_73]:
+            fl = model.fl
+            for g in fl.faces:
+                want = recursive_up_sets(fl, g, 10**6)
+                assert typology._up_sets_of_interval(fl, g, 10**6) == want
+                n = len(want)
+                assert typology._up_sets_of_interval(fl, g, n) == want
+                with pytest.raises(TooLarge):
+                    recursive_up_sets(fl, g, n - 1)
+                with pytest.raises(TooLarge):
+                    typology._up_sets_of_interval(fl, g, n - 1)
+
+    def test_large_interval_hits_the_cap(self):
+        # the apex of the 11-dimensional orthant has 2048 faces above it,
+        # more than the recursion limit; a 2-face has 512
+        from monoidring.exactlin import identity
+
+        fl = face_lattice(dual_description(identity(11), 11))
+        apex = fl.faces[0]
+        two_face = next(f for f in fl.faces if f.dim == 2)
+        assert apex.dim == 0 and len(fl.faces_above(apex)) == 2048
+        for g in (apex, two_face):
+            with pytest.raises(TooLarge, match="more than 5000 filters"):
+                typology._up_sets_of_interval(fl, g, 5000)
