@@ -41,6 +41,22 @@ def is_up_closed(fl: FaceLattice, face_ids: frozenset[int]) -> bool:
     return True
 
 
+def _check_filter(fl: FaceLattice, face_ids: frozenset[int], top: Face) -> None:
+    """Raise NotUpClosed unless face_ids is an up-closed filter of the
+    interval of faces below top."""
+    if not all(fl.faces[i].ray_set <= top.ray_set for i in face_ids):
+        raise NotUpClosed("the face set leaves the interval below top")
+    for i in face_ids:
+        for u in fl.up_covers[i]:
+            if u not in face_ids and fl.faces[u].ray_set <= top.ray_set:
+                raise NotUpClosed("the face set is not an up-closed filter")
+
+
+def least_faces(fl: FaceLattice, face_ids: frozenset[int]) -> list[int]:
+    """The members of a face set none of whose down-covers is a member."""
+    return [i for i in face_ids if face_ids.isdisjoint(fl.down_covers[i])]
+
+
 @dataclass(frozen=True, eq=False)
 class CochainComplex:
     """Integer cochain complex over a face filter.
@@ -78,12 +94,7 @@ def cochain_complex(
     cover pairs instead of a matrix product.
     """
     top = fl.top if top is None else top
-    if not all(fl.faces[i].ray_set <= top.ray_set for i in face_ids):
-        raise NotUpClosed("the face set leaves the interval below top")
-    for i in face_ids:
-        for u in fl.up_covers[i]:
-            if u not in face_ids and fl.faces[u].ray_set <= top.ray_set:
-                raise NotUpClosed("the face set is not an up-closed filter")
+    _check_filter(fl, face_ids, top)
     d = top.dim
     eps = fl.epsilon
     by_deg = tuple(
@@ -180,11 +191,37 @@ def profile_of_complex(complex_: CochainComplex, primes=()) -> CohomologyProfile
     return CohomologyProfile(dims_q, dims_p, tors)
 
 
+def filter_profile(
+    fl: FaceLattice, face_ids: frozenset[int], top: Face | None = None, primes=()
+) -> CohomologyProfile:
+    """Profile of an up-closed filter of the interval below top (default:
+    the whole cone), with a complex built only when the filter has two or
+    more least faces.
+
+    A filter with exactly one least face G is the interval [G, top]: every
+    member lies above a least face, and up-closure holds every face between
+    G and top.  For G < top that interval is the face lattice of a polytope,
+    a cross-section of top modulo G, and its complex is the polytope's
+    augmented cellular cochain complex (Ziegler, Lectures on Polytopes,
+    ch. 8); the polytope is contractible, so the complex is exact over Z,
+    for any incidence function (Bruns-Herzog, Cohen-Macaulay Rings, §6.2).
+    Its profile is zero in every degree and over every field.  For G = top
+    the filter is {top}, with Z in degree dim top alone.  Neither has a
+    torsion prime.  Every other filter is profiled from its complex.  Both
+    paths refuse the same inputs with NotUpClosed.
+    """
+    top = fl.top if top is None else top
+    least = least_faces(fl, face_ids)
+    if len(least) != 1:
+        return profile_of_complex(cochain_complex(fl, face_ids, top), primes)
+    _check_filter(fl, face_ids, top)
+    dims = tuple(int(least[0] == top.index and t == top.dim) for t in range(top.dim + 1))
+    return CohomologyProfile(dims, {p: dims for p in sorted(set(primes))}, frozenset())
+
+
 def local_cohomology_at(model: DecoratedCone, a, primes=()) -> CohomologyProfile:
     """Profile of the local cohomology in degree -a for a in cn ∩ reference."""
-    face_ids = filter_at(model, a)
-    complex_ = cochain_complex(model.fl, face_ids)
-    return profile_of_complex(complex_, primes)
+    return filter_profile(model.fl, filter_at(model, a), primes=primes)
 
 
 def top_support_member(model: DecoratedCone, a) -> bool:

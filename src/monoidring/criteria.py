@@ -9,7 +9,7 @@ Frobenius splitting, and the Gorenstein test for Cohen-Macaulay models.
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .cohomology import cochain_complex, profile_of_complex
+from .cohomology import filter_profile, least_faces
 from .errors import HypothesisUnverified, NotCM
 from .exactlin import Vec, dot, lattice_intersect, prime_factors, solve_rational
 from .monoid import (
@@ -19,7 +19,7 @@ from .monoid import (
     gap_scan,
     in_facet_groups,
 )
-from .polyhedral import Face, is_simple_face, minimal_face
+from .polyhedral import Face, is_simple_face, minimal_face, zero_set_kernel
 from .typology import DepthReport, depth_report
 
 
@@ -135,14 +135,21 @@ def n_value(model: DecoratedCone) -> int:
     tight covers give lambda_h = lambda_f ∩ span h at every step, down to
     h = g.  So the smallest non-normal face is the upper face h of a
     non-tight cover, and one sweep over the cover pairs decides n.
+
+    g is a facet of h, so one support form phi that vanishes on g but not
+    on h cuts span h down to span g (see monoid.face_group_cuts).  As
+    lambda_h lies in span h, lambda_h ∩ span g is the kernel of phi on
+    lambda_h, and no intersection of lattices is needed.
     """
     fl = model.fl
+    forms = fl.cone.support_forms
     worst = model.rank
     for g in fl.faces:
         for h in fl.up_covers[g.index]:
             dim_h = fl.faces[h].dim
             if dim_h - 1 < worst:
-                if model.lattice_of(g) != lattice_intersect(model.lambdas[h], g.span_lattice):
+                phi = min(g.zero_set - fl.faces[h].zero_set)
+                if model.lattice_of(g) != zero_set_kernel(forms, (phi,), model.lambdas[h]):
                     worst = dim_h - 1
     return worst
 
@@ -174,6 +181,15 @@ def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | 
     degree dim F, and W_top is the model itself.  A profile holds its dims
     for every torsion prime of its complex, so it answers every field.
 
+    A parent fiber whose filter S has one least face G gives nothing to
+    profile.  The least faces of S ∩ [G, F] are the least faces of S below
+    F, as every down-cover of a face below F is below F.  So its sub-filters
+    are the intervals [G, F] with G < F, which are acyclic, and the
+    singletons {F}, with cohomology in degree dim F alone (argument in
+    cohomology.filter_profile).  Only the fibers with two or more least
+    faces are split, and filter_profile builds a complex only for those of
+    their sub-filters that again have two or more.
+
     c_K over a field is one less than the dimension of the first face, by
     increasing dimension, that is not Cohen-Macaulay (the rank if there is
     none), so faces above that dimension are never profiled.
@@ -186,6 +202,8 @@ def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | 
         below.append(frozenset({f.index}).union(*(below[g] for g in fl.down_covers[f.index])))
     subs: list[set[frozenset[int]]] = [set() for _ in fl.faces]
     for t in report.fibers:
+        if len(least_faces(fl, t.filter_ids)) == 1:
+            continue
         for i in t.filter_ids:
             subs[i].add(t.filter_ids & below[i])
     c_k = {p: d if report.cm(p) else d - 1 for p in fields}
@@ -194,7 +212,7 @@ def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | 
         if not open_fields:
             break
         for sub in subs[f.index]:
-            profile = profile_of_complex(cochain_complex(fl, sub, f))
+            profile = filter_profile(fl, sub, f)
             for p in open_fields:
                 if any(profile.dims(p)[: f.dim]):
                     c_k[p] = f.dim - 1

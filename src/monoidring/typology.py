@@ -7,19 +7,16 @@ quotient A*/lambda_G, where A* collects the reference-group points of the
 span of G: the decoration is monotone, so lambda_G lies in every face
 lattice above G and is the intersection of their traces on A*.  The
 realizable fibers, one witness per fiber, and the cohomology profile of
-every realizable filter together determine the depth over any field.
+every realizable filter together determine the depth over any field.  Only
+a filter with two or more least faces needs a complex for its profile (see
+cohomology.filter_profile).
 """
 
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .cohomology import (
-    CohomologyProfile,
-    cochain_complex,
-    is_up_closed,
-    profile_of_complex,
-)
+from .cohomology import CohomologyProfile, filter_profile, is_up_closed
 from .errors import BadFilter, TooLarge
 from .exactlin import (
     Vec,
@@ -77,15 +74,16 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     the reference group by monotonicity), and lambda_g ⊆ lambda_F for every
     F >= g by monotonicity, so the intersection is lambda_g itself.  For x
     in A*, x lies in A* ∩ lambda_F exactly when lambda_F.member(x), so the
-    pattern of x is read off the face lattices directly.  Equal filters
-    have equal complexes, so each distinct filter is profiled once.
+    pattern of x is read off the face lattices directly.  Each pattern is
+    profiled by cohomology.filter_profile, which builds a complex only for
+    a filter with two or more least faces; those hardly ever repeat, so
+    nothing is memoized.
 
     Nothing is cached: depth_report keeps the fibers it was computed from,
     and depth_bounds_multi reads them from that report.
     """
     out: list[CohomologyType] = []
     fl = model.fl
-    profiles: dict[frozenset[int], CohomologyProfile] = {}
     for g, row in zip(fl.faces, model.face_table):
         above = fl.faces_above(g)
         n_classes = prod(row.factors)
@@ -103,12 +101,8 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
         step = model_point_in_relint(model, g)
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
             assert fl.top.index in pattern
-            assert is_up_closed(fl, pattern)
             witness = _shift_into_relint(model, g, x, step)
-            profile = profiles.get(pattern)
-            if profile is None:
-                profile = profile_of_complex(cochain_complex(fl, pattern), primes)
-                profiles[pattern] = profile
+            profile = filter_profile(fl, pattern, primes=primes)
             out.append(CohomologyType(g.index, pattern, True, witness, profile))
     return out
 
@@ -170,13 +164,13 @@ def _up_sets_of_interval(fl, g: Face, cap: int) -> list[frozenset[int]]:
 
 
 def enumerate_types(
-    model: DecoratedCone, primes=(), max_filters_per_face: int = 5000
+    model: DecoratedCone, max_filters_per_face: int = 5000
 ) -> list[CohomologyType]:
     """Every (base face, up-closed filter) combination, flagged realizable or
     not.  Realizability, witnesses and profiles come from the fiber
     enumeration, so no per-filter group computation is repeated; the
     unrealizable combinations carry neither witness nor profile."""
-    fibers = fiber_types(model, primes)
+    fibers = fiber_types(model)
     fiber_map = {(t.base_face, t.filter_ids): t for t in fibers}
     fl = model.fl
     out: list[CohomologyType] = []

@@ -176,6 +176,23 @@ class TestAnalyze:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_optimized_interpreter_gives_the_same_report(self, model_file_71, tmp_path):
+        # the filter checks are explicit raises, not asserts: python -O
+        # skips no validation that shapes the report
+        from conftest import oracle_construction
+
+        constructed = tmp_path / "cycle4.model"
+        write_model(oracle_construction("4-cycle").model, str(constructed))
+        for path in (model_file_71, str(constructed)):
+            args = ["-m", "monoidring", "analyze", path, "--fields", "q,2,3"]
+            plain, optimized = (
+                subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True)
+                for flags in ([], ["-O"])
+            )
+            assert plain.returncode == optimized.returncode == 0
+            assert optimized.stdout == plain.stdout
+            assert json.loads(plain.stdout)["rank"] > 0
+
 
 class TestCohomology:
     def test_odd_ray_degree(self, model_file_71):

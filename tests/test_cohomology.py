@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+import monoidring.cohomology
 from monoidring.cohomology import (
     CochainComplex,
     cochain_complex,
     cohomology_dims,
     filter_at,
+    filter_profile,
     is_up_closed,
     local_cohomology_at,
     profile_of_complex,
@@ -18,13 +20,16 @@ from monoidring.errors import NotUpClosed, OutOfRange
 from monoidring.exactlin import mat_mul, vadd, vscale
 from monoidring.monoid import model_point_in_relint, restrict_model
 from monoidring.polyhedral import alternative_epsilon, dual_description, face_lattice
-from monoidring.typology import enumerate_types, fiber_types
+from monoidring.criteria import depth_bounds_multi
+from monoidring.typology import depth_report, enumerate_types, fiber_types
 
 from conftest import (
     assert_kernel_matches_dense_path,
     corpus,
     dense_matrices,
+    ORACLE_COMPLEXES,
     facet_by_label,
+    oracle_construction,
     pyramid_model,
     random_decorated_model,
 )
@@ -315,3 +320,97 @@ class TestSquareCheck:
             assert sparse_fired == dense_nonzero
             fired += sparse_fired
         assert fired > 0
+
+
+def least_by_ray_sets(fl, ids):
+    """The minimal members of a face set under ray-set inclusion."""
+    return [i for i in ids if not any(fl.faces[j].ray_set < fl.faces[i].ray_set for j in ids)]
+
+
+def below_by_ray_sets(fl):
+    return [frozenset(g.index for g in fl.faces if g.ray_set <= f.ray_set) for f in fl.faces]
+
+
+def filters_and_sub_filters(model):
+    """(filter, top) for every realizable filter of the model, below the
+    cone, and for every sub-filter S ∩ [., F] below each F in S."""
+    fl = model.fl
+    below = below_by_ray_sets(fl)
+    out = set()
+    for t in fiber_types(model):
+        out.add((t.filter_ids, fl.top.index))
+        out.update((t.filter_ids & below[i], i) for i in t.filter_ids)
+    return out
+
+
+class TestFilterProfile:
+    """filter_profile against the complex it skips, on the filters the depth
+    code reads."""
+
+    @pytest.fixture(scope="class")
+    def models(self, model_71, model_73):
+        constructed = [oracle_construction(name).model for name in sorted(ORACLE_COMPLEXES)]
+        return corpus(seed=501, count=30) + [model_71, model_73] + constructed
+
+    def test_same_profile_as_the_built_complex(self, models, model_71, model_73):
+        # every up-closed filter of the pyramids as well, realizable or not
+        cases = [(model, filters_and_sub_filters(model)) for model in models]
+        for m in (model_71, model_73):
+            cases.append((m, {(ids, m.fl.top.index) for ids in all_filters(m)}))
+        several = 0
+        for model, filters in cases:
+            fl = model.fl
+            for ids, top in filters:
+                f = fl.faces[top]
+                for primes in ((), (2, 3)):
+                    built = profile_of_complex(cochain_complex(fl, ids, f), primes)
+                    assert filter_profile(fl, ids, f, primes) == built
+                several += len(least_by_ray_sets(fl, ids)) >= 2
+        assert several > 50
+
+    def test_refuses_what_the_complex_refuses(self, models):
+        rng = random.Random(11)
+        outcomes = []
+        # two corpus models, the pyramids and the constructed models
+        for model in models[28:]:
+            fl = model.fl
+            below = below_by_ray_sets(fl)
+            for f in fl.faces:
+                outside = [i for i in range(len(fl.faces)) if i not in below[f.index]]
+                for g in below[f.index]:
+                    interval = frozenset(i for i in below[f.index] if g in below[i])
+                    cases = [interval, frozenset({g}), interval - {f.index}]
+                    cases += [interval - {i} for i in sorted(interval - {g})[:2]]
+                    if outside:
+                        cases.append(interval | {rng.choice(outside)})
+                    cases.append(frozenset(i for i in below[f.index] if rng.random() < 0.5))
+                    for ids in cases:
+                        got = []
+                        for build in (cochain_complex, filter_profile):
+                            try:
+                                build(fl, ids, f)
+                                got.append(False)
+                            except NotUpClosed:
+                                got.append(True)
+                        assert got[0] == got[1]
+                        outcomes.append((got[0], len(least_by_ray_sets(fl, ids)) == 1))
+        assert {(True, True), (True, False), (False, True), (False, False)} <= set(outcomes)
+
+    def test_builds_only_filters_with_two_or_more_least_faces(self, monkeypatch):
+        model = oracle_construction("4-cycle").model
+        fl = model.fl
+        built = []
+        original = monoidring.cohomology.cochain_complex
+
+        def counted(fl_, ids, top=None):
+            built.append(ids)
+            return original(fl_, ids, top)
+
+        monkeypatch.setattr(monoidring.cohomology, "cochain_complex", counted)
+        depth_bounds_multi(model, depth_report(model, primes=(2, 3)))
+        several = {
+            (ids, top)
+            for ids, top in filters_and_sub_filters(model)
+            if len(least_by_ray_sets(fl, ids)) >= 2
+        }
+        assert 0 < len(built) <= len(several)

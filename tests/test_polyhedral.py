@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from monoidring.cohomology import CohomologyProfile, cochain_complex, profile_of_complex
 from monoidring.constructions import builtin
 from monoidring.errors import NotInCone, NotPointed, OutOfRange
 from monoidring.exactlin import dot, lattice_from_rows, mat_mul, rank, saturation, vadd
@@ -483,3 +484,30 @@ class TestFacesAbove:
 
     def test_rp2(self, rp2_result):
         self.assert_matches_scan(rp2_result.model.fl)
+
+
+class TestIntervalsAreAcyclic:
+    """The argument behind cohomology.filter_profile, checked through the
+    complexes it skips: the interval [G, F], taken by ray sets, has no
+    cohomology for G < F, and {F} has Z in degree dim F alone."""
+
+    @staticmethod
+    def assert_intervals(fl, max_dim=None):
+        checked = 0
+        for f in fl.faces:
+            if max_dim is not None and f.dim > max_dim:
+                continue
+            below = [g for g in fl.faces if g.ray_set <= f.ray_set]
+            for g in below:
+                ids = frozenset(h.index for h in below if g.ray_set <= h.ray_set)
+                profile = profile_of_complex(cochain_complex(fl, ids, f))
+                want = tuple(int(g is f and t == f.dim) for t in range(f.dim + 1))
+                assert profile == CohomologyProfile(want, {}, frozenset())
+                checked += 1
+        return checked
+
+    def test_oracle_cones(self, oracle_lattices):
+        assert sum(self.assert_intervals(fl) for fl in oracle_lattices) > 10000
+
+    def test_rp2_faces_up_to_dimension_three(self, rp2_result):
+        assert self.assert_intervals(rp2_result.model.fl, max_dim=3) > 1000
