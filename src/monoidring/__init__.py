@@ -69,7 +69,6 @@ from .polyhedral import (
     dual_description,
     face_lattice,
     grading_form,
-    incidence,
     is_simple_face,
     minimal_face,
 )

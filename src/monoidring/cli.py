@@ -8,9 +8,10 @@ Subcommands:
 * ``check``      -- run the internal invariant suite on an input
 
 Exit codes: 0 success, 1 invariant violation (check), 2 input error (a
-parse error, or a ``cohomology`` degree that is not an integer vector of
-the ambient dimension inside the cone), 3 enumeration cap exceeded or
-construction verification failure.
+parse error, a zero generator, a cone that contains a line, or a
+``cohomology`` degree that is not an integer vector of the ambient
+dimension inside the cone), 3 enumeration cap exceeded or construction
+verification failure.
 
 Input formats
 -------------
@@ -48,12 +49,13 @@ from .criteria import (
 from .errors import (
     HypothesisUnverified,
     MonoidRingError,
-    NotCM,
+    NotPointed,
     NotPositive,
     OutOfRange,
     ParseError,
     TooLarge,
     VerificationFailed,
+    ZeroGenerator,
 )
 from .exactlin import Lattice, lattice_from_rows, prime_factors, vec
 from .monoid import (
@@ -462,7 +464,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, NotPositive, OutOfRange, OSError) as exc:
+    except (ParseError, ZeroGenerator, NotPointed, NotPositive, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TooLarge, VerificationFailed) as exc:

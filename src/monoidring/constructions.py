@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cohomology import filter_at
-from .errors import VerificationFailed
+from .errors import ParseError, VerificationFailed
 from .exactlin import (
     Mat,
     Vec,
@@ -73,13 +73,20 @@ class SimplicialComplex:
 
     @classmethod
     def from_file(cls, path) -> "SimplicialComplex":
+        """Read one facet per line, vertices as integers, ``#`` comments;
+        raises ParseError on a non-integer vertex or a file with none."""
         facets = []
         with open(path) as fh:
             for line in fh:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                facets.append([int(tok) for tok in line.split()])
+                try:
+                    facets.append([int(tok) for tok in line.split()])
+                except ValueError as exc:
+                    raise ParseError(f"bad vertex in facet {line!r}") from exc
+        if not facets:
+            raise ParseError("complex file lists no vertex")
         return cls.from_facets(facets)
 
     def faces(self) -> set[frozenset[int]]:

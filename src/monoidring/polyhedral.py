@@ -14,21 +14,22 @@ it) is the intersection of its rays' zero sets, its saturated span is the
 integer kernel of its zero-set forms (zero_set_kernel, which also gives the
 face groups of a decorated cone), and the faces covering G are the joins of
 G with one more ray that have dimension dim G + 1.  The lattice carries an
-incidence function epsilon on cover pairs.  epsilon is built from a
-deterministic ordered basis per face and is verified against the diamond
-condition exhaustively at construction time.
+incidence function epsilon on cover pairs.  epsilon is propagated across
+the diamonds of the lattice, faces by increasing dimension, from +1 on
+each face's first down-cover; it is the geometric orientation up to one
+sign per face, so it gives isomorphic complexes, and it is verified
+against the diamond condition exhaustively at construction time.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import NotInCone, NotPointed, OutOfRange
+from .errors import NotInCone, NotPointed, OutOfRange, TooLarge, ZeroGenerator
 from .exactlin import (
     Lattice,
     Mat,
     Vec,
     complete_saturated_basis,
-    det,
     dot,
     is_zero_vec,
     lattice_from_rows,
@@ -138,7 +139,8 @@ class RationalCone:
 def dual_description(generators, ambient_dim: int | None = None) -> RationalCone:
     """Build the full dual description of cone(generators).
 
-    Raises NotPointed when the cone contains a line.
+    Raises ZeroGenerator on a zero generator and NotPointed when the cone
+    contains a line.
     """
     gens = mat(generators)
     if ambient_dim is None:
@@ -147,7 +149,7 @@ def dual_description(generators, ambient_dim: int | None = None) -> RationalCone
         ambient_dim = len(gens[0])
     for g in gens:
         if is_zero_vec(g):
-            raise ValueError("zero generator")
+            raise ZeroGenerator("generators must be nonzero")
     span = saturation(lattice_from_rows(ambient_dim, gens))
     d = span.rank
     if d == 0:
@@ -249,10 +251,18 @@ def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
     return lattice_from_rows(lat.ambient_dim, [vec_mat(k, lat.basis) for k in kernel])
 
 
+# Past this many faces face_lattice raises TooLarge, before it computes any
+# span.  The largest lattices it is met with: 2920 faces in the tests (the
+# six-vertex RP² model), 184 in the benchmark workloads.  The orthant of m
+# unit vectors has 2^m faces, so m = 14 is refused.
+FACE_CAP = 10_000
+
+
 def face_lattice(cone: RationalCone) -> FaceLattice:
     """Enumerate all faces, the Hasse diagram, and the incidence function.
 
-    The faces are the intersections of facets, as sets of extreme rays.  A
+    The faces are the intersections of facets, as sets of extreme rays,
+    counted as the closure finds them: past FACE_CAP it raises TooLarge.  A
     face's zero set is the intersection of the zero sets of its rays (all
     forms for the apex), and its saturated span is the kernel of its
     zero-set forms on span C ∩ Z^m (see zero_set_kernel).
@@ -263,6 +273,11 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     every r in F ∖ G the join is a face with G ⊊ cl(G ∪ r) ⊆ F; as the
     lattice is graded, its dimension is dim G + 1 = dim F, so it is F.  The
     faces covering G are thus the joins of dimension dim G + 1.
+
+    The incidence signs are propagated across diamonds before the lattice
+    is built: per face, +1 on its first down-cover, and each further
+    down-cover signed from one already signed through a diamond they share
+    (argument in _incidence_signs).  Every diamond is then verified.
     """
     rays = cone.extreme_rays
     forms = cone.support_forms
@@ -272,7 +287,8 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
         frozenset(j for j in range(n_rays) if i in ray_zero[j]) for i in range(len(forms))
     ]
 
-    seen: set[frozenset[int]] = {frozenset(range(n_rays))}
+    # the apex is a face of a pointed cone, and meets every facet in itself
+    seen: set[frozenset[int]] = {frozenset(range(n_rays)), frozenset()}
     work = [frozenset(range(n_rays))]
     while work:
         cur = work.pop()
@@ -280,9 +296,9 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
             nxt = cur & fr
             if nxt not in seen:
                 seen.add(nxt)
+                if len(seen) > FACE_CAP:
+                    raise TooLarge(f"the cone has more than {FACE_CAP} faces")
                 work.append(nxt)
-    if frozenset() not in seen:
-        seen.add(frozenset())
 
     all_forms = frozenset(range(len(forms)))
     entries = []
@@ -305,101 +321,82 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
                 up[g.index].append(j)
                 down[j].append(g.index)
 
+    down_covers = tuple(tuple(sorted(d)) for d in down)
     fl = FaceLattice(
         cone=cone,
         faces=faces,
         up_covers=tuple(tuple(sorted(u)) for u in up),
-        down_covers=tuple(tuple(sorted(d)) for d in down),
-        epsilon={},
+        down_covers=down_covers,
+        epsilon=_incidence_signs(faces, down_covers),
         _by_zero_set=by_zero_set,
     )
-    fl.epsilon.update(_build_epsilon(fl, reverse_rays=False))
     _verify_diamond(fl, fl.epsilon)
     return fl
 
 
-def _reference_basis(rays: Mat, ray_ids: list[int], dim: int) -> tuple[list[Vec], list[int]]:
-    """Ordered reference basis of a face and pivot columns for it.
+def _incidence_signs(faces: tuple[Face, ...], down) -> dict[tuple[int, int], int]:
+    """An incidence function on the cover pairs, by propagation across
+    diamonds: no bases, orientations or determinants.  down holds the
+    down-covers of each face, by face index.
 
-    One fraction-free echelon pass over the rays in the given order: a ray
-    is kept when it is independent of the rays kept so far, i.e. when its
-    reduction against the echelon rows is nonzero; that reduction joins the
-    echelon rows with its first nonzero column as pivot.  Each echelon row
-    vanishes on the pivots of the rows before it, so the echelon rows
-    restricted to the pivot columns form a triangular matrix with nonzero
-    diagonal.  They arise from the kept rays by invertible row operations,
-    hence det basis[:, pivots] != 0.
+    Faces are taken by increasing dimension, so the signs below F are set
+    when F is reached.  The first down-cover of F gets +1.  Every further
+    down-cover H is reached from a down-cover G already signed through a
+    shared down-cover E: G and H are the two middle faces of the diamond
+    [E, F], and the diamond condition
+    eps(E, G) eps(G, F) + eps(E, H) eps(H, F) = 0 forces
+    eps(H, F) = -eps(E, G) eps(G, F) eps(E, H).
+
+    Every down-cover is reached.  For dim F >= 3 the facets of F are
+    connected through its ridges: so are the facets of a cross-section of F,
+    a polytope, whose facet-ridge graph is the graph of its polar polytope
+    and hence connected (Balinski; Ziegler, Lectures on Polytopes, §3.5).
+    The two rays of a 2-face share the apex; a ray has the apex alone.
+
+    The pass meets no contradiction, by induction on dimension.  Let the
+    signs below F be the geometric incidence function eps_geo (the
+    orientations of Bruns-Herzog, Cohen-Macaulay Rings, §6.2) times
+    delta(E) delta(G) for some delta = ±1 per face.  Then
+    eps_geo(., F) delta(.) solves every diamond of F, as
+    delta(E) (eps_geo(E, G) eps_geo(G, F) + eps_geo(E, H) eps_geo(H, F))
+    = 0.  The diamonds fix eps(., F) from its first value, because the
+    down-covers are connected, so the pass gives that solution times one
+    sign delta(F), and the induction goes on.  Hence the result differs
+    from eps_geo by delta(G) delta(F) on every pair, and its cochain
+    complexes are isomorphic to the geometric ones through the diagonal
+    basis change F -> delta(F) F.  face_lattice still verifies every
+    diamond (_verify_diamond).
     """
-    chosen: list[Vec] = []
-    echelon: list[tuple[int, Vec]] = []
-    for i in ray_ids:
-        if len(chosen) == dim:
-            break
-        r = rays[i]
-        for p, e in echelon:
-            c = r[p]
-            if c:
-                ep = e[p]
-                r = primitive(tuple(ep * x - c * y for x, y in zip(r, e)))
-        piv = next((j for j, x in enumerate(r) if x), None)
-        if piv is not None:
-            chosen.append(rays[i])
-            echelon.append((piv, r))
-    return chosen, sorted(p for p, _ in echelon)
-
-
-def _sign_of_minor(rows: list[Vec], cols: list[int]) -> int:
-    d = det([[row[j] for j in cols] for row in rows])
-    return (d > 0) - (d < 0)
-
-
-def _build_epsilon(fl: FaceLattice, reverse_rays: bool) -> dict[tuple[int, int], int]:
-    """Incidence signs from per-face reference bases.
-
-    Each face F gets the first linearly independent extreme rays (in index
-    order, or reversed) as an ordered basis B_F; the sign of a cover pair
-    (G, F) is the orientation of (B_G, u) against B_F, where u is the
-    difference of the ray sums, a relative interior point of F modulo the
-    span of G.  That orientation is the sign of det C, where C holds the
-    coordinates in B_F of the rows of X = [B_G; u].
-
-    It is computed on integers only.  The echelon pass that picks B_F also
-    picks pivot columns P with det B_F[:, P] != 0 (see _reference_basis).
-    Every row of X lies in span F, so C B_F = X, and restricting to the
-    columns P gives C B_F[:, P] = X[:, P], hence
-    det C = det X[:, P] / det B_F[:, P]: the sign is
-    sign det X[:, P] * sign det B_F[:, P], two Bareiss determinants.
-    """
-    rays = fl.cone.extreme_rays
-    basis_of: dict[int, list[Vec]] = {}
-    pivots_of: dict[int, list[int]] = {}
-    ray_sum: dict[int, Vec] = {}
-    for f in fl.faces:
-        ids = sorted(f.ray_set, reverse=reverse_rays)
-        basis_of[f.index], pivots_of[f.index] = _reference_basis(rays, ids, f.dim)
-        total = (0,) * fl.cone.ambient_dim
-        for i in f.ray_set:
-            total = vadd(total, rays[i])
-        ray_sum[f.index] = total
-
     eps: dict[tuple[int, int], int] = {}
-    for f in fl.faces:
-        cols = pivots_of[f.index]
-        sign_f = _sign_of_minor(basis_of[f.index], cols)
-        for gid in fl.down_covers[f.index]:
-            assert fl.faces[gid].ray_set < f.ray_set
-            u = vsub(ray_sum[f.index], ray_sum[gid])
-            sign = sign_f * _sign_of_minor(basis_of[gid] + [u], cols)
-            assert sign != 0
-            eps[(gid, f.index)] = sign
+    for f in faces:
+        lows = down[f.index]
+        if not lows:
+            continue
+        mids: dict[int, list[int]] = {}
+        for h in lows:
+            for e in down[h]:
+                mids.setdefault(e, []).append(h)
+        sign = {lows[0]: 1}
+        work = [lows[0]]
+        while work:
+            g = work.pop()
+            for e in down[g]:
+                for h in mids[e]:
+                    if h not in sign:
+                        sign[h] = -eps[(e, g)] * sign[g] * eps[(e, h)]
+                        work.append(h)
+        eps.update(((h, f.index), s) for h, s in sign.items())
     return eps
 
 
 def _verify_diamond(fl: FaceLattice, eps: dict[tuple[int, int], int]) -> None:
-    """Every length-two interval must contain exactly two intermediate faces
-    with alternating signs; violations are construction bugs, not inputs."""
+    """Every cover pair must carry a sign ±1, and every length-two interval
+    must contain exactly two intermediate faces with alternating signs;
+    violations are construction bugs, not inputs."""
     for f in fl.faces:
         lows = fl.down_covers[f.index]
+        if any(eps.get((h, f.index)) not in (1, -1) for h in lows):
+            raise AssertionError("incidence function misses a cover pair")
         grandchildren = {e for h in lows for e in fl.down_covers[h]}
         for e in grandchildren:
             mids = [h for h in lows if e in fl.down_covers[h]]
@@ -409,19 +406,6 @@ def _verify_diamond(fl: FaceLattice, eps: dict[tuple[int, int], int]) -> None:
             total = eps[(e, h1)] * eps[(h1, f.index)] + eps[(e, h2)] * eps[(h2, f.index)]
             if total != 0:
                 raise AssertionError("incidence function fails the diamond condition")
-
-
-def incidence(fl: FaceLattice) -> dict[tuple[int, int], int]:
-    """The incidence function on cover pairs (already verified)."""
-    return dict(fl.epsilon)
-
-
-def alternative_epsilon(fl: FaceLattice) -> dict[tuple[int, int], int]:
-    """A second admissible incidence function (reversed ray order), for
-    checking that cohomology dimensions do not depend on the choice."""
-    eps = _build_epsilon(fl, reverse_rays=True)
-    _verify_diamond(fl, eps)
-    return eps
 
 
 def minimal_face(fl: FaceLattice, x) -> Face:

@@ -188,6 +188,14 @@ def dense_matrices(fl, ids):
     ]
 
 
+def resigned_epsilon(fl, seed):
+    """A second incidence function on fl: epsilon times delta(G) delta(F) on
+    each cover pair (G, F), for a seeded random sign delta per face."""
+    rng = random.Random(seed)
+    delta = [rng.choice((1, -1)) for _ in fl.faces]
+    return {(g, f): s * delta[g] * delta[f] for (g, f), s in fl.epsilon.items()}
+
+
 def assert_kernel_matches_dense_path(m):
     """The invariant-factor kernel against the dense rank, rank_mod and snf:
     Q rank, F_p ranks for p in 2, 3, 5, and the torsion primes."""

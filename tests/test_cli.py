@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -102,6 +103,36 @@ class TestParseInput:
         assert code == 2
 
 
+class TestTypedInputErrors:
+    """Inputs that the library refuses with a typed error exit 2 with one
+    error line, like every other input error."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "monoid 2\n0 0\n1 0\n",  # a zero generator
+            "model 2\ngenerators\n0 0\n1 0\n",  # a zero generator
+            "model 2\ngenerators\n1 0\n-1 0\n",  # the cone contains a line
+        ],
+        ids=["monoid-zero-generator", "model-zero-generator", "model-with-a-line"],
+    )
+    def test_analyze(self, tmp_path, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert_input_error(["analyze", str(p)])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 2\n2 x\n", "# no facet\n\n"],
+        ids=["non-integer-vertex", "no-vertex"],
+    )
+    def test_construct(self, tmp_path, text):
+        p = tmp_path / "bad.delta"
+        p.write_text(text)
+        assert_input_error(["construct", str(p), str(tmp_path / "out.model")])
+        assert not (tmp_path / "out.model").exists()
+
+
 class TestAnalyze:
     def test_m23_report(self, m23_file):
         code, out, _ = run_cli(["analyze", m23_file])
@@ -175,6 +206,17 @@ class TestAnalyze:
         assert code == 3
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("m", [14, 20])
+    def test_face_cap_exits_three(self, tmp_path, m):
+        # the orthant of m unit vectors has 2^m faces, past FACE_CAP
+        p = tmp_path / "orthant.txt"
+        rows = [" ".join("1" if i == j else "0" for j in range(m)) for i in range(m)]
+        p.write_text("\n".join([f"monoid {m}", *rows]) + "\n")
+        code, out, err = run_cli(["analyze", str(p)])
+        assert code == 3
+        assert out == ""
+        assert err == "error: the cone has more than 10000 faces\n"
 
     def test_optimized_interpreter_gives_the_same_report(self, model_file_71, tmp_path):
         # the filter checks are explicit raises, not asserts: python -O
@@ -321,3 +363,93 @@ class TestConstructAndCheck:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rank"] == 1
+
+
+def is_int_row(line):
+    return bool(line.split()) and all(t.lstrip("-").isdigit() for t in line.split())
+
+
+def mutate(rng, lines):
+    """One seeded mutation of an input file, given as its lines: drop,
+    duplicate, swap or garble lines and tokens, zero or negate a row."""
+    lines = list(lines)
+    kind = rng.choice(
+        ["drop", "duplicate", "swap", "garble line", "garble token", "drop token",
+         "duplicate token", "zero row", "negate row"]
+    )
+    rows = [k for k, line in enumerate(lines) if is_int_row(line)]
+    if kind.endswith(" row") and rows:
+        i = rng.choice(rows)
+        sign = 0 if kind == "zero row" else -1
+        lines[i] = " ".join(str(sign * int(t)) for t in lines[i].split())
+        return lines
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    toks = lines[i].split()
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "garble line":
+        lines[i] = rng.choice(["", "#", "x y", "1 2 3", "lattice", "lattice *", "lattice 9",
+                               "generators", "model 0", "monoid -1", "model 4 4"])
+    elif toks and kind.endswith(" token"):
+        k = rng.randrange(len(toks))
+        if kind == "garble token":
+            toks[k] = rng.choice(["0", "1", "-1", "2", "3", "x", "1.5", "*", "#"])
+        elif kind == "drop token":
+            del toks[k]
+        else:
+            toks.insert(k, toks[k])
+        lines[i] = " ".join(toks)
+    return lines or [""]
+
+
+class TestFuzz:
+    """Seeded mutations of model, monoid and complex files, run through
+    cli.main: every run exits 0, 2 or 3 and raises nothing."""
+
+    @staticmethod
+    def seeds(tmp_path):
+        model = tmp_path / "seed.model"
+        write_model(builtin("pyramid-7.1"), str(model))
+        analyze = ["analyze", "--fields", "q,2"]
+        construct = ["construct", str(tmp_path / "out.model")]
+        # the second model lists a generator inside the cone of the others
+        return [
+            (analyze, model.read_text().splitlines(), 80),
+            (analyze, ["model 2", "generators", "1 0", "1 1", "1 2", "lattice 0", "2 0"], 60),
+            (analyze, ["monoid 3", "2 0 1", "0 1 1", "1 1 1", "0 0 1"], 80),
+            (construct, ["# a path", "1 2", "2 3"], 40),
+            (construct, ["# an edge", "1 2"], 30),
+        ]
+
+    def test_mutated_inputs(self, tmp_path):
+        rng = random.Random(9)
+        codes, errors = set(), set()
+        for command, lines, runs in self.seeds(tmp_path):
+            for _ in range(runs):
+                text = lines
+                for _ in range(rng.randint(1, 3)):
+                    text = mutate(rng, text)
+                p = tmp_path / "fuzzed.txt"
+                p.write_text("\n".join(text) + "\n")
+                try:
+                    code, out, err = run_cli([command[0], str(p), *command[1:]])
+                except Exception as exc:  # noqa: BLE001 - reported with its input
+                    pytest.fail(f"{command[0]} raised {exc!r} on:\n{p.read_text()}")
+                assert code in (0, 2, 3), p.read_text()
+                if code:
+                    assert out == "" and len(err.splitlines()) == 1, p.read_text()
+                    errors.add(err.removeprefix("error: ").split(" '")[0].strip())
+                codes.add(code)
+        assert {0, 2} <= codes
+        # the runs meet the refusals of zero generators, lines, bad vertices
+        # and empty complexes
+        assert {
+            "generators must be nonzero",
+            "the cone contains a line",
+            "bad vertex in facet",
+            "complex file lists no vertex",
+        } <= errors

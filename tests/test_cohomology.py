@@ -19,7 +19,7 @@ from monoidring.cohomology import (
 from monoidring.errors import NotUpClosed, OutOfRange
 from monoidring.exactlin import mat_mul, vadd, vscale
 from monoidring.monoid import model_point_in_relint, restrict_model
-from monoidring.polyhedral import alternative_epsilon, dual_description, face_lattice
+from monoidring.polyhedral import dual_description, face_lattice
 from monoidring.criteria import depth_bounds_multi
 from monoidring.typology import depth_report, enumerate_types, fiber_types
 
@@ -32,6 +32,7 @@ from conftest import (
     oracle_construction,
     pyramid_model,
     random_decorated_model,
+    resigned_epsilon,
 )
 
 
@@ -243,7 +244,8 @@ class TestTopSupport:
 class TestEpsilonIndependence:
     def test_dims_same_under_alternative_incidence(self, model_71):
         fl = model_71.fl
-        eps2 = alternative_epsilon(fl)
+        eps2 = resigned_epsilon(fl, seed=71)
+        assert eps2 != fl.epsilon
         a, _ = odd_apex_ray_point(model_71)
         for point in [a, vscale(2, a), (0, 0, 0, 0)]:
             ids = filter_at(model_71, point)

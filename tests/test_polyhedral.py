@@ -5,21 +5,21 @@ from fractions import Fraction
 
 import pytest
 
+import monoidring.polyhedral
 from monoidring.cohomology import CohomologyProfile, cochain_complex, profile_of_complex
 from monoidring.constructions import builtin
-from monoidring.errors import NotInCone, NotPointed, OutOfRange
+from monoidring.errors import NotInCone, NotPointed, OutOfRange, TooLarge
 from monoidring.exactlin import dot, lattice_from_rows, mat_mul, rank, saturation, vadd
 from monoidring.polyhedral import (
-    alternative_epsilon,
+    _verify_diamond,
     dual_description,
     face_lattice,
     grading_form,
-    incidence,
     is_simple_face,
     minimal_face,
 )
 
-from conftest import ORACLE_COMPLEXES, oracle_construction
+from conftest import ORACLE_COMPLEXES, oracle_construction, resigned_epsilon
 
 PYRAMID = [
     (0, 0, 1, 1),
@@ -139,6 +139,28 @@ class TestFaceLattice:
             assert (len(f.zero_set) == codim) == is_simple_face(fl, f)
 
 
+class TestFaceCap:
+    """face_lattice counts the faces as the closure finds them and refuses
+    past FACE_CAP before any span is computed."""
+
+    @staticmethod
+    def orthant(m):
+        return dual_description([tuple(int(i == j) for j in range(m)) for i in range(m)])
+
+    def test_cap_is_met_exactly(self, monkeypatch):
+        monkeypatch.setattr(monoidring.polyhedral, "FACE_CAP", 16)
+        assert len(face_lattice(self.orthant(4)).faces) == 16
+
+    def test_nothing_past_the_closure_runs(self, monkeypatch):
+        def no_span(*args):
+            raise AssertionError("a span was computed")
+
+        monkeypatch.setattr(monoidring.polyhedral, "FACE_CAP", 15)
+        monkeypatch.setattr(monoidring.polyhedral, "zero_set_kernel", no_span)
+        with pytest.raises(TooLarge, match="more than 15 faces"):
+            face_lattice(self.orthant(4))
+
+
 class TestMinimalFace:
     def test_apex(self):
         fl = face_lattice(pyramid_cone())
@@ -196,7 +218,7 @@ class TestIncidence:
 
     def test_two_dim_diamond(self):
         fl = face_lattice(dual_description([(1, 0), (1, 2)]))
-        eps = incidence(fl)
+        eps = fl.epsilon
         r1, r2 = fl.faces_of_dim(1)
         a, t = fl.apex.index, fl.top.index
         assert (
@@ -229,9 +251,12 @@ class TestIncidence:
             assert all(all(x == 0 for x in row) for row in prod)
 
     def test_alternative_epsilon_valid(self):
+        # one sign per face changes the signs but keeps every diamond
         fl = face_lattice(pyramid_cone())
-        eps2 = alternative_epsilon(fl)
+        eps2 = resigned_epsilon(fl, seed=20)
         assert set(eps2) == set(fl.epsilon)
+        assert eps2 != fl.epsilon
+        _verify_diamond(fl, eps2)
 
 
 def _fraction_coords(basis, targets):
@@ -363,13 +388,24 @@ def oracle_lattices():
 
 
 class TestIncidenceOracle:
-    """The integer signs (one Bareiss minor per cover pair) equal the
-    orientation computed by definition over Q, for both ray orders."""
+    """The library signs, propagated across diamonds, equal the orientation
+    computed by definition over Q up to one sign delta per face, for both
+    ray orders: eps(G, F) eps_geo(G, F) = delta(G) delta(F) on every cover
+    pair.  So the filter complexes of the two are isomorphic through the
+    diagonal basis change F -> delta(F) F."""
 
     @staticmethod
     def assert_matches_oracle(fl):
-        assert fl.epsilon == fraction_epsilon(fl, reverse_rays=False)
-        assert alternative_epsilon(fl) == fraction_epsilon(fl, reverse_rays=True)
+        for reverse_rays in (False, True):
+            geo = fraction_epsilon(fl, reverse_rays)
+            assert set(geo) == set(fl.epsilon)
+            # delta(apex) = 1; delta(F) is read off F's first down-cover
+            delta = {fl.apex.index: 1}
+            for f in fl.faces[1:]:
+                first = fl.down_covers[f.index][0]
+                delta[f.index] = fl.epsilon[(first, f.index)] * geo[(first, f.index)] * delta[first]
+                for g in fl.down_covers[f.index]:
+                    assert fl.epsilon[(g, f.index)] * geo[(g, f.index)] == delta[g] * delta[f.index]
 
     @pytest.mark.parametrize("name", ["pyramid-7.1", "pyramid-7.3"])
     def test_pyramids(self, name):
