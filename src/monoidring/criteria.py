@@ -11,7 +11,7 @@ from math import gcd, prod
 
 from .cohomology import filter_profile, least_faces
 from .errors import HypothesisUnverified, NotCM
-from .exactlin import Vec, dot, lattice_intersect, prime_factors, solve_rational
+from .exactlin import Vec, dot, form_kernel, lattice_intersect, prime_factors, solve_rational
 from .monoid import (
     AffineMonoid,
     DecoratedCone,
@@ -19,7 +19,7 @@ from .monoid import (
     gap_scan,
     in_facet_groups,
 )
-from .polyhedral import Face, is_simple_face, minimal_face, zero_set_kernel
+from .polyhedral import Face, is_simple_face, minimal_face
 from .typology import DepthReport, depth_report
 
 
@@ -139,7 +139,9 @@ def n_value(model: DecoratedCone) -> int:
     g is a facet of h, so one support form phi that vanishes on g but not
     on h cuts span h down to span g (see monoid.face_group_cuts).  As
     lambda_h lies in span h, lambda_h ∩ span g is the kernel of phi on
-    lambda_h, and no intersection of lattices is needed.
+    lambda_h (exactlin.form_kernel).  That kernel holds lambda_g, by
+    monotonicity, so the cover is tight exactly when the kernel's basis
+    lies in lambda_g, and no lattice is built.
     """
     fl = model.fl
     forms = fl.cone.support_forms
@@ -148,8 +150,9 @@ def n_value(model: DecoratedCone) -> int:
         for h in fl.up_covers[g.index]:
             dim_h = fl.faces[h].dim
             if dim_h - 1 < worst:
-                phi = min(g.zero_set - fl.faces[h].zero_set)
-                if model.lattice_of(g) != zero_set_kernel(forms, (phi,), model.lambdas[h]):
+                phi = forms[min(g.zero_set - fl.faces[h].zero_set)]
+                kernel = form_kernel(model.lambdas[h].basis, phi)
+                if not all(map(model.lattice_of(g).member, kernel)):
                     worst = dim_h - 1
     return worst
 

@@ -392,6 +392,35 @@ def left_kernel(matrix, nrows: int) -> Mat:
     return tuple(u[i] for i in range(nrows) if is_zero_vec(h[i]))
 
 
+def form_kernel(rows, phi) -> Mat:
+    """Basis (rows) of {x in L : phi . x = 0}, for L the lattice with basis
+    rows, by one pass of xgcd steps over the values of phi on the rows.
+
+    A row with value 0 joins the kernel.  The first other row is the pivot
+    p, with value a; each later row r, with value b, replaces p and r by
+    s p + t r (value g = gcd(a, b) = s a + t b) and (b/g) p - (a/g) r
+    (value 0), which joins the kernel.  That 2x2 step has determinant
+    -(s a + t b)/g = -1, so the rows stay a basis of L throughout; at the
+    end it is the kernel rows and at most one pivot of value g != 0.  An
+    x in L is a combination of them, and phi(x) = c g for c its pivot
+    coefficient, so the kernel is exactly the span of the kernel rows.
+    """
+    kernel = []
+    pivot, a = None, 0
+    for r in rows:
+        b = dot(phi, r)
+        if not b:
+            kernel.append(tuple(r))
+        elif pivot is None:
+            pivot, a = r, b
+        else:
+            g, s, t = xgcd(a, b)
+            u, v = b // g, a // g
+            kernel.append(tuple(u * x - v * y for x, y in zip(pivot, r)))
+            pivot, a = tuple(s * x + t * y for x, y in zip(pivot, r)), g
+    return tuple(kernel)
+
+
 def solve_rational(rows: Mat, target) -> tuple[Fraction, ...] | None:
     """Solve t @ rows == target over Q for linearly independent rows.
 

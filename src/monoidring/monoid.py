@@ -415,9 +415,13 @@ class DecoratedCone:
     def face_table(self) -> tuple["FaceGroups", ...]:
         """The groups of every face, by face index, computed once per model:
         the (S2) test, normality, the fibers, the F-bad primes and the
-        Gorenstein indices all read them here."""
+        Gorenstein indices all read them here.  Where lambda_F = A_F the
+        quotient is trivial, and its decomposition is read off without a
+        Smith form: factors 1 on the basis of A_F, whose only class is 0."""
         return tuple(
-            FaceGroups(group, cut, *quotient_decomposition(group, lam))
+            FaceGroups(group, cut, (1,) * group.rank, group.basis)
+            if lam == group
+            else FaceGroups(group, cut, *quotient_decomposition(group, lam))
             for (group, cut), lam in zip(self._cuts, self.lambdas)
         )
 
@@ -513,16 +517,41 @@ def decorated_cone(fl: FaceLattice, lambdas) -> DecoratedCone:
 
 
 def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> DecoratedCone:
-    """Validate the decoration that keeps the given lattices (by face index)
-    and gives every other face its facet cut; the reference defaults to the
+    """The decoration that keeps the given lattices (by face index) and
+    gives every other face its facet cut; the reference defaults to the
     saturated span of the cone.  The model keeps the cuts: its reference and
     facet lattices are the ones cut here, so its face table computes no A_F
-    again."""
+    again.
+
+    Only the given lattices are validated, the reference among them when it
+    is given: each must have full rank in the span of its face, which is
+    checked before any cut is taken, and the lattices must be monotone on
+    every cover pair with a given lattice at one end.  The cuts need no
+    check.  The cut of F is A_F ∩ ⋂ lambda_G over the facets G ⊇ F
+    (face_group_cuts).  It lies in A_F ⊆ span F, and it has full rank
+    there, as the intersection with span F of lattices of full rank in
+    span C and in the spans G ⊇ F.  On a cover pair F ⋖ H of two cut
+    faces, A_F ⊆ A_H and every facet through H passes through F, so
+    cut F ⊆ A_H ∩ ⋂_{G ⊇ H} lambda_G = cut H.  decorated_cone, which
+    `check` runs, validates every face.
+    """
     reference = given.get(fl.top.index, fl.cone.span_lattice)
     if not all(map(fl.cone.span_lattice.member, reference.basis)):
         raise DegenerateFace("the reference lattice leaves the span of the cone")
+    for i in sorted(given):
+        f, lam = fl.faces[i], given[i]
+        if lam.rank != f.dim:
+            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice rank {lam.rank} != dim {f.dim}")
+        if not all(map(f.span_lattice.member, lam.basis)):
+            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice leaves the face span")
     cuts = face_group_cuts(fl, reference, given)
-    model = decorated_cone(fl, [given.get(i, cut) for i, (_, cut) in enumerate(cuts)])
+    lambdas = tuple(given.get(i, cut) for i, (_, cut) in enumerate(cuts))
+    for i in sorted(given):
+        pairs = [(j, i) for j in fl.down_covers[i]] + [(i, j) for j in fl.up_covers[i]]
+        for low, high in pairs:
+            if not all(map(lambdas[high].member, lambdas[low].basis)):
+                raise DegenerateFace("face lattices are not monotone along covers")
+    model = DecoratedCone(fl, lambdas)
     model.__dict__["_cuts"] = cuts  # the slot of the cached DecoratedCone._cuts
     return model
 

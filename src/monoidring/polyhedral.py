@@ -12,7 +12,8 @@ extreme rays it contains (cones here are always pointed), and works from
 the ray-facet incidences: a face's zero set (the support forms vanishing on
 it) is the intersection of its rays' zero sets, its saturated span is the
 integer kernel of its zero-set forms (zero_set_kernel, which also gives the
-face groups of a decorated cone), and the faces covering G are the joins of
+face groups of a decorated cone: xgcd steps per form, then one HNF for the
+canonical basis), and the faces covering G are the joins of
 G with one more ray that have dimension dim G + 1.  The lattice carries an
 incidence function epsilon on cover pairs.  epsilon is propagated across
 the diamonds of the lattice, faces by increasing dimension, from +1 on
@@ -31,9 +32,9 @@ from .exactlin import (
     Vec,
     complete_saturated_basis,
     dot,
+    form_kernel,
     is_zero_vec,
     lattice_from_rows,
-    left_kernel,
     mat,
     primitive,
     rank,
@@ -234,8 +235,12 @@ class FaceLattice:
 
 def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
     """lat ∩ {phi_i = 0 : i in zero_set}: the integer kernel of those forms
-    on lat, one HNF of the (rank × |zero_set|) matrix of their values on the
-    basis of lat.
+    on lat.  The forms are taken one at a time, each cutting the basis of
+    the previous kernel by xgcd steps (exactlin.form_kernel).  Each step is
+    a 2x2 row operation of determinant -1, so the rows stay a basis, and
+    the rows on which the form vanishes are a basis of its kernel.  One
+    HNF of the last basis then gives the canonical Lattice, so kernels
+    compare by ==.
 
     For a face F of C, the zero set of F and a lattice lat inside span C,
     this is lat ∩ span F, because span F = span C ∩ {phi_i = 0 : i in
@@ -245,10 +250,10 @@ def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
     x = ((p + t x) - p) / t.  On lat = span C ∩ Z^m the kernel is the
     saturated span of F: a kernel is saturated in lat, and lat in Z^m.
     """
-    cols = sorted(zero_set)
-    values = [tuple(dot(forms[i], b) for i in cols) for b in lat.basis]
-    kernel = left_kernel(values, lat.rank)
-    return lattice_from_rows(lat.ambient_dim, [vec_mat(k, lat.basis) for k in kernel])
+    rows = lat.basis
+    for i in sorted(zero_set):
+        rows = form_kernel(rows, forms[i])
+    return lattice_from_rows(lat.ambient_dim, rows)
 
 
 # Past this many faces face_lattice raises TooLarge, before it computes any

@@ -9,6 +9,8 @@ from monoidring.exactlin import (
     Lattice,
     complete_saturated_basis,
     det,
+    dot,
+    form_kernel,
     full_lattice,
     hnf,
     identity,
@@ -284,6 +286,69 @@ class TestQuotient:
                 key = tuple(xi % 2 for xi in x)
                 seen.add(key)
         assert len(seen) == 4
+
+
+def hnf_form_kernel(lat, phi):
+    """The kernel of phi on lat the other way: an HNF transform of phi's
+    values on the basis, then its zero-value rows."""
+    values = [(dot(phi, b),) for b in lat.basis]
+    rows = [vec_mat(k, lat.basis) for k in left_kernel(values, lat.rank)]
+    return lattice_from_rows(lat.ambient_dim, rows)
+
+
+class TestFormKernel:
+    """form_kernel's xgcd steps against the HNF kernel, on seeded random
+    lattices (rank 0 up to full) and forms."""
+
+    @staticmethod
+    def assert_matches_hnf(lat, phi):
+        kernel = form_kernel(lat.basis, phi)
+        assert lattice_from_rows(lat.ambient_dim, kernel) == hnf_form_kernel(lat, phi)
+        # a basis: one row fewer than lat unless phi vanishes on all of lat
+        drop = 1 if any(dot(phi, b) for b in lat.basis) else 0
+        assert len(kernel) == rank(kernel) == lat.rank - drop
+        assert all(dot(phi, k) == 0 for k in kernel)
+
+    @staticmethod
+    def random_lattice(rng, m, bound):
+        r = rng.randint(0, m)
+        return lattice_from_rows(m, random_matrix(rng, r, m, bound))
+
+    def test_random_forms(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            lat = self.random_lattice(rng, m, 5)
+            self.assert_matches_hnf(lat, tuple(rng.randint(-6, 6) for _ in range(m)))
+
+    def test_rank_zero(self):
+        assert form_kernel((), (1, 2, 3)) == ()
+        self.assert_matches_hnf(Lattice(3, ()), (1, 2, 3))
+
+    def test_forms_vanishing_on_the_lattice(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            m = rng.randint(2, 6)
+            lat = lattice_from_rows(m, random_matrix(rng, rng.randint(1, m - 1), m))
+            if lat.rank == m:
+                continue
+            # a form orthogonal to lat: a row of the left kernel of its transpose
+            normals = left_kernel(tuple(zip(*lat.basis)), m)
+            phi = vec_mat([rng.randint(-3, 3) for _ in normals], normals)
+            assert all(dot(phi, b) == 0 for b in lat.basis)
+            self.assert_matches_hnf(lat, phi)
+            assert form_kernel(lat.basis, phi) == lat.basis
+
+    def test_large_entries(self):
+        rng = random.Random(43)
+        big = 0
+        for _ in range(100):
+            m = rng.randint(2, 5)
+            lat = self.random_lattice(rng, m, 10**7)
+            phi = tuple(rng.randint(-(10**9), 10**9) for _ in range(m))
+            self.assert_matches_hnf(lat, phi)
+            big += any(abs(x) > 10**6 for b in lat.basis for x in b)
+        assert big >= 50
 
 
 class TestKernelRank:

@@ -4,14 +4,16 @@ its answer with general lattice intersections, not with the table's code."""
 
 import json
 import random
+import re
 
 import pytest
 
 import monoidring.monoid
 from monoidring.cli import parse_input, write_model
 from monoidring.criteria import s2_lattice_test
-from monoidring.exactlin import lattice_from_rows, lattice_intersect, rank
-from monoidring.monoid import monoid_new, to_model
+from monoidring.constructions import SimplicialComplex, builtin, delta_construct
+from monoidring.exactlin import lattice_from_rows, lattice_intersect, quotient_decomposition, rank
+from monoidring.monoid import decorated_cone, monoid_new, to_model
 
 from conftest import (
     ORACLE_COMPLEXES,
@@ -149,6 +151,17 @@ class TestFaceTable:
                 scaled = [tuple(d * x for x in b) for d, b in zip(row.factors, row.basis)]
                 assert lattice_from_rows(m, scaled) == model.lattice_of(f)
 
+    def test_trivial_quotients_match_the_smith_path(self, models, rp2_result):
+        # where lambda_F = A_F the table skips the Smith form
+        trivial = 0
+        for model in models + [rp2_result.model]:
+            m = model.cone.ambient_dim
+            for row, lam in zip(model.face_table, model.lambdas):
+                assert row.factors == quotient_decomposition(row.group, lam)[0]
+                assert lattice_from_rows(m, row.basis) == row.group
+                trivial += lam == row.group
+        assert trivial >= 1428  # the RP² faces alone
+
     def test_s2_matches_the_facet_loop(self, models, tmp_path):
         # rays are proper faces below the facets from rank 3 on
         doubled = [
@@ -230,3 +243,57 @@ class TestFaceTable:
             assert code == 0
             assert len(tables) == 1
             assert len(kernels) == n_kernels
+
+
+PYRAMID_71_REFERENCE = "lattice *\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+PYRAMID_71_F1 = "lattice 0 1 2\n1 0 1 0\n0 1 0 0\n0 0 2 2\n"
+
+
+class TestGivenLatticeValidation:
+    """decorate_by_facet_cuts validates the given lattices only.  The cuts
+    it builds pass decorated_cone's validation of every face, which does
+    not share its code, and an invalid given lattice is refused."""
+
+    def test_full_validation_accepts_every_built_model(self, rp2_result, tmp_path):
+        hexagon = SimplicialComplex.from_facets([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+        built = [builtin(name) for name in ("pyramid-7.1", "pyramid-7.3")]
+        built += [oracle_construction(name).model for name in sorted(ORACLE_COMPLEXES)]
+        built += [delta_construct(hexagon).model, rp2_result.model]
+        for i, model in enumerate(corpus(seed=501, count=30)):
+            path = tmp_path / f"m{i}.model"
+            write_model(model, str(path))
+            built.append(parse_input(str(path))[1])
+        for model in built:
+            assert decorated_cone(model.fl, model.lambdas).lambdas == model.lambdas
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # the ray (0, 0, 1, 1) lies on the even facet F1
+            ("", "lattice 2\n0 0 1 1\n", "face lattices are not monotone along covers"),
+            ("", "lattice 2\n1 0 1 1\n", r"face \[2\]: lattice leaves the face span"),
+            ("", "lattice 2\n0 0 1 1\n1 0 0 0\n", r"face \[2\]: lattice rank 2 != dim 1"),
+            # a given facet of the wrong rank is named before any cut is taken
+            (
+                PYRAMID_71_F1,
+                "lattice 0 1 2\n1 0 1 0\n0 1 0 0\n",
+                r"face \[0, 1, 2\]: lattice rank 2 != dim 3",
+            ),
+            # the base facet holds (0, 0, 0, 1), outside the even reference
+            (
+                PYRAMID_71_REFERENCE,
+                PYRAMID_71_REFERENCE.replace("0 0 0 1", "0 0 0 2"),
+                "face lattices are not monotone along covers",
+            ),
+        ],
+    )
+    def test_invalid_given_lattice_is_refused(self, tmp_path, old, new, message):
+        path = tmp_path / "p71.model"
+        write_model(builtin("pyramid-7.1"), str(path))
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new) if old else text + new)
+        code, out, err = run_cli(["analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert re.match("error: invalid decoration: " + message, err)

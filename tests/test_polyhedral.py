@@ -5,11 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+import monoidring.monoid
 import monoidring.polyhedral
 from monoidring.cohomology import CohomologyProfile, cochain_complex, profile_of_complex
 from monoidring.constructions import builtin
 from monoidring.errors import NotInCone, NotPointed, OutOfRange, TooLarge
-from monoidring.exactlin import dot, lattice_from_rows, mat_mul, rank, saturation, vadd
+from monoidring.exactlin import (
+    dot,
+    lattice_from_rows,
+    lattice_intersect,
+    left_kernel,
+    mat_mul,
+    rank,
+    saturation,
+    vadd,
+    vec_mat,
+)
 from monoidring.polyhedral import (
     _verify_diamond,
     dual_description,
@@ -19,7 +30,13 @@ from monoidring.polyhedral import (
     minimal_face,
 )
 
-from conftest import ORACLE_COMPLEXES, oracle_construction, resigned_epsilon
+from conftest import (
+    ORACLE_COMPLEXES,
+    corpus,
+    even_degree_lattice,
+    oracle_construction,
+    resigned_epsilon,
+)
 
 PYRAMID = [
     (0, 0, 1, 1),
@@ -469,6 +486,54 @@ class TestSpanLattices:
             keys = [(f.dim, sorted(f.ray_set)) for f in fl.faces]
             assert keys == sorted(keys)
             assert [f.index for f in fl.faces] == list(range(len(fl.faces)))
+
+
+def hnf_zero_set_kernel(forms, zero_set, lat):
+    """The kernel of the zero-set forms on lat by one HNF transform of their
+    values on the basis of lat, then a second HNF for the canonical basis."""
+    values = [tuple(dot(forms[i], b) for i in sorted(zero_set)) for b in lat.basis]
+    kernel = left_kernel(values, lat.rank)
+    return lattice_from_rows(lat.ambient_dim, [vec_mat(k, lat.basis) for k in kernel])
+
+
+def even_decoration(fl):
+    """An even reference in span C, and the facet lattices of the first two
+    facets cut to even last coordinate."""
+    even = even_degree_lattice(fl.cone.ambient_dim)
+    given = {
+        i: lattice_intersect(fl.faces[i].span_lattice, even) for i in fl.facet_indices()[:2]
+    }
+    return lattice_intersect(fl.cone.span_lattice, even), given
+
+
+class TestKernelsAgainstHnf:
+    """The face spans and the facet cuts, which take their kernels by xgcd
+    steps, equal the ones an HNF kernel gives."""
+
+    @pytest.fixture(scope="class")
+    def corpus_models(self):
+        return corpus(seed=501, count=30)
+
+    def test_spans(self, oracle_lattices, corpus_models, rp2_result):
+        rp2 = rp2_result.model.fl
+        slices = [(fl, fl.faces) for fl in oracle_lattices + [m.fl for m in corpus_models]]
+        for fl, faces in slices + [(rp2, rp2.faces[::7])]:
+            for f in faces:
+                want = hnf_zero_set_kernel(fl.cone.support_forms, f.zero_set, fl.cone.span_lattice)
+                assert f.span_lattice == want
+
+    def test_cuts(self, oracle_lattices, corpus_models, rp2_result, monkeypatch):
+        # the oracle lattices on an even reference, so A_F is a kernel too
+        decorations = [(fl, *even_decoration(fl)) for fl in oracle_lattices]
+        assert sum(ref != fl.cone.span_lattice for fl, ref, _ in decorations) >= 60
+        decorations += [
+            (m.fl, m.reference, dict(enumerate(m.lambdas)))
+            for m in corpus_models + [rp2_result.model]
+        ]
+        cuts = monoidring.monoid.face_group_cuts
+        got = [cuts(*d) for d in decorations]
+        monkeypatch.setattr(monoidring.monoid, "zero_set_kernel", hnf_zero_set_kernel)
+        assert [cuts(*d) for d in decorations] == got
 
 
 def pairwise_covers(fl):
