@@ -36,13 +36,10 @@ from .criteria import (
     simple_cone_cm,
 )
 from .exactlin import (
-    AbelianQuotient,
     Lattice,
     hnf,
     lattice_from_rows,
     lattice_intersect,
-    lattice_member,
-    quotient_structure,
     saturation,
     snf,
 )

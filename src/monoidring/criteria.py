@@ -11,7 +11,7 @@ from math import gcd, prod
 
 from .cohomology import filter_profile, least_faces
 from .errors import HypothesisUnverified, NotCM
-from .exactlin import Vec, dot, form_kernel, lattice_intersect, prime_factors, solve_rational
+from .exactlin import Vec, dot, form_kernel, prime_factors, solve_rational
 from .monoid import (
     AffineMonoid,
     DecoratedCone,
@@ -19,7 +19,7 @@ from .monoid import (
     gap_scan,
     in_facet_groups,
 )
-from .polyhedral import Face, is_simple_face, minimal_face
+from .polyhedral import is_simple_face, minimal_face
 from .typology import DepthReport, depth_report
 
 
@@ -88,18 +88,6 @@ def s2_up_to(monoid: AffineMonoid, bound: int, hypothesis_bound: int | None = No
     if scan.least_degree is not None and scan.least_degree <= bound:
         _check_interior_hypothesis(monoid, up_to(scan.interior_gap, hypothesis_bound))
     return S2Verdict(bound, up_to(scan.m_prime_gap, bound))
-
-
-def model_face_is_normal(model: DecoratedCone, f: Face) -> bool:
-    """Whether the face-restricted model is normal: every subface lattice is
-    the face lattice cut to the subface span."""
-    fl = model.fl
-    lam_f = model.lattice_of(f)
-    for g in fl.faces:
-        if g.ray_set <= f.ray_set:
-            if model.lattice_of(g) != lattice_intersect(lam_f, g.span_lattice):
-                return False
-    return True
 
 
 def normal_facets_cm(model: DecoratedCone) -> bool | None:

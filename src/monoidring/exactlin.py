@@ -507,26 +507,37 @@ class Lattice:
             return None
         return tuple(out)
 
+    def order(self, x) -> int:
+        """The least k > 0 with k * x in the lattice; ValueError when x is
+        off the rational span.
+
+        k * x lies in the lattice exactly when k times each rational
+        coordinate of x is an integer, so k is the lcm of the denominators
+        of those coordinates.  The walk is that of coords on k * x, with k
+        raised at each pivot just enough that the pivot entry divides: the
+        pivot entry of the residue is k * c * d for c the coordinate and d
+        the pivot, the later rows being zero in the pivot column, and
+        multiplying k by the denominator of k * c makes it lcm(k, den c).
+        """
+        if len(x) != self.ambient_dim:
+            raise ValueError("dimension mismatch")
+        residue = list(x)
+        k = 1
+        for row in self.basis:
+            p = next(j for j in range(self.ambient_dim) if row[j])
+            m = row[p] // gcd(residue[p], row[p])
+            if m > 1:
+                k *= m
+                residue = [m * a for a in residue]
+            c = residue[p] // row[p]
+            if c:
+                residue = [a - c * b for a, b in zip(residue, row)]
+        if any(residue):
+            raise ValueError("vector is not in the rational span of the lattice")
+        return k
+
     def from_coords(self, coords) -> Vec:
         return vec_mat(coords, self.basis) if self.basis else (0,) * self.ambient_dim
-
-
-@dataclass(frozen=True)
-class AbelianQuotient:
-    """Structure of a quotient A/B: free rank plus invariant factor chain."""
-
-    free_rank: int
-    invariant_factors: tuple[int, ...]
-
-    @property
-    def order(self) -> int | None:
-        """Group order when finite, else None."""
-        if self.free_rank:
-            return None
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
 
 
 def lattice_from_rows(ambient_dim: int, rows) -> Lattice:
@@ -538,10 +549,6 @@ def lattice_from_rows(ambient_dim: int, rows) -> Lattice:
         return Lattice(ambient_dim, ())
     h, _ = hnf(rows)
     return Lattice(ambient_dim, tuple(r for r in h if not is_zero_vec(r)))
-
-
-def lattice_member(lat: Lattice, x) -> bool:
-    return lat.member(x)
 
 
 def full_lattice(ambient_dim: int) -> Lattice:
@@ -600,14 +607,6 @@ def _coord_matrix(a: Lattice, b: Lattice) -> Mat:
             raise NotSublattice("second lattice is not contained in the first")
         coords.append(c)
     return mat(coords)
-
-
-def quotient_structure(a: Lattice, b: Lattice) -> AbelianQuotient:
-    """Structure of a/b for b a sublattice of a, factors of 1 dropped."""
-    c = _coord_matrix(a, b)
-    s, _, _ = snf(c)
-    factors = tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] > 1)
-    return AbelianQuotient(a.rank - b.rank, factors)
 
 
 def quotient_decomposition(a: Lattice, b: Lattice) -> tuple[tuple[int, ...], Mat]:

@@ -24,10 +24,10 @@ from .exactlin import (
     lattice_intersect,
     mat,
     quotient_decomposition,
-    quotient_structure,
     saturation,
     solve_rational,
     vadd,
+    vscale,
     vsub,
 )
 from .polyhedral import (
@@ -184,17 +184,6 @@ def face_group(monoid: AffineMonoid, f: Face) -> Lattice:
     return lattice_from_rows(monoid.ambient_dim, face_submonoid_generators(monoid, f))
 
 
-def _primitive_multiple_in(lat: Lattice, ray: Vec) -> Vec:
-    """Smallest positive multiple of a primitive ray lying in the lattice:
-    k * ray lies in lat exactly when k * coords is integral, so k is the lcm
-    of the denominators of the ray's rational lattice coordinates."""
-    coords = solve_rational(lat.basis, ray)
-    if coords is None:
-        raise ValueError("ray is not in the rational span of the lattice")
-    k = math.lcm(*(c.denominator for c in coords))
-    return tuple(k * r for r in ray)
-
-
 def _box_points(lat: Lattice, lo, hi, forms) -> list[Vec]:
     """The points of lat whose coordinates lie in the box lo <= c <= hi and
     that satisfy every form a . x >= 0, in lexicographic coordinate order.
@@ -223,7 +212,7 @@ def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
     if cone.dim == 0:
         return ()
     deg_form = grading_form(cone)
-    ray_mults = [_primitive_multiple_in(lat, r) for r in cone.extreme_rays]
+    ray_mults = [vscale(lat.order(r), r) for r in cone.extreme_rays]
     rho = [lat.coords(r) for r in ray_mults]
     k = lat.rank
     lo = [sum(min(0, rv[i]) for rv in rho) for i in range(k)]
@@ -570,7 +559,13 @@ def model_member(model: DecoratedCone, x) -> bool:
 
 
 def model_point_in_relint(model: DecoratedCone, f: Face) -> Vec:
-    """A point of lambda_f in the relative interior of f (zero for the apex)."""
+    """A point of lambda_f in the relative interior of f (zero for the apex).
+
+    The ray sum lies in relint f and in span f ∩ Z^m; its multiple by the
+    exponent of the finite group (span f ∩ Z^m) / lambda_f lies in lambda_f.
+    That exponent is the lcm of the orders of the group's generators, the
+    basis of span f ∩ Z^m, each taken modulo lambda_f (Lattice.order).
+    """
     fl = model.fl
     rays = fl.cone.extreme_rays
     total = (0,) * fl.cone.ambient_dim
@@ -578,9 +573,8 @@ def model_point_in_relint(model: DecoratedCone, f: Face) -> Vec:
         total = vadd(total, rays[i])
     if is_zero_vec(total):
         return total
-    q = quotient_structure(f.span_lattice, model.lattice_of(f))
-    exponent = q.invariant_factors[-1] if q.invariant_factors else 1
-    return tuple(exponent * t for t in total)
+    lam = model.lattice_of(f)
+    return vscale(math.lcm(*map(lam.order, f.span_lattice.basis)), total)
 
 
 def restrict_model(model: DecoratedCone, f: Face) -> DecoratedCone:

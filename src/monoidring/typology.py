@@ -9,7 +9,8 @@ lattice above G and is the intersection of their traces on A*.  The
 realizable fibers, one witness per fiber, and the cohomology profile of
 every realizable filter together determine the depth over any field.  Only
 a filter with two or more least faces needs a complex for its profile (see
-cohomology.filter_profile).
+cohomology.filter_profile).  One class walk per base face serves both the
+fiber enumeration and the realizability of a single filter.
 """
 
 from dataclasses import dataclass
@@ -18,15 +19,8 @@ from math import prod
 
 from .cohomology import CohomologyProfile, filter_profile, is_up_closed
 from .errors import BadFilter, TooLarge
-from .exactlin import (
-    Vec,
-    dot,
-    lattice_intersect,
-    quotient_decomposition,
-    vadd,
-    vec_mat,
-)
-from .monoid import DecoratedCone, model_point_in_relint
+from .exactlin import Vec, dot, vadd, vec_mat
+from .monoid import DecoratedCone, FaceGroups, model_point_in_relint
 from .polyhedral import Face
 
 
@@ -57,8 +51,28 @@ def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
     return y
 
 
-# Largest finite quotient, in classes, that fiber_types and realizable walk.
+# Largest quotient A_g / lambda_g, in classes, that the class walk of a base
+# face g takes (fiber_types, realizable); depth_report and analyze refuse a
+# model with a larger one.
 CLASS_CAP = 100000
+
+
+def _class_patterns(model: DecoratedCone, g: Face, row: FaceGroups) -> dict[frozenset[int], Vec]:
+    """The membership patterns of the classes of A_g / lambda_g, each with
+    its first class representative, a point of A_g; row is g's face table
+    row.  TooLarge past CLASS_CAP classes, before the walk starts."""
+    fl = model.fl
+    n_classes = prod(row.factors)
+    if n_classes > CLASS_CAP:
+        raise TooLarge(f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap")
+    members = [(f.index, model.lattice_of(f).member) for f in fl.faces_above(g)]
+    seen: dict[frozenset[int], Vec] = {}
+    for coords in product(*(range(f) for f in row.factors)):
+        x = vec_mat(coords, row.basis) if row.basis else (0,) * fl.cone.ambient_dim
+        pattern = frozenset(i for i, member in members if member(x))
+        if pattern not in seen:
+            seen[pattern] = x
+    return seen
 
 
 def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
@@ -85,19 +99,7 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     out: list[CohomologyType] = []
     fl = model.fl
     for g, row in zip(fl.faces, model.face_table):
-        above = fl.faces_above(g)
-        n_classes = prod(row.factors)
-        if n_classes > CLASS_CAP:
-            raise TooLarge(
-                f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap"
-            )
-        members = [(f.index, model.lattice_of(f).member) for f in above]
-        seen: dict[frozenset[int], Vec] = {}
-        for coords in product(*(range(f) for f in row.factors)):
-            x = vec_mat(coords, row.basis) if row.basis else (0,) * fl.cone.ambient_dim
-            pattern = frozenset(i for i, member in members if member(x))
-            if pattern not in seen:
-                seen[pattern] = x
+        seen = _class_patterns(model, g, row)
         step = model_point_in_relint(model, g)
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
             assert fl.top.index in pattern
@@ -110,35 +112,29 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
 def realizable(
     model: DecoratedCone, g: Face, filter_ids: frozenset[int]
 ) -> tuple[bool, Vec | None]:
-    """Decide whether some degree in relint(g) has exactly this filter.
+    """Decide whether some degree in relint(g) has exactly this filter, and
+    give one such degree.
 
     The filter must be an up-closed subset of the interval above g
-    containing the full cone.  The decision reduces to covering of the
-    finite quotient A_G/C' by the excluded-face subgroups.
+    containing the full cone.  It is realizable exactly when it is the
+    pattern of a class of A_g / lambda_g: a degree in relint(g) with that
+    filter lies in span g and, as the full cone is in the filter, in the
+    reference, so in A_g; and the shift into relint(g) adds a point of
+    lambda_g, which keeps the class.  So the decision reads the class walk
+    of fiber_types and shifts the representative it finds.  The cap is the
+    walk's, |A_g / lambda_g| <= CLASS_CAP, the one depth_report and analyze
+    already apply to every face of the model.
     """
     fl = model.fl
-    above = fl.faces_above(g)
-    above_ids = {f.index for f in above}
+    above_ids = {f.index for f in fl.faces_above(g)}
     if not filter_ids <= above_ids or fl.top.index not in filter_ids:
         raise BadFilter("filter must live above the base face and contain the cone")
     if not is_up_closed(fl, filter_ids):
         raise BadFilter("filter is not up-closed")
-    a_g = g.span_lattice
-    for i in filter_ids:
-        a_g = lattice_intersect(a_g, model.lambdas[i])
-    excluded = [f.index for f in above if f.index not in filter_ids]
-    b_lat = {i: lattice_intersect(a_g, model.lambdas[i]) for i in excluded}
-    c_prime = a_g
-    for i in excluded:
-        c_prime = lattice_intersect(c_prime, b_lat[i])
-    factors, basis = quotient_decomposition(a_g, c_prime)
-    if prod(factors) > CLASS_CAP:
-        raise TooLarge(f"face {sorted(g.ray_set)}: {prod(factors)} classes exceed the cap")
-    for coords in product(*(range(f) for f in factors)):
-        x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
-        if not any(b_lat[i].member(x) for i in excluded):
-            return True, _shift_into_relint(model, g, x, model_point_in_relint(model, g))
-    return False, None
+    x = _class_patterns(model, g, model.face_table[g.index]).get(filter_ids)
+    if x is None:
+        return False, None
+    return True, _shift_into_relint(model, g, x, model_point_in_relint(model, g))
 
 
 def _up_sets_of_interval(fl, g: Face, cap: int) -> list[frozenset[int]]:

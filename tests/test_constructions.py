@@ -25,6 +25,7 @@ from conftest import (
     oracle_construction,
     pyramid_model,
 )
+from oracles import quotient_structure
 
 
 def two_points():
@@ -137,8 +138,6 @@ class TestBuiltins:
     def test_builtin_71_facet_index_two(self):
         model = builtin("pyramid-7.1")
         f1 = facet_by_label(model.fl, "F1")
-        from monoidring.exactlin import quotient_structure
-
         q = quotient_structure(f1.span_lattice, model.lattice_of(f1))
         assert q.invariant_factors == (2,)
 

@@ -11,7 +11,6 @@ from monoidring.criteria import (
     f_bad_primes,
     gorenstein_check,
     m_prime_member,
-    model_face_is_normal,
     n_value,
     normal_facets_cm,
     s2_lattice_test,
@@ -19,7 +18,7 @@ from monoidring.criteria import (
     simple_cone_cm,
 )
 from monoidring.errors import NotCM
-from monoidring.exactlin import full_lattice, lattice_from_rows, quotient_structure, vadd
+from monoidring.exactlin import full_lattice, lattice_from_rows, vadd
 from monoidring.monoid import (
     decorated_cone,
     member,
@@ -38,6 +37,7 @@ from conftest import (
     facet_by_label,
     random_decorated_model,
 )
+from oracles import model_face_is_normal
 
 
 def orthant_model(dim=2, facet_lattices=None):

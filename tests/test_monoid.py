@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,10 +10,11 @@ from monoidring.exactlin import (
     full_lattice,
     lattice_from_rows,
     lattice_intersect,
+    rank,
     vadd,
+    vscale,
 )
 from monoidring.monoid import (
-    _primitive_multiple_in,
     decorated_cone,
     face_group,
     face_submonoid_generators,
@@ -31,12 +33,16 @@ from monoidring.monoid import (
 from monoidring.polyhedral import dual_description, minimal_face
 
 from conftest import (
+    ORACLE_COMPLEXES,
+    corpus,
     even_degree_lattice,
     facet_by_label,
     model_points_up_to_height,
+    oracle_construction,
     pyramid_model,
     random_decorated_model,
 )
+from oracles import relint_step
 
 
 def numeric(gens):
@@ -127,28 +133,40 @@ class TestHilbertBasis:
         assert hilbert_basis(c, full_lattice(1)) == ((1,),)
 
     def test_primitive_multiple_against_brute_force(self):
-        # k * ray lies in the lattice for k = |det| at the latest, because
-        # det * (span ∩ Z^3) is inside a lattice of full rank in the span
-        # lattice coordinates (1/2, 1/3): the multiple is their lcm, 6
+        # Lattice.order, which scales the extreme rays of hilbert_basis,
+        # against the least multiple found by counting up: an integer vector
+        # in the rational span of a lattice L lies in its saturation, and
+        # some multiple of it in L, so the count stops.  Lattice
+        # coordinates (1/2, 1/3): the multiple is their lcm, 6.
         two_three = lattice_from_rows(3, [(2, 0, 0), (0, 3, 0)])
-        assert _primitive_multiple_in(two_three, (1, 1, 0)) == (6, 6, 0)
+        assert two_three.order((1, 1, 0)) == 6
+        with pytest.raises(ValueError, match="rational span"):
+            two_three.order((0, 0, 1))
         rng = random.Random(29)
-        checked = 0
-        while checked < 40:
-            k = rng.choice((2, 3))
-            rows = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(k)]
-            lat = lattice_from_rows(3, rows)
+        checked = off_span = 0
+        while checked < 300:
+            m = rng.randint(1, 4)
+            k = rng.randint(1, m)
+            rows = [tuple(rng.randint(-4, 4) for _ in range(m)) for _ in range(k)]
+            lat = lattice_from_rows(m, rows)
             if lat.rank < k:
                 continue
+            other = tuple(rng.randint(-3, 3) for _ in range(m))
+            if rank(rows + [other]) > k:
+                with pytest.raises(ValueError, match="rational span"):
+                    lat.order(other)
+                off_span += 1
             coeffs = [rng.randint(-3, 3) for _ in range(k)]
-            ray = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(3))
+            ray = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m))
             g = math.gcd(*ray)
             if g == 0:
                 continue
             ray = tuple(x // g for x in ray)
-            brute = next(m for m in range(1, 10**4) if lat.member(tuple(m * x for x in ray)))
-            assert _primitive_multiple_in(lat, ray) == tuple(brute * x for x in ray)
+            x = vscale(rng.randint(1, 3), ray)
+            brute = next(n for n in itertools.count(1) if lat.member(vscale(n, x)))
+            assert lat.order(x) == brute
             checked += 1
+        assert off_span > 50
 
     def test_minimality_and_generation(self):
         rng = random.Random(23)
@@ -281,6 +299,13 @@ class TestToModel:
 
 
 class TestDecoratedCone:
+    def test_relint_step_is_the_snf_exponent(self, model_71, model_73, rp2_result):
+        models = corpus(seed=501, count=30) + [model_71, model_73, rp2_result.model]
+        models += [oracle_construction(name).model for name in ORACLE_COMPLEXES]
+        for model in models:
+            for f in model.fl.faces:
+                assert model_point_in_relint(model, f) == relint_step(model, f)
+
     def test_relint_point(self, model_71):
         fl = model_71.fl
         f1 = facet_by_label(fl, "F1")

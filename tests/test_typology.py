@@ -12,15 +12,13 @@ from monoidring.exactlin import (
     lattice_intersect,
     prime_factors,
     quotient_decomposition,
-    quotient_structure,
     rank,
     rank_mod,
     snf,
     vadd,
     vec_mat,
-    vscale,
 )
-from monoidring.monoid import model_point_in_relint, restrict_model
+from monoidring.monoid import restrict_model
 from monoidring.polyhedral import dual_description, face_lattice, minimal_face
 from monoidring.typology import (
     CohomologyType,
@@ -38,6 +36,7 @@ from conftest import (
     random_decorated_model,
 )
 from monoidring.exactlin import full_lattice
+from oracles import realizable_by_intersections, relint_step
 
 
 def apex_ray_face(fl):
@@ -86,6 +85,23 @@ class TestRealizable:
         with pytest.raises(BadFilter):
             realizable(model_71, fl.top, frozenset({fl.top.index, ray.index}))
 
+    def test_same_verdicts_as_intersections(self, model_71, model_73):
+        # every (base face, up-closed filter) pair: the class walk against
+        # the cover of A_S / C' by the excluded-face subgroups
+        realized = 0
+        for model in [model_71, model_73] + corpus(seed=501, count=10):
+            fl = model.fl
+            for g in fl.faces:
+                for s in typology._up_sets_of_interval(fl, g, 10**6):
+                    ok, witness = realizable(model, g, s)
+                    assert ok == realizable_by_intersections(model, g, s)[0]
+                    if ok:
+                        assert minimal_face(fl, witness) is g
+                        assert filter_at(model, witness) == s
+                        realized += 1
+                    else:
+                        assert witness is None
+        assert realized > 100
 
     def test_quotient_past_the_cap_starts_no_loop(self, tmp_path, monkeypatch):
         # the ray (0, 1) carries a lattice of index CLASS_CAP + 1, so the
@@ -286,7 +302,6 @@ def intersection_fiber_types(model, primes):
     """The enumeration by intersections of the face lattices above each base
     face, with witnesses moved into relint(g) by repeated relint steps."""
     fl = model.fl
-    rays = fl.cone.extreme_rays
     forms = fl.cone.support_forms
     out = []
     for g in fl.faces:
@@ -297,11 +312,7 @@ def intersection_fiber_types(model, primes):
             x = vec_mat(coords, basis) if basis else (0,) * fl.cone.ambient_dim
             pattern = frozenset(f.index for f in above if b_lat[f.index].member(x))
             seen.setdefault(pattern, x)
-        total = (0,) * fl.cone.ambient_dim
-        for i in g.ray_set:
-            total = vadd(total, rays[i])
-        q = quotient_structure(g.span_lattice, model.lattice_of(g))
-        step = vscale(q.invariant_factors[-1] if q.invariant_factors else 1, total)
+        step = relint_step(model, g)
         outside = [forms[i] for i in range(len(forms)) if i not in g.zero_set]
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
             while any(dot(form, x) <= 0 for form in outside):
