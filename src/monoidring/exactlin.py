@@ -10,6 +10,7 @@ integer combinations of the *rows* of its basis matrix.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateFace, NotSublattice
 
@@ -34,7 +35,7 @@ def transpose(m: Mat) -> Mat:
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -113,37 +114,37 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _row_gcd_transform(rows, trans, i, j, col):
-    """Left-multiply rows i, j by the 2x2 determinant-one matrix that moves
-    gcd(rows[i][col], rows[j][col]) into position (i, col) and zeroes (j, col)."""
-    a, b = rows[i][col], rows[j][col]
+def _row_gcd_transform(mats, i, j, col):
+    """Left-multiply rows i, j of each matrix in mats by the 2x2
+    determinant-one matrix that moves gcd(a, b) into position (i, col) and
+    zeroes (j, col), for a, b the entries of the first matrix there."""
+    a, b = mats[0][i][col], mats[0][j][col]
     if b == 0:
         return
     if a and b % a == 0:
         # shear only; keeping the pivot row fixed guarantees progress
         q = b // a
-        for m in (rows, trans):
+        for m in mats:
             m[j] = [y - q * x for x, y in zip(m[i], m[j])]
         return
     g, s, t = xgcd(a, b)
     p, q = -(b // g), a // g
-    for m in (rows, trans):
+    for m in mats:
         ri, rj = m[i], m[j]
         m[i] = [s * x + t * y for x, y in zip(ri, rj)]
         m[j] = [p * x + q * y for x, y in zip(ri, rj)]
 
 
-def hnf(matrix) -> tuple[Mat, Mat]:
-    """Row Hermite normal form.
+def _hermite_rows(rows: list[list[int]], cols: int) -> None:
+    """The Hermite elimination, in place, pivoting on the first cols columns.
 
-    Returns (h, u) with u unimodular, u @ matrix == h, pivots positive,
-    entries above each pivot reduced into [0, pivot).  Zero rows sink to the
-    bottom, so the nonzero rows of h are the canonical basis of the row span.
+    Each pivot column is cleared below its pivot by gcd steps, the pivot is
+    made positive, and the entries above it are reduced into [0, pivot).
+    Columns past cols are carried along by the same row operations and never
+    pivoted on, so hnf reads its transform off an appended identity.  Zero
+    rows sink to the bottom.
     """
-    rows = [list(r) for r in matrix]
     n = len(rows)
-    cols = len(rows[0]) if n else 0
-    trans = [list(r) for r in identity(n)]
     piv_row = 0
     for col in range(cols):
         if piv_row >= n:
@@ -153,20 +154,36 @@ def hnf(matrix) -> tuple[Mat, Mat]:
             continue
         if pivot != piv_row:
             rows[piv_row], rows[pivot] = rows[pivot], rows[piv_row]
-            trans[piv_row], trans[pivot] = trans[pivot], trans[piv_row]
         for i in range(piv_row + 1, n):
-            _row_gcd_transform(rows, trans, piv_row, i, col)
+            _row_gcd_transform((rows,), piv_row, i, col)
         if rows[piv_row][col] < 0:
             rows[piv_row] = [-x for x in rows[piv_row]]
-            trans[piv_row] = [-x for x in trans[piv_row]]
         p = rows[piv_row][col]
         for i in range(piv_row):
             q = rows[i][col] // p
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], rows[piv_row])]
-                trans[i] = [x - q * y for x, y in zip(trans[i], trans[piv_row])]
         piv_row += 1
-    return mat(rows), mat(trans)
+
+
+def hnf(matrix) -> tuple[Mat, Mat]:
+    """Row Hermite normal form.
+
+    Returns (h, u) with u unimodular, u @ matrix == h, pivots positive,
+    entries above each pivot reduced into [0, pivot).  Zero rows sink to the
+    bottom, so the nonzero rows of h are the canonical basis of the row span.
+    The elimination runs on [matrix | I], pivoting on the columns of matrix
+    only, and u is the part that started as I.  Only left_kernel and
+    unimodular_inverse read u; lattice_from_rows runs the same elimination
+    on the bare rows.
+    """
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    cols = len(rows[0]) if n else 0
+    for r, e in zip(rows, identity(n)):
+        r.extend(e)
+    _hermite_rows(rows, cols)
+    return mat(r[:cols] for r in rows), mat(r[cols:] for r in rows)
 
 
 def snf(matrix) -> tuple[Mat, Mat, Mat]:
@@ -217,7 +234,7 @@ def snf(matrix) -> tuple[Mat, Mat, Mat]:
                     r[k], r[bj] = r[bj], r[k]
         while True:
             for i in range(k + 1, n):
-                _row_gcd_transform(s, u, k, i, col=k)
+                _row_gcd_transform((s, u), k, i, col=k)
             for j in range(k + 1, cols):
                 col_gcd_transform(k, j, row=k)
             if all(s[i][k] == 0 for i in range(k + 1, n)) and all(
@@ -541,14 +558,18 @@ class Lattice:
 
 
 def lattice_from_rows(ambient_dim: int, rows) -> Lattice:
-    rows = mat(rows)
+    """The lattice spanned by rows, in its canonical HNF basis.
+
+    The Hermite elimination of hnf runs on the rows alone, with no
+    transform, as nothing here reads one.  The HNF of a row span is unique,
+    so the basis is the nonzero rows of hnf(rows)[0].
+    """
+    rows = [list(map(int, r)) for r in rows]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row length does not match ambient dimension")
-    if not rows:
-        return Lattice(ambient_dim, ())
-    h, _ = hnf(rows)
-    return Lattice(ambient_dim, tuple(r for r in h if not is_zero_vec(r)))
+    _hermite_rows(rows, ambient_dim)
+    return Lattice(ambient_dim, tuple(tuple(r) for r in rows if any(r)))
 
 
 def full_lattice(ambient_dim: int) -> Lattice:

@@ -10,18 +10,20 @@ integer forms on the ambient Z^m.
 The face lattice enumerates every face exactly once, keyed by the set of
 extreme rays it contains (cones here are always pointed), and works from
 the ray-facet incidences: a face's zero set (the support forms vanishing on
-it) is the intersection of its rays' zero sets, its saturated span is the
-integer kernel of its zero-set forms (zero_set_kernel, which also gives the
-face groups of a decorated cone: xgcd steps per form, then one HNF for the
-canonical basis), and the faces covering G are the joins of
-G with one more ray that have dimension dim G + 1.  The lattice carries an
-incidence function epsilon on cover pairs.  epsilon is propagated across
-the diamonds of the lattice, faces by increasing dimension, from +1 on
-each face's first down-cover; it is the geometric orientation up to one
-sign per face, so it gives isomorphic complexes, and it is verified
-against the diamond condition exhaustively at construction time.
+it) is the intersection of its rays' zero sets, and the faces covering G
+are the joins of G with one more ray that every ray of the join off G
+reaches, so covers and dimensions need no span.  The saturated spans are
+then built top-down, each the kernel of one support form on the span of a
+cover (exactlin.form_kernel, then one HNF for the canonical basis).  The
+lattice carries an incidence function epsilon on cover pairs.  epsilon is
+propagated across the diamonds of the lattice, faces by increasing
+dimension, from +1 on each face's first down-cover; it is the geometric
+orientation up to one sign per face, so it gives isomorphic complexes, and
+it is verified against the diamond condition exhaustively at construction
+time.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -235,12 +237,13 @@ class FaceLattice:
 
 def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
     """lat ∩ {phi_i = 0 : i in zero_set}: the integer kernel of those forms
-    on lat.  The forms are taken one at a time, each cutting the basis of
-    the previous kernel by xgcd steps (exactlin.form_kernel).  Each step is
-    a 2x2 row operation of determinant -1, so the rows stay a basis, and
-    the rows on which the form vanishes are a basis of its kernel.  One
-    HNF of the last basis then gives the canonical Lattice, so kernels
-    compare by ==.
+    on lat, for the face groups of a decorated cone (monoid.face_group_cuts;
+    face_lattice cuts each span by one form instead).  The forms are taken
+    one at a time, each cutting the basis of the previous kernel by xgcd
+    steps (exactlin.form_kernel).  Each step is a 2x2 row operation of
+    determinant -1, so the rows stay a basis, and the rows on which the
+    form vanishes are a basis of its kernel.  One HNF of the last basis
+    then gives the canonical Lattice, so kernels compare by ==.
 
     For a face F of C, the zero set of F and a lattice lat inside span C,
     this is lat ∩ span F, because span F = span C ∩ {phi_i = 0 : i in
@@ -267,17 +270,27 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     """Enumerate all faces, the Hasse diagram, and the incidence function.
 
     The faces are the intersections of facets, as sets of extreme rays,
-    counted as the closure finds them: past FACE_CAP it raises TooLarge.  A
-    face's zero set is the intersection of the zero sets of its rays (all
-    forms for the apex), and its saturated span is the kernel of its
-    zero-set forms on span C ∩ Z^m (see zero_set_kernel).
+    counted as the closure finds them: past FACE_CAP it raises TooLarge,
+    before any span is computed.  A face's zero set is the intersection of
+    the zero sets of its rays (all forms for the apex).
 
-    Covers come from joins, after Kaibel and Pfetsch (Comput. Geom. 23,
-    2002).  The join of G and a ray r not on G is the smallest face
-    cl(G ∪ r); its zero set is zs(G) ∩ zs(r).  If F covers G, then for
-    every r in F ∖ G the join is a face with G ⊊ cl(G ∪ r) ⊆ F; as the
-    lattice is graded, its dimension is dim G + 1 = dim F, so it is F.  The
-    faces covering G are thus the joins of dimension dim G + 1.
+    Covers come from joins, counted after Kaibel and Pfetsch (Comput.
+    Geom. 23, 2002), with no ranks.  The join of G and a ray r not on G is
+    the smallest face cl(G ∪ r); its zero set is zs(G) ∩ zs(r).  A join J
+    covers G exactly when all |J ∖ G| rays of J off G join G to J: if J
+    covers G, each such join is a face strictly above G inside J, so J;
+    if a face K lies strictly between G and J, a ray of K ∖ G joins G to a
+    face inside K, which is not J.  The dimensions come from the grading:
+    the apex has dimension 0 and a cover one more than the face it covers.
+    The faces are ordered by (dimension, sorted rays).
+
+    The spans are then built top-down.  The top keeps span C ∩ Z^m.  Every
+    other face F is a facet of its first cover H, so for a form phi in
+    zs(F) ∖ zs(H), span F = span H ∩ {phi = 0}: the right side contains
+    span F and has its rank, as phi is nonzero on span H, and span F is
+    saturated.  The kernel of phi on the basis of span H (form_kernel) is
+    that lattice, saturated as a kernel in a saturated lattice; one HNF
+    makes it canonical.  So each face below the top costs one form kernel.
 
     The incidence signs are propagated across diamonds before the lattice
     is built: per face, +1 on its first down-cover, and each further
@@ -305,32 +318,47 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
                     raise TooLarge(f"the cone has more than {FACE_CAP} faces")
                 work.append(nxt)
 
+    # covers by join counts, on zero sets as bit masks: J = cl(G ∪ r)
+    # covers G when all |J ∖ G| rays of J off G join G to J.  A ray on G
+    # joins G to itself, which the count drops: |G| rays, not 0.
     all_forms = frozenset(range(len(forms)))
-    entries = []
-    for rs in seen:
-        zs = all_forms.intersection(*(ray_zero[j] for j in rs))
-        lat = zero_set_kernel(forms, zs, cone.span_lattice)
-        entries.append((lat.rank, tuple(sorted(rs)), rs, zs, lat))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    faces = tuple(
-        Face(idx, dim, rs, zs, lat) for idx, (dim, _, rs, zs, lat) in enumerate(entries)
-    )
+    zero_of = {rs: all_forms.intersection(*(ray_zero[j] for j in rs)) for rs in seen}
+    ray_mask = [sum(1 << i for i in zs) for zs in ray_zero]
+    mask_of = {rs: sum(1 << i for i in zs) for rs, zs in zero_of.items()}
+    by_mask = {mask: rs for rs, mask in mask_of.items()}
+    covers = {}
+    for g, mask in mask_of.items():
+        joins = Counter(map(by_mask.__getitem__, map(mask.__and__, ray_mask)))
+        covers[g] = [h for h, n in joins.items() if n == len(h) - len(g)]
+
+    # dimensions by the grading, from the apex up: a cover has more rays
+    dim = {frozenset(): 0}
+    for g in sorted(seen, key=len):
+        for h in covers[g]:
+            dim[h] = dim[g] + 1
+    order = sorted(seen, key=lambda rs: (dim[rs], sorted(rs)))
+    index = {rs: i for i, rs in enumerate(order)}
+    up: list[list[int]] = [sorted(index[h] for h in covers[g]) for g in order]
+    down: list[list[int]] = [[] for _ in order]
+    for i, ups in enumerate(up):
+        for j in ups:
+            down[j].append(i)
+
+    # spans top-down: F is a facet of its first cover H, and a form of
+    # zs(F) ∖ zs(H) cuts span H down to span F
+    spans = [cone.span_lattice] * len(order)
+    for i in reversed(range(len(order) - 1)):
+        h = up[i][0]
+        phi = min(zero_of[order[i]] - zero_of[order[h]])
+        spans[i] = lattice_from_rows(cone.ambient_dim, form_kernel(spans[h].basis, forms[phi]))
+    faces = tuple(Face(i, dim[rs], rs, zero_of[rs], spans[i]) for i, rs in enumerate(order))
     by_zero_set = {f.zero_set: f.index for f in faces}
 
-    up: list[list[int]] = [[] for _ in faces]
-    down: list[list[int]] = [[] for _ in faces]
-    for g in faces:
-        # a ray on g joins it to g itself, which the dimension test drops
-        for j in {by_zero_set[g.zero_set & z] for z in ray_zero}:
-            if faces[j].dim == g.dim + 1:
-                up[g.index].append(j)
-                down[j].append(g.index)
-
-    down_covers = tuple(tuple(sorted(d)) for d in down)
+    down_covers = tuple(map(tuple, down))
     fl = FaceLattice(
         cone=cone,
         faces=faces,
-        up_covers=tuple(tuple(sorted(u)) for u in up),
+        up_covers=tuple(map(tuple, up)),
         down_covers=down_covers,
         epsilon=_incidence_signs(faces, down_covers),
         _by_zero_set=by_zero_set,

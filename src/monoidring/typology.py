@@ -123,7 +123,9 @@ def realizable(
     lambda_g, which keeps the class.  So the decision reads the class walk
     of fiber_types and shifts the representative it finds.  The cap is the
     walk's, |A_g / lambda_g| <= CLASS_CAP, the one depth_report and analyze
-    already apply to every face of the model.
+    already apply to every face of the model.  Only g's row of the face
+    table is built, so a first call on a fresh model decomposes one
+    quotient, not one per face.
     """
     fl = model.fl
     above_ids = {f.index for f in fl.faces_above(g)}
@@ -131,7 +133,7 @@ def realizable(
         raise BadFilter("filter must live above the base face and contain the cone")
     if not is_up_closed(fl, filter_ids):
         raise BadFilter("filter is not up-closed")
-    x = _class_patterns(model, g, model.face_table[g.index]).get(filter_ids)
+    x = _class_patterns(model, g, model.face_row(g)).get(filter_ids)
     if x is None:
         return False, None
     return True, _shift_into_relint(model, g, x, model_point_in_relint(model, g))

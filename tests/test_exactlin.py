@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -84,6 +87,104 @@ class TestHnf:
             assert is_row_hnf(h)
             h2, _ = hnf(h)
             assert h2 == h
+
+
+def _fraction_det(rows):
+    """Determinant over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, d = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv], d = a[piv], a[k], -d
+        d *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return d
+
+
+def _index_in(rows, basis):
+    """[Z-span(basis) : Z-span(rows)] for rows inside Z-span(basis) of full
+    rank there: the gcd of the maximal minors of the coordinate matrix of
+    the rows, solved over Q against the echelon basis."""
+    coords = []
+    for r in rows:
+        residue, c = [Fraction(x) for x in r], []
+        for b in basis:
+            p = next(j for j, x in enumerate(b) if x)
+            t = residue[p] / b[p]
+            residue = [x - t * y for x, y in zip(residue, b)]
+            c.append(t)
+        assert not any(residue)
+        coords.append(c)
+    index = 0
+    for pick in combinations(coords, len(basis)):
+        det = _fraction_det(pick)
+        assert det.denominator == 1
+        index = gcd(index, det.numerator)
+    return index
+
+
+def awkward_matrix(rng):
+    """Up to 7 rows of length 1-5 with zero rows, zero columns, repeated
+    rows, combinations of other rows, negative leading entries and entries
+    past 10**6, each with some chance."""
+    cols = rng.randint(1, 5)
+    bound = rng.choice([3, 9, 10**7])
+    rows = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rng.randint(0, 4))]
+    if rows and rng.random() < 0.4:
+        rows.append(list(rng.choice(rows)))
+    if len(rows) >= 2 and rng.random() < 0.4:
+        a, b = rng.sample(rows, 2)
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows.append([s * x + t * y for x, y in zip(a, b)])
+    if rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), [0] * cols)
+    if cols > 1 and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for r in rows:
+            r[j] = 0
+    for r in rows:
+        if rng.random() < 0.5:
+            r[:] = [-x for x in r]
+    rng.shuffle(rows)
+    return cols, rows
+
+
+class TestLatticeFromRows:
+    """lattice_from_rows, which runs the Hermite elimination with no
+    transform, against checks that share no code with it."""
+
+    def test_awkward_matrices(self):
+        rng = random.Random(71)
+        seen = Counter()
+        for _ in range(300):
+            cols, rows = awkward_matrix(rng)
+            lat = lattice_from_rows(cols, rows)
+            basis = lat.basis
+            assert is_row_hnf(basis) and all(any(b) for b in basis)
+            assert all(lat.member(r) for r in rows)
+            nonzero = [r for r in rows if any(r)]
+            # every basis row an integer combination of the rows: they
+            # generate the same group, of index 1 in the basis span
+            assert not basis or _index_in(nonzero, basis) == 1
+            seen["zero row"] += len(nonzero) < len(rows)
+            seen["zero column"] += bool(rows) and not all(map(any, zip(*rows)))
+            seen["rank deficient"] += len(basis) < len(rows)
+            seen["repeated row"] += len(set(map(tuple, rows))) < len(rows)
+            seen["negative lead"] += any(next(x for x in r if x) < 0 for r in nonzero)
+            seen["past 10**6"] += any(abs(x) > 10**6 for r in rows for x in r)
+        assert min(seen.values()) >= 30, seen
+
+    def test_same_basis_as_hnf(self):
+        rng = random.Random(72)
+        for _ in range(100):
+            cols, rows = awkward_matrix(rng)
+            h, _ = hnf(rows) if rows else ((), ())
+            assert lattice_from_rows(cols, rows).basis == tuple(r for r in h if any(r))
 
 
 class TestSnf:

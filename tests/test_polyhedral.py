@@ -12,6 +12,7 @@ from monoidring.constructions import builtin
 from monoidring.errors import NotInCone, NotPointed, OutOfRange, TooLarge
 from monoidring.exactlin import (
     dot,
+    form_kernel,
     lattice_from_rows,
     lattice_intersect,
     left_kernel,
@@ -173,7 +174,7 @@ class TestFaceCap:
             raise AssertionError("a span was computed")
 
         monkeypatch.setattr(monoidring.polyhedral, "FACE_CAP", 15)
-        monkeypatch.setattr(monoidring.polyhedral, "zero_set_kernel", no_span)
+        monkeypatch.setattr(monoidring.polyhedral, "form_kernel", no_span)
         with pytest.raises(TooLarge, match="more than 15 faces"):
             face_lattice(self.orthant(4))
 
@@ -486,6 +487,39 @@ class TestSpanLattices:
             keys = [(f.dim, sorted(f.ray_set)) for f in fl.faces]
             assert keys == sorted(keys)
             assert [f.index for f in fl.faces] == list(range(len(fl.faces)))
+
+
+class TestTopDownSpans:
+    """face_lattice takes each span below the top as the kernel of one form
+    on the span of a cover: one form_kernel per face, on a basis of rank
+    one more than the face's, and no zero_set_kernel."""
+
+    @staticmethod
+    def kernel_ranks(cone, monkeypatch):
+        ranks = []
+
+        def counted(rows, phi):
+            ranks.append(len(rows))
+            return form_kernel(rows, phi)
+
+        def no_call(*args):
+            raise AssertionError("face_lattice took a zero-set kernel")
+
+        monkeypatch.setattr(monoidring.polyhedral, "form_kernel", counted)
+        monkeypatch.setattr(monoidring.polyhedral, "zero_set_kernel", no_call)
+        fl = face_lattice(cone)
+        monkeypatch.undo()
+        return fl, ranks
+
+    def test_oracle_cones(self, oracle_lattices, monkeypatch):
+        for known in oracle_lattices:
+            fl, ranks = self.kernel_ranks(known.cone, monkeypatch)
+            assert sorted(ranks) == sorted(f.dim + 1 for f in fl.faces[:-1])
+
+    def test_rp2(self, rp2_result, monkeypatch):
+        fl, ranks = self.kernel_ranks(rp2_result.model.fl.cone, monkeypatch)
+        assert len(ranks) == len(fl.faces) - 1 == 2919
+        assert sorted(ranks) == sorted(f.dim + 1 for f in fl.faces[:-1])
 
 
 def hnf_zero_set_kernel(forms, zero_set, lat):

@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
+import monoidring.monoid
 from monoidring import typology
-from monoidring.cli import parse_input
+from monoidring.cli import parse_input, write_model
 from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
 from monoidring.errors import BadFilter, TooLarge
 from monoidring.exactlin import (
@@ -102,6 +103,26 @@ class TestRealizable:
                     else:
                         assert witness is None
         assert realized > 100
+
+    def test_first_call_decomposes_one_quotient(self, rp2_result, tmp_path, monkeypatch):
+        # on a freshly parsed model, only the base face's row of the face
+        # table is built
+        path = tmp_path / "rp2.model"
+        write_model(rp2_result.model, str(path))
+        _, model = parse_input(str(path))
+        fl = model.fl
+        assert model.reference == fl.cone.span_lattice  # so A_g is span g
+        g = next(f for f in fl.faces if f.dim == 2 and model.lattice_of(f) != f.span_lattice)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return quotient_decomposition(a, b)
+
+        monkeypatch.setattr(monoidring.monoid, "quotient_decomposition", counted)
+        realizable(model, g, frozenset(f.index for f in fl.faces_above(g)))
+        assert calls == [(g.span_lattice, model.lattice_of(g))]
+        assert "face_table" not in model.__dict__
 
     def test_quotient_past_the_cap_starts_no_loop(self, tmp_path, monkeypatch):
         # the ray (0, 1) carries a lattice of index CLASS_CAP + 1, so the
