@@ -12,7 +12,6 @@ from .cohomology import (
     cohomology_dims,
     filter_at,
     local_cohomology_at,
-    top_support_member,
     torsion_primes,
 )
 from .constructions import (
@@ -73,9 +72,7 @@ from .typology import (
     CohomologyType,
     DepthReport,
     depth_report,
-    enumerate_types,
     fiber_types,
-    realizable,
 )
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ from .cohomology import (
     local_cohomology_at,
     profile_of_complex,
 )
-from .constructions import SimplicialComplex, builtin, delta_construct
+from .constructions import SimplicialComplex, builtin, delta_construct, read_lines
 from .criteria import (
     depth_bounds_multi,
     f_bad_primes,
@@ -81,14 +81,12 @@ def _strip(line: str) -> str:
 def parse_input(path: str) -> tuple[str, object]:
     """Parse a monoid or model file; returns ("monoid", AffineMonoid) or
     ("model", DecoratedCone)."""
-    with open(path) as fh:
-        lines = [_strip(l) for l in fh]
-    lines = [l for l in lines if l]
+    lines = [l for l in map(_strip, read_lines(path)) if l]
     if not lines:
         raise ParseError("empty input file")
     head = lines[0].split()
     if head[0] == "monoid":
-        if len(head) != 2 or not head[1].isdigit():
+        if len(head) != 2 or not head[1].isdecimal():
             raise ParseError("monoid header must be 'monoid <ambient_dim>'")
         m = int(head[1])
         gens = [_parse_vector(l, m) for l in lines[1:]]
@@ -96,7 +94,7 @@ def parse_input(path: str) -> tuple[str, object]:
             raise ParseError("monoid file lists no generators")
         return "monoid", monoid_new(gens, m)
     if head[0] == "model":
-        if len(head) != 2 or not head[1].isdigit():
+        if len(head) != 2 or not head[1].isdecimal():
             raise ParseError("model header must be 'model <ambient_dim>'")
         return "model", _parse_model(lines[1:], int(head[1]))
     raise ParseError("input must start with 'monoid <m>' or 'model <m>'")

@@ -223,14 +223,3 @@ def local_cohomology_at(model: DecoratedCone, a, primes=()) -> CohomologyProfile
     """Profile of the local cohomology in degree -a for a in cn ∩ reference."""
     return filter_profile(model.fl, filter_at(model, a), primes=primes)
 
-
-def top_support_member(model: DecoratedCone, a) -> bool:
-    """Whether a supports nonzero top cohomology: a in cn ∩ reference but in
-    no facet lattice."""
-    a = tuple(a)
-    if not model.cone.contains(a) or not model.reference.member(a):
-        return False
-    for i in model.fl.facet_indices():
-        if model.lambdas[i].member(a):
-            return False
-    return True

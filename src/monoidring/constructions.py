@@ -56,6 +56,15 @@ from .polyhedral import (
 )
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text input file; ParseError unless it is UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return list(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError("input is not UTF-8 text") from exc
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An abstract simplicial complex given by its inclusion-maximal faces."""
@@ -76,15 +85,14 @@ class SimplicialComplex:
         """Read one facet per line, vertices as integers, ``#`` comments;
         raises ParseError on a non-integer vertex or a file with none."""
         facets = []
-        with open(path) as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    facets.append([int(tok) for tok in line.split()])
-                except ValueError as exc:
-                    raise ParseError(f"bad vertex in facet {line!r}") from exc
+        for line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                facets.append([int(tok) for tok in line.split()])
+            except ValueError as exc:
+                raise ParseError(f"bad vertex in facet {line!r}") from exc
         if not facets:
             raise ParseError("complex file lists no vertex")
         return cls.from_facets(facets)

@@ -37,10 +37,6 @@ class NotUpClosed(MonoidRingError):
     """A face filter is not closed under going up."""
 
 
-class BadFilter(MonoidRingError):
-    """A filter misses the full cone or is not up-closed."""
-
-
 class TooLarge(MonoidRingError):
     """An enumeration exceeded its configured cap; refusing a partial answer."""
 

@@ -404,18 +404,16 @@ class DecoratedCone:
     def face_table(self) -> tuple["FaceGroups", ...]:
         """The groups of every face, by face index, computed once per model:
         the (S2) test, normality, the fibers, the F-bad primes and the
-        Gorenstein indices all read them here."""
-        return tuple(map(self.face_row, self.fl.faces))
-
-    def face_row(self, f: Face) -> "FaceGroups":
-        """The face table row of f alone, for a caller that reads one face.
-        Where lambda_F = A_F the quotient is trivial, and its decomposition
-        is read off without a Smith form: factors 1 on the basis of A_F,
-        whose only class is 0."""
-        (group, cut), lam = self._cuts[f.index], self.lambdas[f.index]
-        if lam == group:
-            return FaceGroups(group, cut, (1,) * group.rank, group.basis)
-        return FaceGroups(group, cut, *quotient_decomposition(group, lam))
+        Gorenstein indices all read them here.  Where lambda_F = A_F the
+        quotient is trivial, and its decomposition is read off without a
+        Smith form: factors 1 on the basis of A_F, whose only class is 0."""
+        rows = []
+        for (group, cut), lam in zip(self._cuts, self.lambdas):
+            if lam == group:
+                rows.append(FaceGroups(group, cut, (1,) * group.rank, group.basis))
+            else:
+                rows.append(FaceGroups(group, cut, *quotient_decomposition(group, lam)))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,17 @@ lattice above G and is the intersection of their traces on A*.  The
 realizable fibers, one witness per fiber, and the cohomology profile of
 every realizable filter together determine the depth over any field.  Only
 a filter with two or more least faces needs a complex for its profile (see
-cohomology.filter_profile).  One class walk per base face serves both the
-fiber enumeration and the realizability of a single filter.
+cohomology.filter_profile).  fiber_types is the one class walk: a filter is
+realizable above a base face exactly when it is one of its fibers, and
+depth_report, the depth chain and analyze all read that enumeration.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .cohomology import CohomologyProfile, filter_profile, is_up_closed
-from .errors import BadFilter, TooLarge
+from .cohomology import CohomologyProfile, filter_profile
+from .errors import TooLarge
 from .exactlin import Vec, dot, vadd, vec_mat
 from .monoid import DecoratedCone, FaceGroups, model_point_in_relint
 from .polyhedral import Face
@@ -29,15 +30,15 @@ class CohomologyType:
     """One fiber of the degree-to-filter map.
 
     base_face is the minimal face of the degrees in the fiber, filter_ids
-    the common filter.  Unrealizable combinations carry no witness and, by
-    default, no profile.
+    the common filter, witness one degree in the fiber and profile the
+    cohomology of the filter.  Only fiber_types builds them, so every one is
+    realizable.
     """
 
     base_face: int
     filter_ids: frozenset[int]
-    realizable: bool
-    witness: Vec | None
-    profile: CohomologyProfile | None
+    witness: Vec
+    profile: CohomologyProfile
 
 
 def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
@@ -52,8 +53,8 @@ def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
 
 
 # Largest quotient A_g / lambda_g, in classes, that the class walk of a base
-# face g takes (fiber_types, realizable); depth_report and analyze refuse a
-# model with a larger one.
+# face g takes (fiber_types); depth_report and analyze refuse a model with a
+# larger one.
 CLASS_CAP = 100000
 
 
@@ -82,6 +83,10 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     through the aligned basis of the model's face table (A* is the table's
     group A_g); every class has a constant membership pattern, and a
     relative-interior representative of the class is a witness for it.
+    These are all the fibers over g: a degree in relint(g) lies in span g
+    and, as the full cone is in its filter, in the reference, so in A_g,
+    and its filter is the pattern of its class.  So a filter is realizable
+    above g exactly when it is one of g's fibers here.
 
     lambda_g is the lattice D = ∩_{F >= g} (A* ∩ lambda_F) of the classes:
     the family includes F = g, lambda_g lies in A* (it spans g and lies in
@@ -105,78 +110,7 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
             assert fl.top.index in pattern
             witness = _shift_into_relint(model, g, x, step)
             profile = filter_profile(fl, pattern, primes=primes)
-            out.append(CohomologyType(g.index, pattern, True, witness, profile))
-    return out
-
-
-def realizable(
-    model: DecoratedCone, g: Face, filter_ids: frozenset[int]
-) -> tuple[bool, Vec | None]:
-    """Decide whether some degree in relint(g) has exactly this filter, and
-    give one such degree.
-
-    The filter must be an up-closed subset of the interval above g
-    containing the full cone.  It is realizable exactly when it is the
-    pattern of a class of A_g / lambda_g: a degree in relint(g) with that
-    filter lies in span g and, as the full cone is in the filter, in the
-    reference, so in A_g; and the shift into relint(g) adds a point of
-    lambda_g, which keeps the class.  So the decision reads the class walk
-    of fiber_types and shifts the representative it finds.  The cap is the
-    walk's, |A_g / lambda_g| <= CLASS_CAP, the one depth_report and analyze
-    already apply to every face of the model.  Only g's row of the face
-    table is built, so a first call on a fresh model decomposes one
-    quotient, not one per face.
-    """
-    fl = model.fl
-    above_ids = {f.index for f in fl.faces_above(g)}
-    if not filter_ids <= above_ids or fl.top.index not in filter_ids:
-        raise BadFilter("filter must live above the base face and contain the cone")
-    if not is_up_closed(fl, filter_ids):
-        raise BadFilter("filter is not up-closed")
-    x = _class_patterns(model, g, model.face_row(g)).get(filter_ids)
-    if x is None:
-        return False, None
-    return True, _shift_into_relint(model, g, x, model_point_in_relint(model, g))
-
-
-def _up_sets_of_interval(fl, g: Face, cap: int) -> list[frozenset[int]]:
-    """All up-closed subsets of the interval above g that contain the top.
-
-    The sets grow top-down along a linear extension of the interval, in a
-    loop: each set is kept, followed by itself with the next face when all
-    of that face's covers are in it.  Every cover of a face above g is
-    above g, and the top has no covers.  No set is ever dropped, so the
-    walk stops as soon as the count passes the cap.  The only up-closed set
-    without the top is the empty one; it stays first and is not counted.
-    """
-    above = sorted(fl.faces_above(g), key=lambda f: (-f.dim, f.index))
-    out = [frozenset()]
-    for f in above:
-        covers = fl.up_covers[f.index]
-        out = [t for s in out for t in ((s, s | {f.index}) if s.issuperset(covers) else (s,))]
-        if len(out) - 1 > cap:
-            raise TooLarge(
-                f"face {sorted(g.ray_set)}: more than {cap} filters; raise the cap"
-            )
-    return out[1:]
-
-
-def enumerate_types(
-    model: DecoratedCone, max_filters_per_face: int = 5000
-) -> list[CohomologyType]:
-    """Every (base face, up-closed filter) combination, flagged realizable or
-    not.  Realizability, witnesses and profiles come from the fiber
-    enumeration, so no per-filter group computation is repeated; the
-    unrealizable combinations carry neither witness nor profile."""
-    fibers = fiber_types(model)
-    fiber_map = {(t.base_face, t.filter_ids): t for t in fibers}
-    fl = model.fl
-    out: list[CohomologyType] = []
-    for g in fl.faces:
-        for s in _up_sets_of_interval(fl, g, max_filters_per_face):
-            hit = fiber_map.get((g.index, s))
-            out.append(hit if hit is not None else CohomologyType(g.index, s, False, None, None))
-    out.sort(key=lambda t: (fl.faces[t.base_face].dim, t.base_face, sorted(t.filter_ids)))
+            out.append(CohomologyType(g.index, pattern, witness, profile))
     return out
 
 

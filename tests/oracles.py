@@ -8,7 +8,7 @@ is tests/test_oracles.py).
 from dataclasses import dataclass
 from itertools import product
 
-from monoidring.errors import NotSublattice
+from monoidring.errors import NotSublattice, TooLarge
 from monoidring.exactlin import (
     Lattice,
     dot,
@@ -90,3 +90,32 @@ def realizable_by_intersections(model, g, filter_ids):
                 x = vadd(x, step)
             return True, x
     return False, None
+
+
+def up_sets_of_interval(fl, g, cap):
+    """All up-closed subsets of the interval above g that contain the top.
+
+    The sets grow top-down along a linear extension of the interval, in a
+    loop: each set is kept, followed by itself with the next face when all
+    of that face's covers are in it.  Every cover of a face above g is
+    above g, and the top has no covers.  No set is ever dropped, so the
+    walk stops as soon as the count passes the cap.  The only up-closed set
+    without the top is the empty one; it stays first and is not counted.
+    """
+    above = sorted(fl.faces_above(g), key=lambda f: (-f.dim, f.index))
+    out = [frozenset()]
+    for f in above:
+        covers = fl.up_covers[f.index]
+        out = [t for s in out for t in ((s, s | {f.index}) if s.issuperset(covers) else (s,))]
+        if len(out) - 1 > cap:
+            raise TooLarge(f"face {sorted(g.ray_set)}: more than {cap} filters; raise the cap")
+    return out[1:]
+
+
+def top_support_member(model, a) -> bool:
+    """Whether a supports nonzero top cohomology: a in cn ∩ reference but in
+    no facet lattice."""
+    a = tuple(a)
+    if not model.cone.contains(a) or not model.reference.member(a):
+        return False
+    return not any(model.lambdas[i].member(a) for i in model.fl.facet_indices())

@@ -73,11 +73,24 @@ class TestParseInput:
             assert model.lattice_of(f) == original.lattice_of(g)
 
     def test_parse_error_exit_code(self, tmp_path):
+        # a header whose dimension is a digit but not a decimal, and a
+        # file that is not UTF-8, are parse errors like any other
         p = tmp_path / "bad.txt"
-        p.write_text("nonsense\n")
-        code, _, err = run_cli(["analyze", str(p)])
-        assert code == 2
-        assert "error" in err
+        for data in [
+            b"nonsense\n",
+            "monoid \u00b2\n1\n".encode(),
+            "model \u00b2\ngenerators\n1 0\n".encode(),
+            b"monoid 1\n2\n\xff\n",
+            b"model 2\ngenerators\n1 0\n0 \xff\n",
+        ]:
+            p.write_bytes(data)
+            with pytest.raises(ParseError):
+                parse_input(str(p))
+            for command in (["analyze"], ["check"], ["cohomology", "--degree", "1"]):
+                assert_input_error([command[0], str(p), *command[1:]])
+        p.write_bytes(b"1 2\n2 \xff\n")
+        assert_input_error(["construct", str(p), str(tmp_path / "out.model")])
+        assert not (tmp_path / "out.model").exists()
 
     def test_bad_lattice_header(self, tmp_path):
         p = tmp_path / "bad.model"

@@ -13,7 +13,6 @@ from monoidring.cohomology import (
     is_up_closed,
     local_cohomology_at,
     profile_of_complex,
-    top_support_member,
     torsion_primes,
 )
 from monoidring.errors import NotUpClosed, OutOfRange
@@ -21,7 +20,7 @@ from monoidring.exactlin import mat_mul, vadd, vscale
 from monoidring.monoid import model_point_in_relint, restrict_model
 from monoidring.polyhedral import dual_description, face_lattice
 from monoidring.criteria import depth_bounds_multi
-from monoidring.typology import depth_report, enumerate_types, fiber_types
+from monoidring.typology import depth_report, fiber_types
 
 from conftest import (
     assert_kernel_matches_dense_path,
@@ -34,6 +33,7 @@ from conftest import (
     random_decorated_model,
     resigned_epsilon,
 )
+from oracles import top_support_member, up_sets_of_interval
 
 
 def odd_apex_ray_point(model):
@@ -207,9 +207,19 @@ class TestTorsionPrimes:
         pass
 
 
+def in_top_support(model, a):
+    """Whether a supports nonzero top cohomology: its filter is {top}.  On
+    cn ∩ reference this is the facet test of tests/oracles.py: a in
+    lambda_G for a facet G puts G in the filter, and a proper face in the
+    filter lies in a facet whose lattice holds its own."""
+    by_filter = filter_at(model, a) == {model.fl.top.index}
+    assert by_filter == top_support_member(model, a)
+    return by_filter
+
+
 class TestTopSupport:
     def test_zero_not_in_support(self, model_71):
-        assert not top_support_member(model_71, (0, 0, 0, 0))
+        assert not in_top_support(model_71, (0, 0, 0, 0))
 
     def test_odd_interior_point_71(self, model_71):
         rays = model_71.fl.cone.extreme_rays
@@ -217,7 +227,7 @@ class TestTopSupport:
         for r in rays:
             x = vadd(x, r)
         assert x[-1] % 2 == 1
-        assert top_support_member(model_71, x)
+        assert in_top_support(model_71, x)
         assert local_cohomology_at(model_71, x).dims_q[-1] == 1
 
     def test_normal_model_interior_vs_boundary(self):
@@ -225,10 +235,10 @@ class TestTopSupport:
         model = random_decorated_model(rng, 3, max_index=1)
         fl = model.fl
         interior = model_point_in_relint(model, fl.top)
-        assert top_support_member(model, interior)
+        assert in_top_support(model, interior)
         for f in fl.faces[:-1]:
             boundary = model_point_in_relint(model, f)
-            assert not top_support_member(model, boundary)
+            assert not in_top_support(model, boundary)
 
     def test_top_dim_matches_support_on_corpus(self):
         rng = random.Random(34)
@@ -237,8 +247,23 @@ class TestTopSupport:
             for f in model.fl.faces:
                 a = model_point_in_relint(model, f)
                 profile = local_cohomology_at(model, a)
-                expected = 1 if top_support_member(model, a) else 0
+                expected = 1 if in_top_support(model, a) else 0
                 assert profile.dims_q[-1] == expected
+
+    def test_filter_top_is_the_facet_test(self):
+        # multiples of every face's ray sum, in the reference group
+        checked = 0
+        for model in corpus(seed=501, count=10):
+            rays = model.fl.cone.extreme_rays
+            for f in model.fl.faces:
+                total = (0,) * model.fl.cone.ambient_dim
+                for i in f.ray_set:
+                    total = vadd(total, rays[i])
+                for k in range(1, 5):
+                    if model.reference.member(vscale(k, total)):
+                        in_top_support(model, vscale(k, total))
+                        checked += 1
+        assert checked > 100
 
 
 class TestEpsilonIndependence:
@@ -267,7 +292,9 @@ class TestEpsilonIndependence:
 
 
 def all_filters(model):
-    return {t.filter_ids for t in enumerate_types(model, max_filters_per_face=10**6)}
+    """Every up-closed filter above every face, realizable or not."""
+    fl = model.fl
+    return {s for g in fl.faces for s in up_sets_of_interval(fl, g, 10**6)}
 
 
 class TestInvariantFactorKernel:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import monoidring.monoid
-from monoidring.cohomology import local_cohomology_at, top_support_member
+from monoidring.cohomology import local_cohomology_at
 from monoidring.constructions import (
     RP2_SIX_VERTEX,
     SimplicialComplex,

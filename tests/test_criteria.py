@@ -4,7 +4,7 @@ import pytest
 
 import monoidring.criteria
 import monoidring.monoid
-from monoidring.cohomology import top_support_member
+from monoidring.cohomology import filter_at
 from monoidring.criteria import (
     depth_bounds,
     depth_bounds_multi,
@@ -327,7 +327,7 @@ class TestGorenstein:
                     if min(shifted) >= 0
                     else False
                 )
-                assert top_support_member(model, x) == in_shifted
+                assert (filter_at(model, x) == {model.fl.top.index}) == in_shifted
 
     def test_gamma_three_not_gorenstein(self):
         gens = [(1, 0), (0, 1)]

@@ -1,13 +1,13 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
-import monoidring.monoid
 from monoidring import typology
-from monoidring.cli import parse_input, write_model
+from monoidring.cli import parse_input
 from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
-from monoidring.errors import BadFilter, TooLarge
+from monoidring.errors import TooLarge
 from monoidring.exactlin import (
     dot,
     lattice_intersect,
@@ -21,13 +21,7 @@ from monoidring.exactlin import (
 )
 from monoidring.monoid import restrict_model
 from monoidring.polyhedral import dual_description, face_lattice, minimal_face
-from monoidring.typology import (
-    CohomologyType,
-    depth_report,
-    enumerate_types,
-    fiber_types,
-    realizable,
-)
+from monoidring.typology import CohomologyType, depth_report, fiber_types
 
 from conftest import (
     corpus,
@@ -37,7 +31,7 @@ from conftest import (
     random_decorated_model,
 )
 from monoidring.exactlin import full_lattice
-from oracles import realizable_by_intersections, relint_step
+from oracles import realizable_by_intersections, relint_step, up_sets_of_interval
 
 
 def apex_ray_face(fl):
@@ -45,13 +39,24 @@ def apex_ray_face(fl):
     return next(f for f in fl.faces if f.dim == 1 and f.ray_set == {m0})
 
 
+def fibers_by_pair(model):
+    return {(t.base_face, t.filter_ids): t for t in fiber_types(model)}
+
+
+def up_set_pairs(fl):
+    """Every (base face index, up-closed filter above it) pair."""
+    return {(g.index, s) for g in fl.faces for s in up_sets_of_interval(fl, g, 10**6)}
+
+
 class TestRealizable:
+    """A filter is realizable above a base face exactly when fiber_types
+    lists the pair, with a witness of that minimal face and filter."""
+
     def test_full_cone_trivial_filter(self, model_71):
         fl = model_71.fl
-        ok, witness = realizable(model_71, fl.top, frozenset({fl.top.index}))
-        assert ok
-        assert minimal_face(fl, witness) is fl.top
-        assert filter_at(model_71, witness) == frozenset({fl.top.index})
+        t = fibers_by_pair(model_71)[(fl.top.index, frozenset({fl.top.index}))]
+        assert minimal_face(fl, t.witness) is fl.top
+        assert filter_at(model_71, t.witness) == frozenset({fl.top.index})
 
     def test_odd_ray_filter_realizable(self, model_71):
         fl = model_71.fl
@@ -63,8 +68,7 @@ class TestRealizable:
                 fl.top.index,
             }
         )
-        ok, witness = realizable(model_71, ray, s)
-        assert ok
+        witness = fibers_by_pair(model_71)[(ray.index, s)].witness
         assert witness[-1] % 2 == 1
         assert minimal_face(fl, witness) is ray
         assert filter_at(model_71, witness) == s
@@ -75,69 +79,43 @@ class TestRealizable:
         fl = model_71.fl
         ray = apex_ray_face(fl)
         s = frozenset({facet_by_label(fl, "F2").index, fl.top.index})
-        ok, witness = realizable(model_71, ray, s)
-        assert not ok and witness is None
-
-    def test_bad_filter_rejana(self, model_71):
-        fl = model_71.fl
-        ray = apex_ray_face(fl)
-        with pytest.raises(BadFilter):
-            realizable(model_71, ray, frozenset({ray.index}))  # missing the top
-        with pytest.raises(BadFilter):
-            realizable(model_71, fl.top, frozenset({fl.top.index, ray.index}))
+        assert s in up_sets_of_interval(fl, ray, 10**6)
+        assert realizable_by_intersections(model_71, ray, s) == (False, None)
+        assert (ray.index, s) not in fibers_by_pair(model_71)
 
     def test_same_verdicts_as_intersections(self, model_71, model_73):
-        # every (base face, up-closed filter) pair: the class walk against
-        # the cover of A_S / C' by the excluded-face subgroups
+        # every (base face, up-closed filter) pair: a fiber of the class walk
+        # exactly when the cover of A_S / C' by the excluded-face subgroups
+        # leaves a class out
         realized = 0
         for model in [model_71, model_73] + corpus(seed=501, count=10):
             fl = model.fl
-            for g in fl.faces:
-                for s in typology._up_sets_of_interval(fl, g, 10**6):
-                    ok, witness = realizable(model, g, s)
-                    assert ok == realizable_by_intersections(model, g, s)[0]
-                    if ok:
-                        assert minimal_face(fl, witness) is g
-                        assert filter_at(model, witness) == s
-                        realized += 1
-                    else:
-                        assert witness is None
+            fibers = fibers_by_pair(model)
+            pairs = up_set_pairs(fl)
+            assert fibers.keys() <= pairs
+            for g, s in pairs:
+                assert ((g, s) in fibers) == realizable_by_intersections(model, fl.faces[g], s)[0]
+            for (g, s), t in fibers.items():
+                assert minimal_face(fl, t.witness).index == g
+                assert filter_at(model, t.witness) == s
+            realized += len(fibers)
         assert realized > 100
-
-    def test_first_call_decomposes_one_quotient(self, rp2_result, tmp_path, monkeypatch):
-        # on a freshly parsed model, only the base face's row of the face
-        # table is built
-        path = tmp_path / "rp2.model"
-        write_model(rp2_result.model, str(path))
-        _, model = parse_input(str(path))
-        fl = model.fl
-        assert model.reference == fl.cone.span_lattice  # so A_g is span g
-        g = next(f for f in fl.faces if f.dim == 2 and model.lattice_of(f) != f.span_lattice)
-        calls = []
-
-        def counted(a, b):
-            calls.append((a, b))
-            return quotient_decomposition(a, b)
-
-        monkeypatch.setattr(monoidring.monoid, "quotient_decomposition", counted)
-        realizable(model, g, frozenset(f.index for f in fl.faces_above(g)))
-        assert calls == [(g.span_lattice, model.lattice_of(g))]
-        assert "face_table" not in model.__dict__
 
     def test_quotient_past_the_cap_starts_no_loop(self, tmp_path, monkeypatch):
         # the ray (0, 1) carries a lattice of index CLASS_CAP + 1, so the
-        # quotient of the filter {top} on it has one class too many
+        # quotient of its base face has one class too many
         p = tmp_path / "wide.model"
         p.write_text(f"model 2\ngenerators\n1 0\n0 1\nlattice 0\n0 {typology.CLASS_CAP + 1}\n")
         _, model = parse_input(str(p))
-        ray = next(f for f in model.fl.faces if f.ray_set == {0})
 
-        def no_loop(*args):
-            raise AssertionError("the quotient walk started")
+        def no_loop(*ranges):
+            if prod(map(len, ranges)) > typology.CLASS_CAP:
+                raise AssertionError("the quotient walk started")
+            return product(*ranges)
 
         monkeypatch.setattr(typology, "product", no_loop)
         with pytest.raises(TooLarge, match="classes exceed the cap"):
-            realizable(model, ray, frozenset({model.fl.top.index}))
+            fiber_types(model)
 
 
 class TestFiberTypes:
@@ -147,7 +125,6 @@ class TestFiberTypes:
         types = fiber_types(model)
         assert len(types) == 2
         for t in types:
-            assert t.realizable
             assert all(d == 0 for d in t.profile.dims_q[:-1])
 
     def test_pyramid_contains_h3_type(self, model_71):
@@ -192,36 +169,36 @@ class TestFiberTypes:
             g = minimal_face(fl, x)
             s = filter_at(model_71, x)
             t = keyed[(g.index, s)]
-            assert t.realizable
             assert t.profile.dims_q == local_cohomology_at(model_71, x).dims_q
             checked += 1
         assert checked > 50
 
 
 class TestEnumerateTypes:
+    """The up-set enumeration of tests/oracles.py against the fibers: every
+    fiber is an up-set pair, and the pairs left out are the unrealizable
+    ones."""
+
     def test_includes_unrealizable(self, model_71):
         fl = model_71.fl
         ray = apex_ray_face(fl)
-        types = enumerate_types(model_71, max_filters_per_face=100000)
+        fibers = fibers_by_pair(model_71)
         s = frozenset({facet_by_label(fl, "F2").index, fl.top.index})
-        hit = [t for t in types if t.base_face == ray.index and t.filter_ids == s]
-        assert len(hit) == 1
-        assert not hit[0].realizable
-
-    def test_cap_enforced(self, model_71):
-        with pytest.raises(TooLarge):
-            enumerate_types(model_71, max_filters_per_face=5)
+        pairs = up_set_pairs(fl)
+        assert fibers.keys() < pairs
+        assert (ray.index, s) in pairs - fibers.keys()
 
     def test_realizable_flags_match_direct_decision(self):
         rng = random.Random(42)
         model = random_decorated_model(rng, 3)
-        types = enumerate_types(model, max_filters_per_face=100000)
         fl = model.fl
-        sample = [t for t in types if not t.realizable][:10]
-        sample += [t for t in types if t.realizable][:10]
-        for t in sample:
-            ok, _ = realizable(model, fl.faces[t.base_face], t.filter_ids)
-            assert ok == t.realizable
+        fibers = fibers_by_pair(model)
+        pairs = [(g, s) for g in fl.faces for s in up_sets_of_interval(fl, g, 10**6)]
+        sample = [(g, s) for g, s in pairs if (g.index, s) not in fibers][:10]
+        sample += [(g, s) for g, s in pairs if (g.index, s) in fibers][:10]
+        for g, s in sample:
+            ok, _ = realizable_by_intersections(model, g, s)
+            assert ok == ((g.index, s) in fibers)
 
 
 class TestDepthReport:
@@ -338,7 +315,7 @@ def intersection_fiber_types(model, primes):
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
             while any(dot(form, x) <= 0 for form in outside):
                 x = vadd(x, step)
-            out.append(CohomologyType(g.index, pattern, True, x, dense_profile(fl, pattern, primes)))
+            out.append(CohomologyType(g.index, pattern, x, dense_profile(fl, pattern, primes)))
     return out
 
 
@@ -429,13 +406,13 @@ class TestUpSetWalk:
             fl = model.fl
             for g in fl.faces:
                 want = recursive_up_sets(fl, g, 10**6)
-                assert typology._up_sets_of_interval(fl, g, 10**6) == want
+                assert up_sets_of_interval(fl, g, 10**6) == want
                 n = len(want)
-                assert typology._up_sets_of_interval(fl, g, n) == want
+                assert up_sets_of_interval(fl, g, n) == want
                 with pytest.raises(TooLarge):
                     recursive_up_sets(fl, g, n - 1)
                 with pytest.raises(TooLarge):
-                    typology._up_sets_of_interval(fl, g, n - 1)
+                    up_sets_of_interval(fl, g, n - 1)
 
     def test_large_interval_hits_the_cap(self):
         # the apex of the 11-dimensional orthant has 2048 faces above it,
@@ -448,4 +425,4 @@ class TestUpSetWalk:
         assert apex.dim == 0 and len(fl.faces_above(apex)) == 2048
         for g in (apex, two_face):
             with pytest.raises(TooLarge, match="more than 5000 filters"):
-                typology._up_sets_of_interval(fl, g, 5000)
+                up_sets_of_interval(fl, g, 5000)
