@@ -38,7 +38,7 @@ from .cohomology import (
     local_cohomology_at,
     profile_of_complex,
 )
-from .constructions import SimplicialComplex, builtin, delta_construct, read_lines
+from .constructions import SimplicialComplex, builtin, delta_construct, read_int, read_lines
 from .criteria import (
     depth_bounds_multi,
     f_bad_primes,
@@ -57,7 +57,7 @@ from .errors import (
     VerificationFailed,
     ZeroGenerator,
 )
-from .exactlin import Lattice, lattice_from_rows, prime_factors, vec
+from .exactlin import Lattice, lattice_from_rows, prime_factors
 from .monoid import (
     AffineMonoid,
     DecoratedCone,
@@ -86,26 +86,27 @@ def parse_input(path: str) -> tuple[str, object]:
         raise ParseError("empty input file")
     head = lines[0].split()
     if head[0] == "monoid":
-        if len(head) != 2 or not head[1].isdecimal():
-            raise ParseError("monoid header must be 'monoid <ambient_dim>'")
-        m = int(head[1])
+        m = _parse_dimension(head)
         gens = [_parse_vector(l, m) for l in lines[1:]]
         if not gens:
             raise ParseError("monoid file lists no generators")
         return "monoid", monoid_new(gens, m)
     if head[0] == "model":
-        if len(head) != 2 or not head[1].isdecimal():
-            raise ParseError("model header must be 'model <ambient_dim>'")
-        return "model", _parse_model(lines[1:], int(head[1]))
+        return "model", _parse_model(lines[1:], _parse_dimension(head))
     raise ParseError("input must start with 'monoid <m>' or 'model <m>'")
 
 
+def _parse_dimension(head: list[str]) -> int:
+    message = f"{head[0]} header must be '{head[0]} <ambient_dim>'"
+    m = read_int(head[1], message) if len(head) == 2 else -1
+    if m < 0:
+        raise ParseError(message)
+    return m
+
+
 def _parse_vector(line: str, m: int):
-    toks = line.split()
-    try:
-        v = vec(int(t) for t in toks)
-    except ValueError as exc:
-        raise ParseError(f"bad integer row: {line!r}") from exc
+    message = f"bad integer row: {line!r}"
+    v = tuple(read_int(t, message) for t in line.split())
     if len(v) != m:
         raise ParseError(f"row {line!r} does not have {m} entries")
     return v
@@ -132,10 +133,8 @@ def _parse_model(lines: list[str], m: int) -> DecoratedCone:
         if header[1:] == ["*"]:
             key = fl.top.ray_set
         else:
-            try:
-                key = frozenset(int(t) for t in header[1:])
-            except ValueError as exc:
-                raise ParseError(f"bad lattice header: {lines[i]!r}") from exc
+            message = f"bad lattice header: {lines[i]!r}"
+            key = frozenset(read_int(t, message) for t in header[1:])
         if key not in by_rays:
             raise ParseError(f"lattice block {sorted(key)} names no face")
         i += 1
@@ -178,10 +177,12 @@ def _parse_fields(spec: str) -> list[int | None]:
         tok = tok.strip().lower()
         if tok == "q":
             out.append(None)
-        elif tok.isdecimal() and len(tok) <= 12 and prime_factors(int(tok)) == {int(tok)}:
-            out.append(int(tok))
         else:
-            raise ParseError(f"bad field {tok!r}; use q or a prime below 10^12")
+            message = f"bad field {tok!r}; use q or a prime below 10^12"
+            p = read_int(tok, message)
+            if not 1 < p < 10**12 or prime_factors(p) != {p}:
+                raise ParseError(message)
+            out.append(p)
     return out
 
 
@@ -203,8 +204,10 @@ def _face_label(fl, index):
 
 def cmd_analyze(args) -> int:
     bound = args.degree_bound
-    if bound is not None and bound < 0:
-        raise ParseError(f"--degree-bound {bound} is negative")
+    if bound is not None:
+        bound = read_int(bound, f"bad --degree-bound {bound!r}: it must be an integer")
+        if bound < 0:
+            raise ParseError(f"--degree-bound {bound} is negative")
     kind, obj = parse_input(args.input)
     fields = _parse_fields(args.fields)
     primes = tuple(p for p in fields if p is not None)
@@ -294,10 +297,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    try:
-        degree = vec(int(t) for t in args.degree.replace(",", " ").split())
-    except ValueError as exc:
-        raise ParseError(f"bad degree {args.degree!r}: entries must be integers") from exc
+    message = f"bad degree {args.degree!r}: entries must be integers"
+    degree = tuple(read_int(t, message) for t in args.degree.replace(",", " ").split())
     kind, obj = parse_input(args.input)
     model = to_model(obj) if kind == "monoid" else obj
     if len(degree) != model.cone.ambient_dim:
@@ -435,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     fields(p_analyze)
     p_analyze.add_argument(
         "--degree-bound",
-        type=int,
         default=None,
         help="bound for the seminormality and (S2) scans",
     )

@@ -27,6 +27,7 @@ oracle, including integer torsion primes.
 """
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -65,6 +66,18 @@ def read_lines(path) -> list[str]:
             raise ParseError("input is not UTF-8 text") from exc
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def read_int(token: str, message: str) -> int:
+    """The integer an input token writes in ASCII digits, with an optional
+    sign; ParseError(message) for anything else.  int() alone would also
+    take digit-group underscores and non-ASCII decimal digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ParseError(message)
+    return int(token)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """An abstract simplicial complex given by its inclusion-maximal faces."""
@@ -89,10 +102,8 @@ class SimplicialComplex:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                facets.append([int(tok) for tok in line.split()])
-            except ValueError as exc:
-                raise ParseError(f"bad vertex in facet {line!r}") from exc
+            message = f"bad vertex in facet {line!r}"
+            facets.append([read_int(tok, message) for tok in line.split()])
         if not facets:
             raise ParseError("complex file lists no vertex")
         return cls.from_facets(facets)

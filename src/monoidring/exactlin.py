@@ -9,6 +9,7 @@ integer combinations of the *rows* of its basis matrix.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -503,6 +504,12 @@ class Lattice:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row, found once per value.  Not a
+        field, so equal lattices still compare and hash equal."""
+        return tuple(next(j for j, a in enumerate(row) if a) for row in self.basis)
+
     def member(self, x) -> bool:
         return self.coords(x) is not None
 
@@ -512,8 +519,7 @@ class Lattice:
             raise ValueError("dimension mismatch")
         residue = list(x)
         out = []
-        for row in self.basis:
-            p = next(j for j in range(self.ambient_dim) if row[j])
+        for p, row in zip(self._pivots, self.basis):
             c, r = divmod(residue[p], row[p])
             if r:
                 return None
@@ -540,8 +546,7 @@ class Lattice:
             raise ValueError("dimension mismatch")
         residue = list(x)
         k = 1
-        for row in self.basis:
-            p = next(j for j in range(self.ambient_dim) if row[j])
+        for p, row in zip(self._pivots, self.basis):
             m = row[p] // gcd(residue[p], row[p])
             if m > 1:
                 k *= m

@@ -57,6 +57,17 @@ def _dd_extreme_rays(forms: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
 
     Incremental over the forms; rays carry bitmasks of the processed forms
     vanishing on them, used for the standard combinatorial adjacency test.
+
+    Before that scan, a pair of rays must pass the rank condition (Fukuda
+    and Prodon, "Double description method revisited", LNCS 1120, 1996).
+    The processed forms cut a cone in R^dim whose lineality space has
+    dimension l = len(lineality).  Two of its extreme rays are adjacent
+    exactly when the smallest face holding both has dimension l + 2.  That
+    face is cut out by the forms vanishing on both, the set common, so
+    these forms have rank dim - l - 2, and there are at least that many.
+    A pair with fewer common forms is not adjacent.  The combinatorial test
+    is exact, so it would refuse that pair too, and skipping the scan
+    changes no ray.
     """
     lineality: list[Vec] = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays: list[tuple[Vec, int]] = []
@@ -101,11 +112,12 @@ def _dd_extreme_rays(forms: list[Vec], dim: int) -> tuple[list[Vec], list[Vec]]:
                     return False
             return True
 
+        min_common = dim - len(lineality) - 2
         combos = []
         for ip, rp, mp, fp in pos:
             for inn, rn, mn, fn in neg:
                 common = mp & mn
-                if adjacent(ip, inn, common):
+                if common.bit_count() >= min_common and adjacent(ip, inn, common):
                     combos.append(
                         (primitive(vsub(vscale(fp, rn), vscale(fn, rp))), common | (1 << k))
                     )

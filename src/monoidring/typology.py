@@ -11,7 +11,10 @@ every realizable filter together determine the depth over any field.  Only
 a filter with two or more least faces needs a complex for its profile (see
 cohomology.filter_profile).  fiber_types is the one class walk: a filter is
 realizable above a base face exactly when it is one of its fibers, and
-depth_report, the depth chain and analyze all read that enumeration.
+depth_report, the depth chain and analyze all read that enumeration.  The
+walk tests a class against a face lattice only where the answer is not
+known beforehand: the class 0 lies in every face lattice, and every class
+lies in a lambda_F equal to its group A_F (see _class_patterns).
 """
 
 from dataclasses import dataclass
@@ -61,16 +64,32 @@ CLASS_CAP = 100000
 def _class_patterns(model: DecoratedCone, g: Face, row: FaceGroups) -> dict[frozenset[int], Vec]:
     """The membership patterns of the classes of A_g / lambda_g, each with
     its first class representative, a point of A_g; row is g's face table
-    row.  TooLarge past CLASS_CAP classes, before the walk starts."""
+    row.  TooLarge past CLASS_CAP classes, before the walk starts.
+
+    Only the memberships not known beforehand are tested:
+    - the class 0 lies in every lambda_F, so its pattern is every face above
+      g; its representative is the zero vector, the walk's first point;
+    - a face F with lambda_F = A_F (a trivial quotient in the face table)
+      holds every class: the representatives lie in A_g ⊆ A_F.  So F is in
+      every pattern.
+    """
     fl = model.fl
     n_classes = prod(row.factors)
     if n_classes > CLASS_CAP:
         raise TooLarge(f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap")
-    members = [(f.index, model.lattice_of(f).member) for f in fl.faces_above(g)]
-    seen: dict[frozenset[int], Vec] = {}
-    for coords in product(*(range(f) for f in row.factors)):
-        x = vec_mat(coords, row.basis) if row.basis else (0,) * fl.cone.ambient_dim
-        pattern = frozenset(i for i, member in members if member(x))
+    above = fl.faces_above(g)
+    table = model.face_table
+    # None where lambda_F = A_F: every class lies in it
+    members = [
+        (f.index, None if prod(table[f.index].factors) == 1 else model.lattice_of(f).member)
+        for f in above
+    ]
+    seen = {frozenset(f.index for f in above): (0,) * fl.cone.ambient_dim}
+    classes = product(*(range(f) for f in row.factors))
+    next(classes)  # the class 0
+    for coords in classes:
+        x = vec_mat(coords, row.basis)
+        pattern = frozenset([i for i, member in members if member is None or member(x)])
         if pattern not in seen:
             seen[pattern] = x
     return seen
@@ -93,7 +112,9 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     the reference group by monotonicity), and lambda_g ⊆ lambda_F for every
     F >= g by monotonicity, so the intersection is lambda_g itself.  For x
     in A*, x lies in A* ∩ lambda_F exactly when lambda_F.member(x), so the
-    pattern of x is read off the face lattices directly.  Each pattern is
+    pattern of x is read off the face lattices directly.  That test is
+    skipped for the class 0 and for a face F with lambda_F = A_F, whose
+    answers are known (_class_patterns).  Each pattern is
     profiled by cohomology.filter_profile, which builds a complex only for
     a filter with two or more least faces; those hardly ever repeat, so
     nothing is memoized.

@@ -92,6 +92,20 @@ def realizable_by_intersections(model, g, filter_ids):
     return False, None
 
 
+def class_patterns_by_walk(model, g, row):
+    """The membership pattern of every class of A_g / lambda_g, each with its
+    first representative, for row g's face table row: every class, the
+    class 0 included, tested by Lattice.member against the lattice of every
+    face above g."""
+    fl = model.fl
+    members = [(f.index, model.lambdas[f.index].member) for f in fl.faces_above(g)]
+    seen = {}
+    for coords in product(*(range(c) for c in row.factors)):
+        x = vec_mat(coords, row.basis) if row.basis else (0,) * fl.cone.ambient_dim
+        seen.setdefault(frozenset(i for i, member in members if member(x)), x)
+    return seen
+
+
 def up_sets_of_interval(fl, g, cap):
     """All up-closed subsets of the interval above g that contain the top.
 

@@ -73,8 +73,10 @@ class TestParseInput:
             assert model.lattice_of(f) == original.lattice_of(g)
 
     def test_parse_error_exit_code(self, tmp_path):
-        # a header whose dimension is a digit but not a decimal, and a
-        # file that is not UTF-8, are parse errors like any other
+        # a header whose dimension is a digit but not a decimal, a file that
+        # is not UTF-8, and an integer written with a digit-group underscore
+        # (1_0), a non-ASCII decimal digit (\u0663, Arabic-Indic three) or a
+        # superscript (\u00b2) are parse errors like any other
         p = tmp_path / "bad.txt"
         for data in [
             b"nonsense\n",
@@ -82,15 +84,32 @@ class TestParseInput:
             "model \u00b2\ngenerators\n1 0\n".encode(),
             b"monoid 1\n2\n\xff\n",
             b"model 2\ngenerators\n1 0\n0 \xff\n",
+            b"monoid 1\n1_0\n",
+            "monoid 1\n\u0663\n".encode(),
+            "monoid 1\n\u00b2\n".encode(),
+            "monoid \u0663\n1 0 0\n0 1 0\n0 0 1\n".encode(),
+            "model \u0663\ngenerators\n1 0 0\n0 1 0\n0 0 1\n".encode(),
+            b"model 2\ngenerators\n1 0\n0 1_0\n",
+            b"model 2\ngenerators\n1 0\n0 1\nlattice 0_1\n2 0\n",
+            "model 2\ngenerators\n1 0\n0 1\nlattice \u0661\n2 0\n".encode(),
         ]:
             p.write_bytes(data)
             with pytest.raises(ParseError):
                 parse_input(str(p))
             for command in (["analyze"], ["check"], ["cohomology", "--degree", "1"]):
                 assert_input_error([command[0], str(p), *command[1:]])
-        p.write_bytes(b"1 2\n2 \xff\n")
-        assert_input_error(["construct", str(p), str(tmp_path / "out.model")])
-        assert not (tmp_path / "out.model").exists()
+        for data in [b"1 2\n2 \xff\n", b"1 2\n2 1_0\n", "1 2\n2 \u0663\n".encode()]:
+            p.write_bytes(data)
+            assert_input_error(["construct", str(p), str(tmp_path / "out.model")])
+            assert not (tmp_path / "out.model").exists()
+
+    @pytest.mark.parametrize("bad", ["1_0", "\u0663", "\u00b2"])
+    def test_option_integers_are_ascii(self, bad, rank3_file):
+        # --degree, --degree-bound and the --fields primes read integers as
+        # the input files do
+        assert_input_error(["cohomology", rank3_file, "--degree", f"1 1 {bad}"])
+        assert_input_error(["analyze", rank3_file, "--degree-bound", bad])
+        assert_input_error(["analyze", rank3_file, "--fields", f"q,{bad}"])
 
     def test_bad_lattice_header(self, tmp_path):
         p = tmp_path / "bad.model"

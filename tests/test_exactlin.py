@@ -280,6 +280,19 @@ class TestLattice:
             assert lat.member(x)
             assert lat.coords(x) == tuple(coeffs)
 
+    def test_stored_pivots_leave_equality_alone(self):
+        # coords stores the pivot columns on the lattice it reads; a lattice
+        # with them stored and one without still compare and hash equal
+        a = lattice_from_rows(3, [(2, 0, 0), (0, 1, 1)])
+        b = lattice_from_rows(3, [(0, 1, 1), (2, 4, 4)])
+        assert a.coords((4, 1, 1)) == (2, 1)
+        assert "_pivots" in vars(a) and "_pivots" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a"
+        assert a._pivots == b._pivots == (0, 1)
+        assert a.order((1, 1, 1)) == 2
+        assert repr(a) == repr(b)
+
 
 class TestIntersectSaturation:
     def test_self_intersection(self):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -123,6 +124,50 @@ class TestDualDescription:
             c2 = dual_description(c.extreme_rays)
             assert c2.support_forms == c.support_forms
             assert c2.extreme_rays == c.extreme_rays
+
+
+def seeded_generator_sets(seed, count):
+    """Generator sets of rank 3-6 in Z^rank with last coordinate 1, of
+    2 to 6 points more than the rank."""
+    rng = random.Random(seed)
+    sets = []
+    while len(sets) < count:
+        r = rng.randint(3, 6)
+        n = r + rng.randint(2, 6)
+        gens = {tuple(rng.randint(-2, 2) for _ in range(r - 1)) + (1,) for _ in range(n)}
+        if rank(sorted(gens)) == r:
+            sets.append(sorted(gens))
+    return sets
+
+
+def dual_description_digest(generator_sets) -> str:
+    """sha256 of the support forms and extreme rays of each cone."""
+    cones = (dual_description(gens, len(gens[0])) for gens in generator_sets)
+    text = "".join(f"{c.support_forms} {c.extreme_rays}\n" for c in cones)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded before the rank filter was added
+DD_DIGESTS = {
+    "cones": "e9307aaf2cee49dd24b3c61e4629439bdc7d68ab44c09cb54163518b593baf98",
+    "seeded": "fbe742a4c672b0d9ab0f116c0a7ac8c25a8d271d6bfbcd21d7869f7b68bff771",
+}
+
+
+class TestRankFilter:
+    """The double description skips the adjacency scan of a pair with fewer
+    common forms than the rank condition asks; the forms and rays stay
+    those the full scan gave."""
+
+    def test_oracle_cones_and_rp2(self, oracle_lattices, rp2_result):
+        cones = [fl.cone for fl in oracle_lattices] + [rp2_result.model.cone]
+        assert len(cones) == 78
+        assert dual_description_digest([c.generators for c in cones]) == DD_DIGESTS["cones"]
+
+    def test_seeded_generator_sets(self):
+        sets = seeded_generator_sets(seed=1996, count=200)
+        assert {len(gens[0]) for gens in sets} == {3, 4, 5, 6}
+        assert dual_description_digest(sets) == DD_DIGESTS["seeded"]
 
 
 class TestFaceLattice:

@@ -7,8 +7,10 @@ import pytest
 from monoidring import typology
 from monoidring.cli import parse_input
 from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
+from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 from monoidring.errors import TooLarge
 from monoidring.exactlin import (
+    Lattice,
     dot,
     lattice_intersect,
     prime_factors,
@@ -31,7 +33,12 @@ from conftest import (
     random_decorated_model,
 )
 from monoidring.exactlin import full_lattice
-from oracles import realizable_by_intersections, relint_step, up_sets_of_interval
+from oracles import (
+    class_patterns_by_walk,
+    realizable_by_intersections,
+    relint_step,
+    up_sets_of_interval,
+)
 
 
 def apex_ray_face(fl):
@@ -376,6 +383,46 @@ class TestFiberShortcuts:
     def test_report_carries_its_fibers(self, model_73):
         rep = depth_report(model_73, primes=(2, 3))
         assert rep.fibers == tuple(fiber_types(model_73, primes=(2, 3)))
+
+
+HEXAGON = SimplicialComplex.from_facets([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
+
+
+class TestClassWalkSkips:
+    """_class_patterns skips the tests whose answers are known: the class 0,
+    and every class at a face with lambda_F = A_F.  The full walk, every
+    class against every face above g, is the oracle."""
+
+    def test_same_patterns_as_the_full_walk(self, rp2_result):
+        models = [builtin("pyramid-7.1"), builtin("pyramid-7.3"), *corpus(seed=501, count=10)]
+        models += [delta_construct(HEXAGON).model, rp2_result.model]
+        for model in models:
+            for g, row in zip(model.fl.faces, model.face_table):
+                got = typology._class_patterns(model, g, row)
+                # the same patterns, in the same order, with the same first
+                # representatives
+                assert list(got.items()) == list(class_patterns_by_walk(model, g, row).items())
+
+    def test_rp2_membership_tests(self, rp2_result, monkeypatch):
+        # at most the 29133 tests the two skips leave of the full walk's
+        # 136041, none of them on the class 0 or at a trivial quotient
+        model = rp2_result.model
+        table = model.face_table
+        trivial = {model.lambdas[i] for i, row in enumerate(table) if prod(row.factors) == 1}
+        calls = []
+        member = Lattice.member
+
+        def counted(lat, x):
+            calls.append((lat, x))
+            return member(lat, x)
+
+        monkeypatch.setattr(Lattice, "member", counted)
+        fibers = fiber_types(model)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 29133
+        assert all(any(x) for _, x in calls)
+        assert not any(lat in trivial for lat, _ in calls)
+        assert len(fibers) == 4412
 
 
 def recursive_up_sets(fl, g, cap):
