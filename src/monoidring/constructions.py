@@ -202,10 +202,10 @@ def simplicial_homology(delta: SimplicialComplex, primes=()) -> HomologyResult:
     for b in boundaries:
         if not b or not b[0]:
             continue
-        s, _, _ = snf(b)
-        for i in range(min(len(s), len(s[0]))):
-            if s[i][i] > 1:
-                tors |= prime_factors(s[i][i])
+        d, _ = snf(b)
+        for x in d:
+            if x > 1:
+                tors |= prime_factors(x)
     dims_q = dims_over(None)
     dims_p = {p: dims_over(p) for p in sorted(set(primes) | tors)}
     return HomologyResult(dims_q, dims_p, frozenset(tors))

@@ -5,6 +5,15 @@ Everything runs on arbitrary-precision Python integers (and
 enters any computation.  Matrices are tuples of row tuples, vectors are
 tuples, and the row convention is used throughout: a lattice is the set of
 integer combinations of the *rows* of its basis matrix.
+
+There are two eliminations, and each carries only the transform its
+callers read.  The Hermite form (hnf) carries its left transform, and
+lattice_from_rows runs it with none.  The Smith form (snf) carries the
+inverse of its column transform, from which the saturation, the aligned
+bases of finite quotients and the unimodular completion of a saturated
+span are read with no second elimination to invert it.  Results built
+here are tuples of Python ints already; mat() converts input that comes
+from outside.
 """
 
 from dataclasses import dataclass
@@ -174,9 +183,10 @@ def hnf(matrix) -> tuple[Mat, Mat]:
     entries above each pivot reduced into [0, pivot).  Zero rows sink to the
     bottom, so the nonzero rows of h are the canonical basis of the row span.
     The elimination runs on [matrix | I], pivoting on the columns of matrix
-    only, and u is the part that started as I.  Only left_kernel and
-    unimodular_inverse read u; lattice_from_rows runs the same elimination
-    on the bare rows.
+    only, and u is the part that started as I.  left_kernel reads u, and so
+    does polyhedral.dual_description, as the inverse of a unimodular matrix
+    (whose HNF is I); lattice_from_rows runs the same elimination on the
+    bare rows.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -184,20 +194,35 @@ def hnf(matrix) -> tuple[Mat, Mat]:
     for r, e in zip(rows, identity(n)):
         r.extend(e)
     _hermite_rows(rows, cols)
-    return mat(r[:cols] for r in rows), mat(r[cols:] for r in rows)
+    return tuple(tuple(r[:cols]) for r in rows), tuple(tuple(r[cols:]) for r in rows)
 
 
-def snf(matrix) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form.
+def snf(matrix) -> tuple[tuple[int, ...], Mat]:
+    """Smith normal form, with the one transform its callers read.
 
-    Returns (s, u, v) with u, v unimodular, u @ matrix @ v == s, s diagonal
-    with nonnegative entries forming a divisibility chain.
+    Returns (d, w).  d is the diagonal, min(rows, cols) nonnegative entries
+    forming a divisibility chain, its zeros last.  w is a unimodular
+    cols x cols matrix with u @ matrix == D @ w for some unimodular u, D
+    the rows x cols matrix with diagonal d.  So the rows d[i] * w[i] with
+    d[i] != 0 are a basis of the row lattice of matrix, and the first r
+    rows of w, r the number of nonzero d[i], are a basis of its saturation,
+    which the other rows of w complete to a basis of Z^cols.
+
+    The elimination brings a copy of the matrix to D by row operations and
+    by column operations M <- M @ E, each E unimodular and acting on two
+    columns i, j.  So D = u @ matrix @ v with v the product of the E, and
+    u @ matrix = D @ v^-1.  w = v^-1 is kept instead of v: it starts as I
+    and takes w <- E^-1 @ w, a step on rows i, j of w, for each E.  A swap
+    of two columns swaps the two rows; the shear col_j -= q col_i gives
+    w_i += q w_j; the xgcd step [[s, p], [t, q]] (E on rows and columns i,
+    j, with s q - p t = 1) has inverse [[q, -p], [-t, s]] and gives
+    w_i <- q w_i - p w_j, w_j <- s w_j - t w_i.  No inversion is left for
+    the end, and u is not kept, as nothing reads it.
     """
     s = [list(r) for r in matrix]
     n = len(s)
     cols = len(s[0]) if n else 0
-    u = [list(r) for r in identity(n)]
-    v = [list(r) for r in identity(cols)]
+    w = [list(r) for r in identity(cols)]
 
     def col_gcd_transform(i, j, row):
         a, b = s[row][i], s[row][j]
@@ -205,21 +230,20 @@ def snf(matrix) -> tuple[Mat, Mat, Mat]:
             return
         if a and b % a == 0:
             q = b // a
-            for m in (s, v):
-                for r in m:
-                    r[j] -= q * r[i]
+            for r in s:
+                r[j] -= q * r[i]
+            w[i] = [x + q * y for x, y in zip(w[i], w[j])]
             return
         g, sc, tc = xgcd(a, b)
         p, q = -(b // g), a // g
-        for m in (s, v):
-            for r in m:
-                xi, xj = r[i], r[j]
-                r[i] = sc * xi + tc * xj
-                r[j] = p * xi + q * xj
+        for r in s:
+            xi, xj = r[i], r[j]
+            r[i] = sc * xi + tc * xj
+            r[j] = p * xi + q * xj
+        wi, wj = w[i], w[j]
+        w[i] = [q * x - p * y for x, y in zip(wi, wj)]
+        w[j] = [sc * y - tc * x for x, y in zip(wi, wj)]
 
-    # v accumulates column operations applied on the right: they act on the
-    # rows of v the same way they act on the columns of s, i.e. v is updated
-    # column-wise alongside s so that u @ matrix @ v == s stays true.
     k = 0
     while k < min(n, cols):
         nz = [(abs(s[i][j]), i, j) for i in range(k, n) for j in range(k, cols) if s[i][j]]
@@ -228,14 +252,13 @@ def snf(matrix) -> tuple[Mat, Mat, Mat]:
         _, bi, bj = min(nz)
         if bi != k:
             s[k], s[bi] = s[bi], s[k]
-            u[k], u[bi] = u[bi], u[k]
         if bj != k:
-            for m in (s, v):
-                for r in m:
-                    r[k], r[bj] = r[bj], r[k]
+            for r in s:
+                r[k], r[bj] = r[bj], r[k]
+            w[k], w[bj] = w[bj], w[k]
         while True:
             for i in range(k + 1, n):
-                _row_gcd_transform((s, u), k, i, col=k)
+                _row_gcd_transform((s,), k, i, col=k)
             for j in range(k + 1, cols):
                 col_gcd_transform(k, j, row=k)
             if all(s[i][k] == 0 for i in range(k + 1, n)) and all(
@@ -254,12 +277,10 @@ def snf(matrix) -> tuple[Mat, Mat, Mat]:
                     break
                 i, _ = bad
                 s[k] = [x + y for x, y in zip(s[k], s[i])]
-                u[k] = [x + y for x, y in zip(u[k], u[i])]
         if s[k][k] < 0:
             s[k] = [-x for x in s[k]]
-            u[k] = [-x for x in u[k]]
         k += 1
-    return mat(s), mat(u), mat(v)
+    return tuple(s[t][t] for t in range(min(n, cols))), tuple(map(tuple, w))
 
 
 def invariant_factors(matrix) -> tuple[int, ...]:
@@ -323,8 +344,8 @@ def invariant_factors(matrix) -> tuple[int, ...]:
     if not rows:
         return (1,) * units
     cols = sorted({c for row in rows.values() for c in row})
-    s, _, _ = snf([[row.get(c, 0) for c in cols] for row in rows.values()])
-    core = tuple(s[t][t] for t in range(min(len(rows), len(cols))) if s[t][t])
+    d, _ = snf([[row.get(c, 0) for c in cols] for row in rows.values()])
+    core = tuple(x for x in d if x)
     return (1,) * units + core
 
 
@@ -577,10 +598,6 @@ def lattice_from_rows(ambient_dim: int, rows) -> Lattice:
     return Lattice(ambient_dim, tuple(tuple(r) for r in rows if any(r)))
 
 
-def full_lattice(ambient_dim: int) -> Lattice:
-    return Lattice(ambient_dim, identity(ambient_dim))
-
-
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
@@ -593,46 +610,12 @@ def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
 
 
 def saturation(lat: Lattice) -> Lattice:
-    """Smallest saturated lattice containing lat: (R-span of lat) cap Z^m."""
+    """Smallest saturated lattice containing lat: (R-span of lat) cap Z^m,
+    spanned by the first lat.rank rows of snf's w."""
     if lat.rank == 0:
         return lat
-    _, _, v = snf(lat.basis)
-    v_inv = unimodular_inverse(v)
-    return lattice_from_rows(lat.ambient_dim, v_inv[: lat.rank])
-
-
-def unimodular_inverse(m: Mat) -> Mat:
-    """Inverse of a unimodular integer matrix (via its HNF, which is I)."""
-    h, u = hnf(m)
-    if h != identity(len(m)):
-        raise ValueError("matrix is not unimodular")
-    return u
-
-
-def complete_saturated_basis(lat: Lattice) -> Mat:
-    """Extend the basis of a saturated lattice to a basis of Z^m.
-
-    The first ``lat.rank`` rows of the result are exactly ``lat.basis``.
-    """
-    r = lat.rank
-    m = lat.ambient_dim
-    if r == 0:
-        return identity(m)
-    s, _, v = snf(lat.basis)
-    if any(s[i][i] != 1 for i in range(r)):
-        raise ValueError("lattice is not saturated")
-    v_inv = unimodular_inverse(v)
-    return lat.basis + tuple(v_inv[r:])
-
-
-def _coord_matrix(a: Lattice, b: Lattice) -> Mat:
-    coords = []
-    for row in b.basis:
-        c = a.coords(row)
-        if c is None:
-            raise NotSublattice("second lattice is not contained in the first")
-        coords.append(c)
-    return mat(coords)
+    _, w = snf(lat.basis)
+    return lattice_from_rows(lat.ambient_dim, w[: lat.rank])
 
 
 def quotient_decomposition(a: Lattice, b: Lattice) -> tuple[tuple[int, ...], Mat]:
@@ -640,15 +623,16 @@ def quotient_decomposition(a: Lattice, b: Lattice) -> tuple[tuple[int, ...], Mat
 
     Returns (d, rows) with rows a basis of a such that the d[i]-multiples of
     the rows form a basis of b; the classes of a/b are exactly the sums
-    sum c_i rows[i] with 0 <= c_i < d[i].
+    sum c_i rows[i] with 0 <= c_i < d[i].  For c the coordinates of b's
+    basis in a's, snf(c) gives u @ c == D @ w, so the rows w @ a.basis are
+    a basis of a and the rows of D @ (w @ a.basis) = u @ b.basis one of b.
     """
     if a.rank != b.rank:
         raise NotSublattice("quotient is infinite: ranks differ")
     if a.rank == 0:
         return (), ()
-    c = _coord_matrix(a, b)
-    s, _, v = snf(c)
-    v_inv = unimodular_inverse(v)
-    new_basis = mat_mul(v_inv, a.basis)
-    d = tuple(s[i][i] for i in range(a.rank))
-    return d, new_basis
+    coords = [a.coords(row) for row in b.basis]
+    if None in coords:
+        raise NotSublattice("second lattice is not contained in the first")
+    d, w = snf(coords)
+    return d, mat_mul(w, a.basis)

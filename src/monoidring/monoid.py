@@ -486,23 +486,32 @@ def face_group_cuts(
     return tuple(zip(groups, cuts))
 
 
+def _check_full_rank(fl: FaceLattice, lattices) -> None:
+    """Refuse the first (face index, lattice) pair of lattices whose lattice
+    is not of full rank in the span of its face."""
+    for i, lam in lattices:
+        f = fl.faces[i]
+        if lam.rank != f.dim:
+            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice rank {lam.rank} != dim {f.dim}")
+        if not all(map(f.span_lattice.member, lam.basis)):
+            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice leaves the face span")
+
+
+def _check_monotone(lambdas, pairs) -> None:
+    """Refuse a decoration with lambdas[low] outside lambdas[high] for some
+    cover pair (low, high) of pairs."""
+    for low, high in pairs:
+        if not all(map(lambdas[high].member, lambdas[low].basis)):
+            raise DegenerateFace("face lattices are not monotone along covers")
+
+
 def decorated_cone(fl: FaceLattice, lambdas) -> DecoratedCone:
     """Validate and freeze a face-lattice decoration."""
     lambdas = tuple(lambdas)
     if len(lambdas) != len(fl.faces):
         raise DegenerateFace(f"{len(lambdas)} lattices for {len(fl.faces)} faces")
-    for f in fl.faces:
-        lam = lambdas[f.index]
-        if lam.rank != f.dim:
-            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice rank {lam.rank} != dim {f.dim}")
-        for row in lam.basis:
-            if not f.span_lattice.member(row):
-                raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice leaves the face span")
-    for f in fl.faces:
-        for up in fl.up_covers[f.index]:
-            for row in lambdas[f.index].basis:
-                if not lambdas[up].member(row):
-                    raise DegenerateFace("face lattices are not monotone along covers")
+    _check_full_rank(fl, enumerate(lambdas))
+    _check_monotone(lambdas, ((i, j) for i, ups in enumerate(fl.up_covers) for j in ups))
     return DecoratedCone(fl, lambdas)
 
 
@@ -528,19 +537,11 @@ def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> Decora
     reference = given.get(fl.top.index, fl.cone.span_lattice)
     if not all(map(fl.cone.span_lattice.member, reference.basis)):
         raise DegenerateFace("the reference lattice leaves the span of the cone")
-    for i in sorted(given):
-        f, lam = fl.faces[i], given[i]
-        if lam.rank != f.dim:
-            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice rank {lam.rank} != dim {f.dim}")
-        if not all(map(f.span_lattice.member, lam.basis)):
-            raise DegenerateFace(f"face {sorted(f.ray_set)}: lattice leaves the face span")
+    _check_full_rank(fl, sorted(given.items()))
     cuts = face_group_cuts(fl, reference, given)
     lambdas = tuple(given.get(i, cut) for i, (_, cut) in enumerate(cuts))
-    for i in sorted(given):
-        pairs = [(j, i) for j in fl.down_covers[i]] + [(i, j) for j in fl.up_covers[i]]
-        for low, high in pairs:
-            if not all(map(lambdas[high].member, lambdas[low].basis)):
-                raise DegenerateFace("face lattices are not monotone along covers")
+    _check_monotone(lambdas, [(j, i) for i in given for j in fl.down_covers[i]])
+    _check_monotone(lambdas, [(i, j) for i in given for j in fl.up_covers[i]])
     model = DecoratedCone(fl, lambdas)
     model.__dict__["_cuts"] = cuts  # the slot of the cached DecoratedCone._cuts
     return model

@@ -32,16 +32,16 @@ from .exactlin import (
     Lattice,
     Mat,
     Vec,
-    complete_saturated_basis,
     dot,
     form_kernel,
+    hnf,
     is_zero_vec,
     lattice_from_rows,
     mat,
     primitive,
     rank,
     saturation,
-    unimodular_inverse,
+    snf,
     vadd,
     vec,
     vec_mat,
@@ -180,9 +180,13 @@ def dual_description(generators, ambient_dim: int | None = None) -> RationalCone
         zero_forms = [phi for phi in forms_local if dot(phi, gc) == 0]
         if rank(zero_forms) == d - 1:
             ext_local.add(primitive(gc))
-    # pull back to Z^m through a unimodular completion of the span basis
-    basis = complete_saturated_basis(span)
-    basis_inv = unimodular_inverse(basis)
+    # Pull back to Z^m through a unimodular completion of the span basis.
+    # span is saturated, so snf(span.basis) has d ones on its diagonal and
+    # u @ span.basis == w[:d]: the rows of w past d complete span.basis to
+    # the unimodular matrix diag(u^-1, I) @ w, whose HNF is I, so its
+    # Hermite transform is its inverse.
+    _, w = snf(span.basis)
+    _, basis_inv = hnf(span.basis + w[d:])
     m = ambient_dim
 
     def pull_back(phi):

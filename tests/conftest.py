@@ -5,13 +5,14 @@ complexes and the six-vertex RP² model."""
 import functools
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from monoidring.constructions import RP2_SIX_VERTEX, SimplicialComplex, delta_construct
 from monoidring.exactlin import (
     dot,
-    full_lattice,
     identity,
     invariant_factors,
     lattice_from_rows,
@@ -93,7 +94,7 @@ def pyramid_model(restricted=("F1", "F3")) -> DecoratedCone:
         f = facet_by_label(fl, label)
         form_idx = next(iter(f.zero_set))
         facet_lattices[form_idx] = even
-    return decorate_by_facets(fl, facet_lattices, full_lattice(4))
+    return decorate_by_facets(fl, facet_lattices, lattice_from_rows(4, identity(4)))
 
 
 def model_points_up_to_height(model, height):
@@ -167,7 +168,7 @@ def random_decorated_model(rng, rank, max_index=3, n_extra=3):
         idx = rng.randint(1, max_index)
         form_idx = next(iter(f.zero_set))
         facet_lattices[form_idx] = random_parity_sublattice(rng, f.span_lattice, idx)
-    return decorate_by_facets(fl, facet_lattices, full_lattice(rank))
+    return decorate_by_facets(fl, facet_lattices, lattice_from_rows(rank, identity(rank)))
 
 
 def corpus(seed: int, count: int, ranks=(2, 3, 4), max_index=3):
@@ -203,11 +204,87 @@ def assert_kernel_matches_dense_path(m):
     assert len(factors) == rank(m)
     for p in (2, 3, 5):
         assert sum(1 for x in factors if x % p) == rank_mod(m, p)
-    s, _, _ = snf(m)
-    diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
+    diag, _ = snf(m)
     dense_primes = set().union(*(prime_factors(x) for x in diag if x > 1))
     assert set().union(*(prime_factors(x) for x in factors if x > 1)) == dense_primes
     assert factors == tuple(x for x in diag if x)
+
+
+def fraction_det(rows):
+    """Determinant over Q by Gaussian elimination on Fractions."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n, d = len(a), Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv], d = a[piv], a[k], -d
+        d *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return d
+
+
+def fraction_inverse(rows):
+    """Inverse over Q of an invertible square matrix, by Gauss-Jordan
+    elimination on Fractions."""
+    n = len(rows)
+    a = [[Fraction(x) for x in r] + [Fraction(0)] * n for r in rows]
+    for i in range(n):
+        a[i][n + i] = Fraction(1)
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [r[n:] for r in a]
+
+
+def snf_contract_failures(matrix, d, w) -> list[str]:
+    """The parts of the contract of exactlin.snf, u @ matrix == D @ w for
+    some unimodular u and D diagonal with diagonal d, that (d, w) breaks,
+    checked in Fraction arithmetic alone.  With X = matrix @ w^-1 = u^-1 @ D
+    the contract holds exactly when: w is unimodular; X is integral; column
+    j of X is d[j] times an integer column for d[j] != 0 and zero otherwise
+    (also for j >= len(d)); those integer columns have maximal minors of
+    gcd 1, so they extend to the unimodular u^-1; and d, of length
+    min(rows, cols), is a divisibility chain of nonnegative entries with
+    its zeros last."""
+    cols = len(matrix[0]) if matrix else 0
+    if len(w) != cols or any(len(r) != cols for r in w):
+        return ["w is not cols x cols"]
+    failures = []
+    if len(d) != min(len(matrix), cols):
+        failures.append("d has the wrong length")
+    if any(a < 0 for a in d) or any(b % a if a else b for a, b in zip(d, d[1:])):
+        failures.append("d is not a divisibility chain with its zeros last")
+    if abs(fraction_det(w)) != 1:
+        return failures + ["w is not unimodular"]
+    w_inv = fraction_inverse(w)
+    x = [[sum(a * b for a, b in zip(row, col)) for col in zip(*w_inv)] for row in matrix]
+    if any(v.denominator != 1 for row in x for v in row):
+        return failures + ["matrix @ w^-1 is not integral"]
+    scaled = []
+    for j, column in enumerate(zip(*x)):
+        dj = d[j] if j < len(d) else 0
+        if not dj:
+            if any(column):
+                failures.append(f"column {j} is not zero")
+        elif any(v % dj for v in column):
+            failures.append(f"column {j} is not divisible by {dj}")
+        else:
+            scaled.append([v / dj for v in column])
+    minors = 0
+    for pick in itertools.combinations(range(len(matrix)), len(scaled)):
+        minors = gcd(minors, fraction_det([[c[i] for c in scaled] for i in pick]).numerator)
+    if minors != 1:
+        failures.append("the scaled columns do not extend to a unimodular matrix")
+    return failures
 
 
 def random_normal_model(rng, rank, n_extra=3):

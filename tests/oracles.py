@@ -36,8 +36,8 @@ def quotient_structure(a: Lattice, b: Lattice) -> AbelianQuotient:
     coords = [a.coords(row) for row in b.basis]
     if None in coords:
         raise NotSublattice("second lattice is not contained in the first")
-    s, _, _ = snf(mat(coords))
-    factors = tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] > 1)
+    d, _ = snf(mat(coords))
+    factors = tuple(x for x in d if x > 1)
     return AbelianQuotient(a.rank - b.rank, factors)
 
 

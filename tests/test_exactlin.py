@@ -9,11 +9,9 @@ import pytest
 from monoidring.errors import DegenerateFace, NotSublattice
 from monoidring.exactlin import (
     Lattice,
-    complete_saturated_basis,
     det,
     dot,
     form_kernel,
-    full_lattice,
     hnf,
     identity,
     invariant_factors,
@@ -28,11 +26,10 @@ from monoidring.exactlin import (
     saturation,
     snf,
     solve_rational,
-    unimodular_inverse,
     vec_mat,
 )
 
-from conftest import assert_kernel_matches_dense_path
+from conftest import assert_kernel_matches_dense_path, fraction_det, snf_contract_failures
 from oracles import AbelianQuotient, quotient_structure
 
 
@@ -89,23 +86,6 @@ class TestHnf:
             assert h2 == h
 
 
-def _fraction_det(rows):
-    """Determinant over Q by Gaussian elimination on Fractions."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    n, d = len(a), Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv], d = a[piv], a[k], -d
-        d *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return d
-
-
 def _index_in(rows, basis):
     """[Z-span(basis) : Z-span(rows)] for rows inside Z-span(basis) of full
     rank there: the gcd of the maximal minors of the coordinate matrix of
@@ -122,7 +102,7 @@ def _index_in(rows, basis):
         coords.append(c)
     index = 0
     for pick in combinations(coords, len(basis)):
-        det = _fraction_det(pick)
+        det = fraction_det(pick)
         assert det.denominator == 1
         index = gcd(index, det.numerator)
     return index
@@ -188,39 +168,55 @@ class TestLatticeFromRows:
 
 
 class TestSnf:
+    """snf's contract, u @ m == D @ w for some unimodular u, checked by
+    conftest.snf_contract_failures in the test's own Fraction arithmetic."""
+
     def test_zero(self):
-        s, u, v = snf(mat([[0, 0], [0, 0]]))
-        assert s == mat([[0, 0], [0, 0]])
+        d, w = snf(mat([[0, 0], [0, 0]]))
+        assert d == (0, 0)
+        assert not snf_contract_failures(((0, 0), (0, 0)), d, w)
 
     def test_small_example(self):
         # d1 = gcd of entries = 2, d1*d2 = |det| = 8
-        s, u, v = snf(mat([[2, 4], [6, 8]]))
-        assert s == mat([[2, 0], [0, 4]])
+        d, w = snf(mat([[2, 4], [6, 8]]))
+        assert d == (2, 4)
+        assert not snf_contract_failures(((2, 4), (6, 8)), d, w)
 
     def test_diag_input(self):
         # gcd 2, product 24
-        s, _, _ = snf(mat([[6, 0], [0, 4]]))
-        assert s == mat([[2, 0], [0, 12]])
+        d, w = snf(mat([[6, 0], [0, 4]]))
+        assert d == (2, 12)
+        assert not snf_contract_failures(((6, 0), (0, 4)), d, w)
 
     def test_random_properties(self):
         rng = random.Random(202)
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            s, u, v = snf(m)
-            assert mat_mul(mat_mul(u, m), v) == s
-            assert abs(det(u)) == 1
-            assert abs(det(v)) == 1
-            diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
-            for i in range(len(s)):
-                for j in range(len(s[0])):
-                    if i != j:
-                        assert s[i][j] == 0
-            for a, b in zip(diag, diag[1:]):
-                assert a >= 0 and b >= 0
-                if a:
-                    assert b % a == 0
-                else:
-                    assert b == 0
+            assert not snf_contract_failures(m, *snf(m)), m
+
+    def test_awkward_matrices(self):
+        rng = random.Random(203)
+        seen = Counter()
+        for _ in range(300):
+            cols, rows = awkward_matrix(rng)
+            m = mat(rows)
+            d, w = snf(m)
+            assert not snf_contract_failures(m, d, w), rows
+            seen["zero row"] += any(not any(r) for r in rows)
+            seen["zero column"] += bool(rows) and not all(map(any, zip(*rows)))
+            seen["rank deficient"] += rank(m) < min(len(rows), cols)
+            seen["past 10**6"] += any(abs(x) > 10**6 for r in rows for x in r)
+            seen["no rows"] += not rows
+        assert min(seen.values()) >= 30, seen
+
+    def test_empty_and_zero_matrices(self):
+        assert snf(()) == ((), ())
+        for rows, cols in [(1, 0), (3, 0), (1, 1), (3, 4), (4, 3)]:
+            m = mat([[0] * cols for _ in range(rows)])
+            d, w = snf(m)
+            assert d == (0,) * min(rows, cols)
+            assert w == identity(cols)
+            assert not snf_contract_failures(m, d, w)
 
 
 class TestLattice:
@@ -233,7 +229,7 @@ class TestLattice:
         assert lat.basis == mat([[2, 0], [0, 1]])
 
     def test_standard_basis(self):
-        assert lattice_from_rows(3, identity(3)) == full_lattice(3)
+        assert lattice_from_rows(3, identity(3)).basis == identity(3)
 
     def test_order_insensitive(self):
         rng = random.Random(303)
@@ -312,7 +308,7 @@ class TestIntersectSaturation:
 
     def test_full_identity(self):
         a = lattice_from_rows(3, [(1, 2, 3), (0, 5, 1)])
-        assert lattice_intersect(a, full_lattice(3)) == a
+        assert lattice_intersect(a, lattice_from_rows(3, identity(3))) == a
 
     def test_random_brute_force(self):
         rng = random.Random(606)
@@ -326,7 +322,7 @@ class TestIntersectSaturation:
                     assert got.member((x, y)) == expect
 
     def test_saturation_examples(self):
-        assert saturation(full_lattice(2)) == full_lattice(2)
+        assert saturation(lattice_from_rows(2, identity(2))) == lattice_from_rows(2, identity(2))
         assert saturation(lattice_from_rows(2, [(0, 2)])) == lattice_from_rows(2, [(0, 1)])
         zero = lattice_from_rows(2, [])
         assert saturation(zero) == zero
@@ -335,16 +331,6 @@ class TestIntersectSaturation:
         lat = lattice_from_rows(3, [(2, 4, 0), (0, 0, 3)])
         sat = saturation(lat)
         assert sat == lattice_from_rows(3, [(1, 2, 0), (0, 0, 1)])
-
-    def test_complete_saturated_basis(self):
-        rng = random.Random(707)
-        for _ in range(30):
-            lat = saturation(
-                lattice_from_rows(4, [[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)])
-            )
-            b = complete_saturated_basis(lat)
-            assert b[: lat.rank] == lat.basis
-            assert abs(det(b)) == 1
 
 
 class TestQuotient:
@@ -360,7 +346,8 @@ class TestQuotient:
 
     def test_z2_z3(self):
         # Z^2 / (2Z x 3Z) = Z/6, the factor 1 dropped
-        q = quotient_structure(full_lattice(2), lattice_from_rows(2, [(2, 0), (0, 3)]))
+        z2 = lattice_from_rows(2, identity(2))
+        q = quotient_structure(z2, lattice_from_rows(2, [(2, 0), (0, 3)]))
         assert q == AbelianQuotient(0, (6,))
 
     def test_not_sublattice(self):
@@ -386,7 +373,7 @@ class TestQuotient:
             assert index == abs(det(mult))
 
     def test_decomposition_classes(self):
-        a = full_lattice(2)
+        a = lattice_from_rows(2, identity(2))
         b = lattice_from_rows(2, [(2, 0), (0, 2)])
         d, rows = quotient_decomposition(a, b)
         assert sorted(d) == [2, 2]
@@ -476,20 +463,6 @@ class TestKernelRank:
         assert rank_mod(m, 2) == 1
         assert rank_mod(mat([[2, 0], [0, 2]]), 2) == 0
         assert rank_mod(mat([[2, 0], [0, 2]]), 3) == 2
-
-    def test_unimodular_inverse(self):
-        rng = random.Random(909)
-        for _ in range(20):
-            m = identity(3)
-            # random shears keep the determinant 1
-            rows = [list(r) for r in m]
-            for _ in range(6):
-                i, j = rng.sample(range(3), 2)
-                c = rng.randint(-2, 2)
-                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-            m = mat(rows)
-            inv = unimodular_inverse(m)
-            assert mat_mul(inv, m) == identity(3)
 
     def test_solve_rational(self):
         rows = mat([[2, 0, 1], [0, 3, 1]])

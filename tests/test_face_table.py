@@ -11,6 +11,7 @@ import pytest
 import monoidring.monoid
 from monoidring.cli import parse_input, write_model
 from monoidring.criteria import s2_lattice_test
+from monoidring.errors import DegenerateFace
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 from monoidring.exactlin import lattice_from_rows, lattice_intersect, quotient_decomposition, rank
 from monoidring.monoid import decorated_cone, monoid_new, to_model
@@ -248,6 +249,27 @@ class TestFaceTable:
 PYRAMID_71_REFERENCE = "lattice *\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
 PYRAMID_71_F1 = "lattice 0 1 2\n1 0 1 0\n0 1 0 0\n0 0 2 2\n"
 
+# Bad given lattices for the pyramid-7.1 model file: the text replaced (or
+# "" for an appended lattice), the lattice block put there, and the message.
+BAD_GIVEN_LATTICES = [
+    # the ray (0, 0, 1, 1) lies on the even facet F1
+    ("", "lattice 2\n0 0 1 1\n", "face lattices are not monotone along covers"),
+    ("", "lattice 2\n1 0 1 1\n", r"face \[2\]: lattice leaves the face span"),
+    ("", "lattice 2\n0 0 1 1\n1 0 0 0\n", r"face \[2\]: lattice rank 2 != dim 1"),
+    # a given facet of the wrong rank is named before any cut is taken
+    (
+        PYRAMID_71_F1,
+        "lattice 0 1 2\n1 0 1 0\n0 1 0 0\n",
+        r"face \[0, 1, 2\]: lattice rank 2 != dim 3",
+    ),
+    # the base facet holds (0, 0, 0, 1), outside the even reference
+    (
+        PYRAMID_71_REFERENCE,
+        PYRAMID_71_REFERENCE.replace("0 0 0 1", "0 0 0 2"),
+        "face lattices are not monotone along covers",
+    ),
+]
+
 
 class TestGivenLatticeValidation:
     """decorate_by_facet_cuts validates the given lattices only.  The cuts
@@ -266,27 +288,7 @@ class TestGivenLatticeValidation:
         for model in built:
             assert decorated_cone(model.fl, model.lambdas).lambdas == model.lambdas
 
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            # the ray (0, 0, 1, 1) lies on the even facet F1
-            ("", "lattice 2\n0 0 1 1\n", "face lattices are not monotone along covers"),
-            ("", "lattice 2\n1 0 1 1\n", r"face \[2\]: lattice leaves the face span"),
-            ("", "lattice 2\n0 0 1 1\n1 0 0 0\n", r"face \[2\]: lattice rank 2 != dim 1"),
-            # a given facet of the wrong rank is named before any cut is taken
-            (
-                PYRAMID_71_F1,
-                "lattice 0 1 2\n1 0 1 0\n0 1 0 0\n",
-                r"face \[0, 1, 2\]: lattice rank 2 != dim 3",
-            ),
-            # the base facet holds (0, 0, 0, 1), outside the even reference
-            (
-                PYRAMID_71_REFERENCE,
-                PYRAMID_71_REFERENCE.replace("0 0 0 1", "0 0 0 2"),
-                "face lattices are not monotone along covers",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("old, new, message", BAD_GIVEN_LATTICES)
     def test_invalid_given_lattice_is_refused(self, tmp_path, old, new, message):
         path = tmp_path / "p71.model"
         write_model(builtin("pyramid-7.1"), str(path))
@@ -297,3 +299,22 @@ class TestGivenLatticeValidation:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1
         assert re.match("error: invalid decoration: " + message, err)
+
+    @pytest.mark.parametrize("old, new, message", BAD_GIVEN_LATTICES)
+    def test_full_validation_gives_the_same_messages(self, tmp_path, old, new, message):
+        """decorated_cone, which check runs on every face, refuses each bad
+        lattice, put in place of its face's lattice in the valid model,
+        with the message of the given-lattice validation."""
+        path = tmp_path / "p71.model"
+        write_model(builtin("pyramid-7.1"), str(path))
+        model = parse_input(str(path))[1]
+        fl, lambdas = model.fl, list(model.lambdas)
+        header, *rows = new.splitlines()
+        rays = header.split()[1:]
+        face = fl.top if rays == ["*"] else next(
+            f for f in fl.faces if sorted(f.ray_set) == list(map(int, rays))
+        )
+        lambdas[face.index] = lattice_from_rows(fl.cone.ambient_dim, [r.split() for r in rows])
+        with pytest.raises(DegenerateFace) as refused:
+            decorated_cone(fl, lambdas)
+        assert re.fullmatch(message, str(refused.value))

@@ -16,7 +16,7 @@ import monoidring.monoid
 from monoidring.cli import parse_input
 from monoidring.criteria import m_prime_member, s2_up_to
 from monoidring.errors import HypothesisUnverified, TooLarge
-from monoidring.exactlin import dot, full_lattice, rank, solve_rational
+from monoidring.exactlin import dot, identity, lattice_from_rows, rank, solve_rational
 from monoidring.monoid import (
     default_seminormality_bound,
     face_group,
@@ -229,4 +229,4 @@ class TestBoxCap:
         cone = dual_description([(1, 0), (1, 10**9)])
         monkeypatch.setattr(itertools, "product", no_walk)
         with pytest.raises(TooLarge, match="exceeds the cap"):
-            hilbert_basis(cone, full_lattice(2))
+            hilbert_basis(cone, lattice_from_rows(2, identity(2)))

@@ -1,4 +1,5 @@
-"""Golden outputs: sha256 digests of model files and analyze reports.
+"""Golden outputs: sha256 digests of model files, analyze reports and face
+tables.
 
 The digests pin the exact text the library writes, so a change that must
 keep every answer (a faster kernel, a different order of work) is checked
@@ -119,3 +120,32 @@ def test_corpus_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     models = corpus(seed=501, count=30)
     assert [analyze_digest(m, f"corpus-{i:02d}") for i, m in enumerate(models)] == CORPUS_DIGESTS
+
+
+# sha256 of the repr of every face-table row (factors, basis), by face index
+FACE_TABLE_DIGESTS = {
+    "pyramid-7.1": "31c5c356c11fde5f6d5f27542ecec3cb662bda867410e73947e3719aca66fb2d",
+    "pyramid-7.3": "16775358c202d10000954bb41a9a11f6f2d7f41ef1fde64b51144065fc540201",
+    "RP2": "4ac08913e4132ac48c225c8bef65106883938cf1e44d284c14d95fda64af3c66",
+    "corpus-00": "b025ee6aa2d2b660ab6237058fd68ff13f5872acfd917a26c9a3efbc3f93565e",
+    "corpus-01": "fb0e11b4ebf66c053a36bc91e892e8d4348e275c18c48b4c386f508fcd83288b",
+    "corpus-02": "7fe90a8534eb903a8fb791ea63f3bbd90aaf5d8ea28e85d792b612c08f156e98",
+    "corpus-03": "52388f3b8a56354d61d711f79cf9930f668e66ed0554ea60f9c4b45a4b2d9301",
+    "corpus-04": "10f6d1641b4123db140a9754ffc3ff64aff2c4ebf560b559aad3d07718744de3",
+    "corpus-05": "f275759f01420396f9ffd03657f9e99b1d18f70912ae950acbac4497f72f23d0",
+    "corpus-06": "fa581e040f80c5e16f32a18607e3a074adafe602d896cd6afd31383cf97ff803",
+    "corpus-07": "21c9d21261fae29f46e28ec03fbaf5d1167ac710e71e7150e5b0ef290d107154",
+    "corpus-08": "9c2419917e7feac2004a98bcce2897c3fc45d9f114bfe933f22d137a3ed516ef",
+    "corpus-09": "34af81a5dff3785b31d8494541caeb72d62dd68d22e23973bb3d21a3eaba7ac2",
+}
+
+
+def test_face_table_rows(rp2_result):
+    models = {name: builtin(name) for name in ("pyramid-7.1", "pyramid-7.3")}
+    models["RP2"] = rp2_result.model
+    models.update((f"corpus-{i:02d}", m) for i, m in enumerate(corpus(seed=501, count=10)))
+    digests = {
+        name: sha256(repr(tuple((row.factors, row.basis) for row in model.face_table)))
+        for name, model in models.items()
+    }
+    assert digests == FACE_TABLE_DIGESTS

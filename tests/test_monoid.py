@@ -7,7 +7,7 @@ import pytest
 from monoidring.errors import DegenerateFace, NotPositive, ZeroGenerator
 from monoidring.exactlin import (
     dot,
-    full_lattice,
+    identity,
     lattice_from_rows,
     lattice_intersect,
     rank,
@@ -122,15 +122,15 @@ class TestFaceSubmonoid:
 class TestHilbertBasis:
     def test_orthant(self):
         c = dual_description([(1, 0), (0, 1)])
-        assert hilbert_basis(c, full_lattice(2)) == ((0, 1), (1, 0))
+        assert hilbert_basis(c, lattice_from_rows(2, identity(2))) == ((0, 1), (1, 0))
 
     def test_width_two_cone(self):
         c = dual_description([(1, 0), (1, 2)])
-        assert set(hilbert_basis(c, full_lattice(2))) == {(1, 0), (1, 1), (1, 2)}
+        assert set(hilbert_basis(c, lattice_from_rows(2, identity(2)))) == {(1, 0), (1, 1), (1, 2)}
 
     def test_half_line(self):
         c = dual_description([(1,)])
-        assert hilbert_basis(c, full_lattice(1)) == ((1,),)
+        assert hilbert_basis(c, lattice_from_rows(1, identity(1))) == ((1,),)
 
     def test_primitive_multiple_against_brute_force(self):
         # Lattice.order, which scales the extreme rays of hilbert_basis,
@@ -220,7 +220,7 @@ class TestNormality:
 
     def test_hilbert_basis_output_is_normal(self):
         c = dual_description([(1, 0), (1, 3)])
-        hb = hilbert_basis(c, full_lattice(2))
+        hb = hilbert_basis(c, lattice_from_rows(2, identity(2)))
         ok, _ = is_normal(monoid_new(hb))
         assert ok
 
@@ -265,7 +265,7 @@ class TestSeminormalization:
 class TestToModel:
     def test_numeric_23(self):
         model = to_model(numeric([2, 3]))
-        assert model.reference == full_lattice(1)
+        assert model.reference == lattice_from_rows(1, identity(1))
         assert model.lambdas[model.fl.apex.index].rank == 0
 
     def test_pyramid_model_lattices(self, monoid_71, model_71):

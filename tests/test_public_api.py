@@ -1,6 +1,8 @@
-"""Every name that monoidring/__init__.py exports has a reader: a reference
-in the package outside the name's own definition, an entry of the
-benchmark tracer's TARGETS, or a use in a python block of the README."""
+"""Every name that monoidring/__init__.py exports, and every function and
+class defined at the top level of a package module, has a reader: a
+reference in the package outside the name's own definition, an entry of
+the benchmark tracer's TARGETS, or a use in a python block of the
+README."""
 
 import ast
 from pathlib import Path
@@ -41,12 +43,31 @@ def package_references() -> set[str]:
     return refs
 
 
-def test_every_export_has_a_reader():
+def definitions() -> list[tuple[str, str]]:
+    """(module, name) for every function and class defined at the top level
+    of a package module."""
+    return [
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+
+
+def unread(names: list[tuple[str, str]]) -> list[str]:
+    """The (module, name) pairs of names that have no reader."""
     package = package_references()
     traced = {(module, name) for module, names in tracer_targets().items() for name in names}
     readme = set().union(*(names_used(ast.parse(code)) for code in python_blocks()))
-    unread = [
-        name for module, name in exports()
+    return [
+        f"{module}.{name}" for module, name in names
         if name not in package | readme and (module, name) not in traced
     ]
-    assert not unread, f"exports without a reader: {unread}"
+
+
+def test_every_export_has_a_reader():
+    assert not unread(exports()), "exports without a reader"
+
+
+def test_every_definition_has_a_reader():
+    assert not unread(definitions()), "definitions without a reader"

@@ -12,6 +12,8 @@ from monoidring.errors import TooLarge
 from monoidring.exactlin import (
     Lattice,
     dot,
+    identity,
+    lattice_from_rows,
     lattice_intersect,
     prime_factors,
     quotient_decomposition,
@@ -32,7 +34,6 @@ from conftest import (
     facet_by_label,
     random_decorated_model,
 )
-from monoidring.exactlin import full_lattice
 from oracles import (
     class_patterns_by_walk,
     realizable_by_intersections,
@@ -128,7 +129,7 @@ class TestRealizable:
 class TestFiberTypes:
     def test_one_dim_normal(self):
         fl = face_lattice(dual_description([(1,)]))
-        model = decorate_by_facets(fl, {}, full_lattice(1))
+        model = decorate_by_facets(fl, {}, lattice_from_rows(1, identity(1)))
         types = fiber_types(model)
         assert len(types) == 2
         for t in types:
@@ -151,7 +152,7 @@ class TestFiberTypes:
 
     def test_simplicial_normal_only_top(self):
         fl = face_lattice(dual_description([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
-        model = decorate_by_facets(fl, {}, full_lattice(3))
+        model = decorate_by_facets(fl, {}, lattice_from_rows(3, identity(3)))
         for t in fiber_types(model):
             assert all(d == 0 for d in t.profile.dims_q[:-1])
 
@@ -287,10 +288,10 @@ def dense_profile(fl, ids, primes):
     tors = set()
     for m in mats:
         if m and m[0]:
-            s, _, _ = snf(m)
-            for i in range(min(len(s), len(s[0]))):
-                if s[i][i] > 1:
-                    tors |= prime_factors(s[i][i])
+            diag, _ = snf(m)
+            for x in diag:
+                if x > 1:
+                    tors |= prime_factors(x)
 
     def dims(p):
         rk = [(rank(m) if p is None else rank_mod(m, p)) if m and m[0] else 0 for m in mats]
@@ -464,8 +465,6 @@ class TestUpSetWalk:
     def test_large_interval_hits_the_cap(self):
         # the apex of the 11-dimensional orthant has 2048 faces above it,
         # more than the recursion limit; a 2-face has 512
-        from monoidring.exactlin import identity
-
         fl = face_lattice(dual_description(identity(11), 11))
         apex = fl.faces[0]
         two_face = next(f for f in fl.faces if f.dim == 2)
