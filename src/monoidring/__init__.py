@@ -55,8 +55,6 @@ from .monoid import (
     model_member,
     monoid_new,
     restrict_model,
-    sn_member,
-    to_model,
 )
 from .polyhedral import (
     Face,

@@ -68,7 +68,6 @@ from .monoid import (
     is_seminormal_up_to,
     model_is_normal,
     monoid_new,
-    to_model,
 )
 from .polyhedral import dual_description, face_lattice
 from .typology import depth_report
@@ -214,7 +213,7 @@ def cmd_analyze(args) -> int:
     report: dict = {"input": {"path": args.input, "kind": kind}}
     if kind == "monoid":
         monoid: AffineMonoid = obj
-        model = to_model(monoid)
+        model = monoid.model
         bound = default_seminormality_bound(monoid) if bound is None else bound
         report["input"]["ambient_dim"] = monoid.ambient_dim
         report["input"]["generators"] = [list(g) for g in monoid.generators]
@@ -300,7 +299,7 @@ def cmd_cohomology(args) -> int:
     message = f"bad degree {args.degree!r}: entries must be integers"
     degree = tuple(read_int(t, message) for t in args.degree.replace(",", " ").split())
     kind, obj = parse_input(args.input)
-    model = to_model(obj) if kind == "monoid" else obj
+    model = obj.model if kind == "monoid" else obj
     if len(degree) != model.cone.ambient_dim:
         raise ParseError(
             f"degree {list(degree)} has {len(degree)} entries; "
@@ -349,7 +348,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     kind, obj = parse_input(args.input)
-    model = to_model(obj) if kind == "monoid" else obj
+    model = obj.model if kind == "monoid" else obj
     fl = model.fl
     results = []
 
@@ -402,10 +401,10 @@ def cmd_check(args) -> int:
     run("faces closed under intersection", check_intersection_closed)
     if kind == "monoid":
         def check_member_chain():
-            from .monoid import member, sn_member
+            from .monoid import member, model_member
 
             for g in obj.generators[:20]:
-                if not (member(obj, g) and sn_member(obj, g)):
+                if not (member(obj, g) and model_member(model, g)):
                     raise AssertionError
 
         run("generators pass the membership chain", check_member_chain)

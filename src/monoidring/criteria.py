@@ -17,7 +17,6 @@ from .monoid import (
     DecoratedCone,
     default_seminormality_bound,
     gap_scan,
-    in_facet_groups,
 )
 from .polyhedral import is_simple_face, minimal_face
 from .typology import DepthReport, depth_report
@@ -51,14 +50,22 @@ def m_prime_member(monoid: AffineMonoid, x, hypothesis_bound: int | None = None)
     monoid; the hypothesis is verified up to hypothesis_bound (default: the
     seminormality default bound) and a violation raises HypothesisUnverified.
     The check reads the shared scan of the monoid up to that bound
-    (monoid.gap_scan), and the facet groups come from the monoid's table.
+    (monoid.gap_scan).
+
+    The facet test at the minimal face F of x is the face table's cut of F
+    in the model of sn(M) (AffineMonoid.model): A_F ∩ ⋂_{facets G ⊇ F}
+    gp(M ∩ G) with A_F = gp(M) ∩ span F.  For x in C ∩ gp(M), x lies in
+    A_F, so the cut agrees with the test of every facet group.  The cut
+    lies in gp(M), so a point outside gp(M) fails it, and gp(M) needs no
+    test of its own.
     """
     bound = default_seminormality_bound(monoid) if hypothesis_bound is None else hypothesis_bound
     _check_interior_hypothesis(monoid, gap_scan(monoid, bound).interior_gap)
     x = tuple(x)
-    if not monoid.group.member(x) or not monoid.cone.contains(x):
+    if not monoid.cone.contains(x):
         return False
-    return in_facet_groups(monoid, minimal_face(monoid.face_lattice, x), x)
+    model = monoid.model
+    return model.face_table[minimal_face(model.fl, x).index].cut.member(x)
 
 
 @dataclass(frozen=True)

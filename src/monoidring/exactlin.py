@@ -183,10 +183,10 @@ def hnf(matrix) -> tuple[Mat, Mat]:
     entries above each pivot reduced into [0, pivot).  Zero rows sink to the
     bottom, so the nonzero rows of h are the canonical basis of the row span.
     The elimination runs on [matrix | I], pivoting on the columns of matrix
-    only, and u is the part that started as I.  left_kernel reads u, and so
-    does polyhedral.dual_description, as the inverse of a unimodular matrix
-    (whose HNF is I); lattice_from_rows runs the same elimination on the
-    bare rows.
+    only, and u is the part that started as I.  polyhedral.dual_description
+    reads u, as the inverse of a unimodular matrix (whose HNF is I);
+    lattice_from_rows and lattice_intersect run the same elimination
+    without a transform.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -423,14 +423,6 @@ def rank_mod(matrix, p: int) -> int:
     return rk
 
 
-def left_kernel(matrix, nrows: int) -> Mat:
-    """Basis (rows) of {x : x @ matrix == 0} for a matrix with nrows rows."""
-    if nrows == 0:
-        return ()
-    h, u = hnf(matrix)
-    return tuple(u[i] for i in range(nrows) if is_zero_vec(h[i]))
-
-
 def form_kernel(rows, phi) -> Mat:
     """Basis (rows) of {x in L : phi . x = 0}, for L the lattice with basis
     rows, by one pass of xgcd steps over the values of phi on the rows.
@@ -599,14 +591,24 @@ def lattice_from_rows(ambient_dim: int, rows) -> Lattice:
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
+    """a ∩ b, by one Hermite elimination of the rows [a | a ; b | 0] over
+    all 2m columns.
+
+    The rows span the pairs (x + y, x) for x in a and y in b.  The left half
+    is zero exactly when y = -x, so these pairs are (0, z) for z in a ∩ b,
+    and every z in a ∩ b gives one.  In the echelon form, a combination of
+    rows is nonzero in the pivot column of its first row with a nonzero
+    coefficient.  So the rows with a zero left half, the last ones, span
+    exactly {0} x (a ∩ b).  The elimination made their pivots positive and
+    reduced the entries above each pivot, so their right halves are the
+    canonical HNF basis of a ∩ b.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
-    if a.rank == 0 or b.rank == 0:
-        return Lattice(a.ambient_dim, ())
-    stacked = a.basis + b.basis
-    kern = left_kernel(stacked, len(stacked))
-    gens = [vec_mat(z[: a.rank], a.basis) for z in kern]
-    return lattice_from_rows(a.ambient_dim, gens)
+    m = a.ambient_dim
+    rows = [list(r + r) for r in a.basis] + [list(r) + [0] * m for r in b.basis]
+    _hermite_rows(rows, 2 * m)
+    return Lattice(m, tuple(tuple(r[m:]) for r in rows if any(r[m:]) and not any(r[:m])))
 
 
 def saturation(lat: Lattice) -> Lattice:

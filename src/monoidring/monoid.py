@@ -10,7 +10,6 @@ all cohomological analyses.
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DegenerateFace, NotPointed, NotPositive, TooLarge, ZeroGenerator
@@ -25,7 +24,6 @@ from .exactlin import (
     mat,
     quotient_decomposition,
     saturation,
-    solve_rational,
     vadd,
     vscale,
     vsub,
@@ -67,10 +65,13 @@ class AffineMonoid:
         return face_lattice(self.cone)
 
     @cached_property
-    def face_groups(self) -> tuple[Lattice, ...]:
-        """gp(M ∩ F) for every face F, by face index, computed once per
-        monoid: the model, sn(M) and M' all read them here."""
-        return tuple(face_group(self, f) for f in self.face_lattice.faces)
+    def model(self) -> "DecoratedCone":
+        """The decorated-cone model of sn(M): gp(M ∩ F) on every face F,
+        built once per monoid.  sn(M) is its represented monoid, the union
+        of gp(M ∩ F) ∩ relint F, and its face table holds the facet cut
+        that decides M' (gap_scan)."""
+        fl = self.face_lattice
+        return decorated_cone(fl, [face_group(self, f) for f in fl.faces])
 
     @cached_property
     def group(self) -> Lattice:
@@ -184,18 +185,42 @@ def face_group(monoid: AffineMonoid, f: Face) -> Lattice:
     return lattice_from_rows(monoid.ambient_dim, face_submonoid_generators(monoid, f))
 
 
-def _box_points(lat: Lattice, lo, hi, forms) -> list[Vec]:
-    """The points of lat whose coordinates lie in the box lo <= c <= hi and
-    that satisfy every form a . x >= 0, in lexicographic coordinate order.
+def _ray_multiples(lat: Lattice, cone: RationalCone) -> list[tuple[Vec, int]]:
+    """(coordinates of m in lat, deg m) for m = k r the least multiple of
+    each extreme ray r of the cone in lat, k = lat.order(r); deg is the
+    grading of the cone."""
+    deg_form = grading_form(cone)
+    multiples = [vscale(lat.order(r), r) for r in cone.extreme_rays]
+    return [(lat.coords(m), dot(deg_form, m)) for m in multiples]
+
+
+def _graded_points(lat: Lattice, cone: RationalCone, lo, hi, cap: int) -> list[tuple[int, Vec]]:
+    """The points x of cone ∩ lat with coordinates in the box lo <= c <= hi
+    and 0 < deg x <= cap, as (deg x, x) sorted, deg the grading of the cone.
+    The grading is positive on the cone outside the apex, so 0 < deg drops
+    the apex alone.
 
     The box is counted before it is walked: past BOX_CAP points it raises
-    TooLarge instead of starting the loop.
+    TooLarge instead of starting the loop.  Each support form a and the
+    grading are pulled back once to lattice coordinates, as (a . b_j)_j
+    over the basis b of lat, so that a . x = sum_j c_j (a . b_j) is tested
+    on the coordinates c of x; only the points kept are mapped to Z^m.
     """
     size = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if size > BOX_CAP:
         raise TooLarge(f"an enumeration box of {size} points exceeds the cap of {BOX_CAP}")
-    points = map(lat.from_coords, itertools.product(*map(range, lo, [h + 1 for h in hi])))
-    return [x for x in points if all(dot(a, x) >= 0 for a in forms)]
+    forms = [tuple(dot(a, b) for b in lat.basis) for a in cone.support_forms]
+    grading = tuple(dot(grading_form(cone), b) for b in lat.basis)
+    points = []
+    for c in itertools.product(*map(range, lo, [h + 1 for h in hi])):
+        for a in forms:
+            if dot(a, c) < 0:
+                break
+        else:
+            d = dot(grading, c)
+            if 0 < d <= cap:
+                points.append((d, lat.from_coords(c)))
+    return sorted(points)
 
 
 def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
@@ -211,29 +236,16 @@ def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
         raise ValueError("lattice must be full rank in the span of the cone")
     if cone.dim == 0:
         return ()
-    deg_form = grading_form(cone)
-    ray_mults = [vscale(lat.order(r), r) for r in cone.extreme_rays]
-    rho = [lat.coords(r) for r in ray_mults]
-    k = lat.rank
-    lo = [sum(min(0, rv[i]) for rv in rho) for i in range(k)]
-    hi = [sum(max(0, rv[i]) for rv in rho) for i in range(k)]
-    b_stop = sum(dot(deg_form, r) for r in ray_mults)
-    # the grading is positive on the cone outside the apex, so 0 < d drops it
-    graded = ((dot(deg_form, x), x) for x in _box_points(lat, lo, hi, cone.support_forms))
-    candidates = sorted(t for t in graded if 0 < t[0] <= b_stop)
+    rays = _ray_multiples(lat, cone)
+    lo = [sum(min(0, c[i]) for c, _ in rays) for i in range(lat.rank)]
+    hi = [sum(max(0, c[i]) for c, _ in rays) for i in range(lat.rank)]
+    candidates = _graded_points(lat, cone, lo, hi, sum(d for _, d in rays))
 
+    # the candidates are distinct points of lat, so x - h is a nonzero point
+    # of lat, and x is reducible by h exactly when x - h lies in the cone
     kept: list[Vec] = []
     for _, x in candidates:
-        reducible = False
-        for h in kept:
-            y = vsub(x, h)
-            if is_zero_vec(y):
-                reducible = True  # duplicate candidate
-                break
-            if all(dot(a, y) >= 0 for a in cone.support_forms) and lat.member(y):
-                reducible = True
-                break
-        if not reducible:
+        if not any(all(dot(a, vsub(x, h)) >= 0 for a in cone.support_forms) for h in kept):
             kept.append(x)
     return mat(sorted(kept))
 
@@ -246,21 +258,6 @@ def is_normal(monoid: AffineMonoid) -> tuple[bool, Vec | None]:
         if not member(monoid, h):
             return False, h
     return True, None
-
-
-def sn_member(monoid: AffineMonoid, x) -> bool:
-    """Membership in the seminormalization: x in the cone and in the group
-    of the face submonoid of its minimal face."""
-    x = tuple(x)
-    if not monoid.cone.contains(x):
-        return False
-    return monoid.face_groups[minimal_face(monoid.face_lattice, x).index].member(x)
-
-
-def in_facet_groups(monoid: AffineMonoid, f: Face, x: Vec) -> bool:
-    """The facet test of M': x lies in gp(M ∩ G) for every facet G ⊇ f."""
-    facet = monoid.face_lattice.by_zero_set
-    return all(monoid.face_groups[facet(frozenset({i})).index].member(x) for i in f.zero_set)
 
 
 @dataclass(frozen=True)
@@ -282,22 +279,20 @@ class SeminormalityVerdict:
 
 
 def _box_points_of_degree_slice(monoid: AffineMonoid, bound: int):
-    """All x in cn(M) ∩ gp(M) with deg(x) <= bound, as (deg, x) sorted by
-    (deg, coords).
+    """All x in cn(M) ∩ gp(M) with 0 < deg(x) <= bound, as (deg, x) sorted
+    by (deg, coords).
 
-    The vertices of the degree-``bound`` slice are (bound/deg r) · r over the
-    extreme rays, so group coordinates of candidates live in the integer box
-    spanned by those rational vertices.
+    The vertices of the degree-``bound`` slice are (bound / deg m) · m over
+    the least multiples m of the extreme rays in gp(M), so group coordinates
+    of candidates live in the integer box spanned by the vertex coordinates
+    bound · c / deg m, c the coordinates of m, each floored or ceiled by
+    integer division.
     """
     group = monoid.group
-    vertices = [
-        [Fraction(bound, monoid.deg(r)) * c for c in solve_rational(group.basis, r)]
-        for r in monoid.cone.extreme_rays
-    ]
-    lo = [min(0, math.floor(min(v[i] for v in vertices))) for i in range(group.rank)]
-    hi = [max(0, math.ceil(max(v[i] for v in vertices))) for i in range(group.rank)]
-    graded = ((monoid.deg(x), x) for x in _box_points(group, lo, hi, monoid.cone.support_forms))
-    return sorted(t for t in graded if t[0] <= bound)
+    rays = _ray_multiples(group, monoid.cone)
+    lo = [min([0] + [bound * c[i] // d for c, d in rays]) for i in range(group.rank)]
+    hi = [max([0] + [-(-bound * c[i] // d) for c, d in rays]) for i in range(group.rank)]
+    return _graded_points(group, monoid.cone, lo, hi, bound)
 
 
 def default_seminormality_bound(monoid: AffineMonoid) -> int:
@@ -321,9 +316,15 @@ def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     """The scan up to bound (a negative bound scans nothing), walked once per
     monoid and bound: it tests membership in M once per point.
 
+    sn(M) and M' are read off the model of sn(M) (AffineMonoid.model).  A
+    point x of cn(M) ∩ gp(M) with minimal face F is in sn(M) when it lies
+    in lambda_F = gp(M ∩ F).  It is in M' when it lies in gp(M ∩ G) for
+    every facet G ⊇ F.  That is the face table's cut of F,
+    A_F ∩ ⋂_{facets G ⊇ F} lambda_G with A_F = gp(M) ∩ span F, as x lies
+    in gp(M) and in span F, so in A_F.
+
     M ⊆ sn(M) ⊆ M': a point x of sn(M) lies in gp(M ∩ F) for its minimal
-    face F, and gp(M ∩ F) lies in gp(M ∩ G) for every facet G ⊇ F, which is
-    the facet test of M' (the scan's points lie in cn(M) ∩ gp(M)).  So a
+    face F, and gp(M ∩ F) lies in gp(M ∩ G) for every facet G ⊇ F.  So a
     member of M needs no other test, except the check that it lies in M'.
     A point of gp(M) ∩ relint C has the whole cone as its minimal face and
     gp(M ∩ C) = gp(M), so every interior gap is a seminormality gap, and
@@ -337,19 +338,20 @@ def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     bound = max(bound, 0)
     if bound in monoid._scans:
         return monoid._scans[bound]
-    fl = monoid.face_lattice
-    points = [(d, x) for d, x in _box_points_of_degree_slice(monoid, bound) if d > 0]
+    model = monoid.model
+    fl = model.fl
+    points = _box_points_of_degree_slice(monoid, bound)
     sn_gap = interior_gap = m_prime_gap = None
     for _, x in points:
         f = minimal_face(fl, x)
         in_m = member(monoid, x)
-        in_mp = in_facet_groups(monoid, f, x)
+        in_mp = model.face_table[f.index].cut.member(x)
         assert not (in_m and not in_mp), "the monoid always sits inside M'"
         if in_m:
             continue
         if m_prime_gap is None and in_mp:
             m_prime_gap = x
-        if sn_gap is None and monoid.face_groups[f.index].member(x):
+        if sn_gap is None and model.lattice_of(f).member(x):
             sn_gap = x
         if f is fl.top:
             interior_gap = x
@@ -545,11 +547,6 @@ def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> Decora
     model = DecoratedCone(fl, lambdas)
     model.__dict__["_cuts"] = cuts  # the slot of the cached DecoratedCone._cuts
     return model
-
-
-def to_model(monoid: AffineMonoid) -> DecoratedCone:
-    """The decorated-cone model of the seminormalization of the monoid."""
-    return decorated_cone(monoid.face_lattice, monoid.face_groups)
 
 
 def model_member(model: DecoratedCone, x) -> bool:

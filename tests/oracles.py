@@ -11,7 +11,10 @@ from itertools import product
 from monoidring.errors import NotSublattice, TooLarge
 from monoidring.exactlin import (
     Lattice,
+    Mat,
     dot,
+    hnf,
+    lattice_from_rows,
     lattice_intersect,
     mat,
     quotient_decomposition,
@@ -28,6 +31,26 @@ class AbelianQuotient:
 
     free_rank: int
     invariant_factors: tuple[int, ...]
+
+
+def left_kernel(matrix, nrows: int) -> Mat:
+    """Basis (rows) of {x : x @ matrix == 0} for a matrix with nrows rows:
+    the rows of the HNF transform u whose row of u @ matrix is zero."""
+    if nrows == 0:
+        return ()
+    h, u = hnf(matrix)
+    return tuple(u[i] for i in range(nrows) if not any(h[i]))
+
+
+def intersect_by_kernel(a: Lattice, b: Lattice) -> Lattice:
+    """a ∩ b by the left kernel of the stacked bases: a kernel row (x, y)
+    has x @ a.basis = -y @ b.basis, so x @ a.basis spans a ∩ b, which a
+    second elimination brings to its canonical basis."""
+    if a.rank == 0 or b.rank == 0:
+        return Lattice(a.ambient_dim, ())
+    stacked = a.basis + b.basis
+    kernel = left_kernel(stacked, len(stacked))
+    return lattice_from_rows(a.ambient_dim, [vec_mat(z[: a.rank], a.basis) for z in kernel])
 
 
 def quotient_structure(a: Lattice, b: Lattice) -> AbelianQuotient:

@@ -325,7 +325,7 @@ class TestConstructAndCheck:
     def test_check_exits_one_on_a_failed_invariant(self, m23_file, monkeypatch):
         import monoidring.monoid
 
-        monkeypatch.setattr(monoidring.monoid, "sn_member", lambda monoid, x: False)
+        monkeypatch.setattr(monoidring.monoid, "model_member", lambda model, x: False)
         code, out, _ = run_cli(["check", m23_file])
         assert code == 1
         failed = [r["check"] for r in json.loads(out) if not r["ok"]]

@@ -25,7 +25,6 @@ from monoidring.monoid import (
     model_member,
     monoid_new,
     restrict_model,
-    to_model,
 )
 from monoidring.polyhedral import dual_description, face_lattice
 from monoidring.typology import depth_report
@@ -201,7 +200,7 @@ class TestS2Agreement:
             v = is_seminormal(m)
             if not v:
                 continue
-            model = to_model(m)
+            model = m.model
             lattice_ok, _ = s2_lattice_test(model)
             bounded = s2_up_to(m, 8, hypothesis_bound=8)
             assert lattice_ok == bounded.s2_up_to_bound

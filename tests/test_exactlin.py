@@ -17,7 +17,6 @@ from monoidring.exactlin import (
     invariant_factors,
     lattice_from_rows,
     lattice_intersect,
-    left_kernel,
     mat,
     mat_mul,
     quotient_decomposition,
@@ -30,7 +29,7 @@ from monoidring.exactlin import (
 )
 
 from conftest import assert_kernel_matches_dense_path, fraction_det, snf_contract_failures
-from oracles import AbelianQuotient, quotient_structure
+from oracles import AbelianQuotient, intersect_by_kernel, left_kernel, quotient_structure
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -320,6 +319,40 @@ class TestIntersectSaturation:
                 for y in range(-4, 5):
                     expect = a.member((x, y)) and b.member((x, y))
                     assert got.member((x, y)) == expect
+
+    def test_one_elimination_equals_the_kernel_construction(self):
+        """The rows of [a | a ; b | 0] with a zero left half against the
+        left kernel of the stacked bases, on seeded pairs of ranks 0 to m
+        with dependent rows and entries past 10**6."""
+        rng = random.Random(1919)
+        seen = Counter()
+        for _ in range(400):
+            m = rng.randint(1, 6)
+            bound = rng.choice([3, 9, 10**7])
+
+            def rows(r):
+                out = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(r)]
+                if len(out) >= 2 and rng.random() < 0.4:
+                    x, y = rng.sample(out, 2)
+                    s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                    out.append([s * p + t * q for p, q in zip(x, y)])
+                    seen["dependent"] += 1
+                return out
+
+            a = lattice_from_rows(m, rows(rng.randint(0, m)))
+            if rng.random() < 0.3:
+                # a sublattice of a, so that the intersection has a's rank
+                b = lattice_from_rows(m, [vec_mat(c, a.basis) for c in rows(a.rank)] if a.rank else [])
+            else:
+                b = lattice_from_rows(m, rows(rng.randint(0, m)))
+            got = lattice_intersect(a, b)
+            assert got == intersect_by_kernel(a, b), (a, b)
+            seen["rank", a.rank == 0 or b.rank == 0, a.rank == m or b.rank == m] += 1
+            seen["big"] += any(abs(x) > 10**6 for lat in (a, b) for row in lat.basis for x in row)
+            seen["meet", got.rank] += 1
+        assert seen["dependent"] >= 30 and seen["big"] >= 50
+        assert all(seen["rank", zero, full] >= 20 for zero in (True, False) for full in (True, False))
+        assert all(seen["meet", r] >= 10 for r in range(6))
 
     def test_saturation_examples(self):
         assert saturation(lattice_from_rows(2, identity(2))) == lattice_from_rows(2, identity(2))

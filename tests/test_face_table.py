@@ -14,7 +14,7 @@ from monoidring.criteria import s2_lattice_test
 from monoidring.errors import DegenerateFace
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 from monoidring.exactlin import lattice_from_rows, lattice_intersect, quotient_decomposition, rank
-from monoidring.monoid import decorated_cone, monoid_new, to_model
+from monoidring.monoid import decorated_cone, monoid_new
 
 from conftest import (
     ORACLE_COMPLEXES,
@@ -39,7 +39,7 @@ def random_monoid_models(seed, count):
             d = rng.randint(1, 2)
             gens.add((rng.randint(0, d), rng.randint(0, d), d))
         if rank(sorted(gens)) == 3:
-            out.append(to_model(monoid_new(sorted(gens))))
+            out.append(monoid_new(sorted(gens)).model)
     return out
 
 
@@ -220,7 +220,7 @@ class TestFaceTable:
         want = {
             model_path: kernels_of_the_cut(parse_input(str(model_path))[1]),
             even_path: kernels_of_the_cut(parse_input(str(even_path))[1]),
-            monoid_path: kernels_of_the_cut(to_model(parse_input(str(monoid_path))[1])),
+            monoid_path: kernels_of_the_cut(parse_input(str(monoid_path))[1].model),
         }
         assert want[model_path] == 7  # the faces strictly below the facet F1
         assert want[even_path] == 20 + 7  # and the 20 groups A_F

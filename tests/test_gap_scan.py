@@ -16,7 +16,7 @@ import monoidring.monoid
 from monoidring.cli import parse_input
 from monoidring.criteria import m_prime_member, s2_up_to
 from monoidring.errors import HypothesisUnverified, TooLarge
-from monoidring.exactlin import dot, identity, lattice_from_rows, rank, solve_rational
+from monoidring.exactlin import dot, identity, lattice_from_rows, rank, saturation, solve_rational
 from monoidring.monoid import (
     default_seminormality_bound,
     face_group,
@@ -33,10 +33,11 @@ from test_cli import run_cli
 # --- the oracle: separate scans, face_group per point ----------------------
 
 
-def oracle_box(m, bound):
-    """cn(M) ∩ gp(M) up to degree bound, as sorted (deg, x), by a recursive
-    walk of the box spanned by the vertices of the degree slice."""
-    group = m.group
+def oracle_box(m, bound, group=None):
+    """cn(M) ∩ group up to degree bound, as sorted (deg, x), by a recursive
+    walk of the box spanned by the vertices of the degree slice; the group
+    is gp(M) unless one of the same rank is given."""
+    group = m.group if group is None else group
     vertices = []
     for r in m.cone.extreme_rays:
         scale = Fraction(bound, m.deg(r))
@@ -134,6 +135,23 @@ def seeded_monoids():
     # the draw above rarely gives a rank-3 set that is not seminormal; this
     # one misses the interior group point (2, 2, 3)
     out.append(monoid_new([(0, 2, 2), (1, 0, 1), (1, 1, 2), (2, 0, 2), (2, 1, 2), (2, 2, 2)]))
+    # sets of rank below the ambient dimension and sets whose group is not
+    # saturated, where the face table takes A_F by zero_set_kernel on the
+    # reference gp(M): four by hand, two of them not seminormal (gaps
+    # (0, 1, 0) and (2, 0)), and rank-2 sets mapped into Z^3
+    out.append(monoid_new([(2, 0), (0, 2), (1, 1)]))
+    out.append(monoid_new([(1, 2, 3), (2, 4, 7), (3, 6, 9), (0, 0, 1)]))
+    out.append(monoid_new([(0, 2, 0), (0, 3, 0), (1, 0, 1), (1, 1, 1)]))
+    out.append(monoid_new([(4, 0), (6, 0), (0, 2), (2, 2)]))
+    k = 0
+    while k < 5:
+        gens = sorted({(rng.randint(0, 3), rng.randint(1, 3)) for _ in range(rng.randint(2, 4))})
+        t = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(2)]
+        if rank(gens) == 2 and rank(t) == 2:
+            m = monoid_new(sorted({tuple(dot(g, col) for col in zip(*t)) for g in gens}))
+            if default_seminormality_bound(m) <= 9:
+                out.append(m)
+                k += 1
     return out
 
 
@@ -157,13 +175,27 @@ class TestAgainstSeparateScans:
         assert interior and witnesses
 
     def test_m_prime_member(self, monoids):
+        # the points of the saturated group, so points off gp(M) are queried
         for m in monoids:
             big = default_seminormality_bound(m)
             for hb in (None, 0, big - 1, big + 2):
                 verified = set()
-                for _, x in oracle_box(m, big):
+                for _, x in oracle_box(m, big, saturation(m.group)):
                     want = outcome(oracle_m_prime, m, x, big if hb is None else hb, verified)
                     assert outcome(m_prime_member, m, x, hb) == want
+
+    def test_degree_slice_against_the_oracle_box(self, monoids):
+        for m in monoids:
+            for bound in range(default_seminormality_bound(m) + 1):
+                got = monoidring.monoid._box_points_of_degree_slice(m, bound)
+                assert got == [t for t in oracle_box(m, bound) if t[0] > 0]
+
+    def test_inputs_cover_lower_rank_and_unsaturated_groups(self, monoids):
+        lower = [m for m in monoids if m.rank < m.ambient_dim]
+        unsaturated = [m for m in monoids if m.group != m.cone.span_lattice]
+        assert len(lower) >= 4 and len(unsaturated) >= 3
+        assert any(m.group != m.cone.span_lattice for m in lower)
+        assert any(oracle_seminormal(m, default_seminormality_bound(m)) for m in lower + unsaturated)
 
     def test_inputs_cover_every_outcome(self, monoids):
         big = [default_seminormality_bound(m) for m in monoids]

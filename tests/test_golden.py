@@ -9,7 +9,7 @@ byte for byte.  A digest changes only with a deliberate change of output.
 import hashlib
 
 import pytest
-from conftest import ORACLE_COMPLEXES, corpus, oracle_construction
+from conftest import ORACLE_COMPLEXES, corpus, oracle_construction, pyramid_monoid
 from test_cli import run_cli
 
 from monoidring.cli import write_model
@@ -149,3 +149,75 @@ def test_face_table_rows(rp2_result):
         for name, model in models.items()
     }
     assert digests == FACE_TABLE_DIGESTS
+
+
+# analyze --fields q,2,3 stdout of generator files.  The texts are the three
+# of test_gap_scan.TestOneWalk, and twelve seeded sets: four of full rank,
+# eight of rank below the ambient dimension, and five with gp(M) not
+# saturated (g00, g01, g05, g06, g09).
+GENERATOR_SETS = {
+    "g00": [(0, 2), (1, 1), (1, 3), (2, 2)],
+    "g01": [(0, 2), (1, 1), (1, 3), (2, 2), (3, 3)],
+    "g02": [(0, 1, 1), (1, 0, 1), (1, 0, 2), (1, 1, 1), (2, 1, 2)],
+    "g03": [(0, 0, 1), (0, 1, 2), (1, 0, 1), (1, 2, 2), (2, 0, 2), (2, 1, 2)],
+    "g04": [(4, 2), (6, 3)],
+    "g05": [(2, 2, 0), (6, 6, 0), (8, 8, 0)],
+    "g06": [(-6, -5, 3), (-4, -6, 2), (-2, -3, 1), (-2, -1, 1)],
+    "g07": [(0, -2, 2), (0, -1, 1), (1, -3, 1), (1, -2, 0)],
+    "g08": [(0, -3, -3, -6), (2, -3, -2, -3), (4, -4, -2, -2), (6, -6, -3, -3)],
+    "g09": [(1, 0, 0, -1), (2, 0, 0, -2), (2, 2, 2, 0), (4, 2, 4, -2), (7, 2, 6, -5)],
+    "g10": [(-6, -3, -3), (-2, 1, -1), (0, 1, 0)],
+    "g11": [(-1, 4, 4, 0, 0), (1, 5, 5, 0, -2), (2, 4, 4, 4, 2), (2, 7, 7, 2, -1), (3, 3, 3, 2, -1)],
+}
+
+
+def monoid_text(gens) -> str:
+    return f"monoid {len(gens[0])}\n" + "".join(" ".join(map(str, g)) + "\n" for g in gens)
+
+
+GENERATOR_TEXTS = {
+    "rank3": "monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n",
+    "gaps": "monoid 2\n1 0\n1 2\n1 3\n",
+    "semigroup": "monoid 1\n3\n5\n",
+    **{name: monoid_text(gens) for name, gens in GENERATOR_SETS.items()},
+}
+GENERATOR_DIGESTS = {
+    "rank3": "335d4f86f7f47e4becb8e01b5b644b72f547fb7ed78e85f83ef80cb6888f2a2f",
+    "gaps": "5e79aa7a1f02114c2a9c1985638ab38e56b066d3ac6237a702d7afb8bccc5983",
+    "semigroup": "1a7f7d0132b596bac24594f1674cf993da3324e4b9b9f9c813132b35218ca31e",
+    "g00": "5b308d5d635bace53df58172c3686ba340bae9ca1207f8194c6325cbd7d4eb1a",
+    "g01": "4cab2b9d7ac6202afe7173f1f47b1c6b583d1ef6902f078fc7ec4cce5cd22c8e",
+    "g02": "b8871397f7caa80bbafaabd0baa479face0199f48ef42a82fbca8276f6a43a25",
+    "g03": "2703a5014a2e16edac0d008f65d850136e99080442231a29974e26c693cb6993",
+    "g04": "d7493bbdad5f9179a8468e0c792be743ddb21722eb0b51a9084b9bb292f7a9b3",
+    "g05": "e8a04d92bf0fc65a8a6ffc1b0cdb5e046e9702bb0a6695114cfa7505cafa13c9",
+    "g06": "4d7519a4534626077a6a5eb093bd3dfaa2007f7d1e689145a0fae32362b69acc",
+    "g07": "975dd4f3add6b0c0a4196a4bb7d7060676871492f3c99c29a60b94d28264155d",
+    "g08": "ccfb6f0c08d47f2c0a571a5ebb11965f36d8f3b0d43f90dbce7015791ba40b5e",
+    "g09": "ddadf1e2674ba8996929bc4c14e0fd7b5fcfd524d8ad994d074686306a58c9fc",
+    "g10": "2e9d90c82bd4ab21f5131fd246f6bc1833065fb5ddad32936f37563a7bdf2586",
+    "g11": "0baafccb4f60746ab0f30b5d593816877545fc2f14fa43259dac365802a9cb7f",
+}
+# The pyramid monoid of conftest, scanned to degree 16: the box of its
+# default bound, 80, passes the cap.
+PYRAMID_MONOID_DIGEST = "1a9699479804d219f6b47fac689ffb6f96c0c26bbcbfaeba5b6257184f0e2679"
+
+
+def generator_digest(text, name, *options) -> str:
+    with open(f"{name}.txt", "w") as fh:
+        fh.write(text)
+    code, out, _ = run_cli(["analyze", f"{name}.txt", "--fields", "q,2,3", *options])
+    assert code == 0
+    return sha256(out)
+
+
+def test_generator_reports(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = {name: generator_digest(text, name) for name, text in GENERATOR_TEXTS.items()}
+    assert digests == GENERATOR_DIGESTS
+
+
+def test_pyramid_monoid_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = monoid_text(pyramid_monoid().generators)
+    assert generator_digest(text, "pyramid", "--degree-bound", "16") == PYRAMID_MONOID_DIGEST

@@ -27,8 +27,6 @@ from monoidring.monoid import (
     model_point_in_relint,
     monoid_new,
     restrict_model,
-    sn_member,
-    to_model,
 )
 from monoidring.polyhedral import dual_description, minimal_face
 
@@ -92,15 +90,15 @@ class TestMember:
             assert member(m, x)
 
     def test_membership_chain(self):
-        # member => sn_member => point of cn ∩ gp
+        # member => in sn(M) => point of cn ∩ gp
         rng = random.Random(22)
         m = monoid_new([(2, 0), (0, 3), (1, 1)])
         for x1 in range(-2, 7):
             for x2 in range(-2, 7):
                 x = (x1, x2)
                 if member(m, x):
-                    assert sn_member(m, x)
-                if sn_member(m, x):
+                    assert model_member(m.model, x)
+                if model_member(m.model, x):
                     assert m.cone.contains(x) and m.group.member(x)
 
 
@@ -228,14 +226,14 @@ class TestNormality:
 class TestSeminormalization:
     def test_sn_member_numeric(self):
         m = numeric([2, 3])
-        assert sn_member(m, (1,))
+        assert model_member(m.model, (1,))
 
     def test_monoid_subset_of_sn(self):
         m = monoid_new([(2, 0), (0, 3), (1, 1)])
         for x1 in range(0, 6):
             for x2 in range(0, 6):
                 if member(m, (x1, x2)):
-                    assert sn_member(m, (x1, x2))
+                    assert model_member(m.model, (x1, x2))
 
     def test_pyramid_odd_facet_point_not_sn(self, monoid_71):
         # odd-degree relative interior point of the even facet F1
@@ -246,7 +244,7 @@ class TestSeminormalization:
         for r in rays:
             x = vadd(x, r)
         assert x[-1] % 2 == 1
-        assert not sn_member(monoid_71, x)
+        assert not model_member(monoid_71.model, x)
 
     def test_is_seminormal_up_to_numeric(self):
         v = is_seminormal_up_to(numeric([2, 3]), 3)
@@ -264,24 +262,25 @@ class TestSeminormalization:
 
 class TestToModel:
     def test_numeric_23(self):
-        model = to_model(numeric([2, 3]))
+        model = numeric([2, 3]).model
         assert model.reference == lattice_from_rows(1, identity(1))
         assert model.lambdas[model.fl.apex.index].rank == 0
 
     def test_pyramid_model_lattices(self, monoid_71, model_71):
-        model = to_model(monoid_71)
+        model = monoid_71.model
         assert model.fl.cone.extreme_rays == model_71.fl.cone.extreme_rays
         for f in model.fl.faces:
             assert model.lattice_of(f) == model_71.lattice_of(f)
 
     def test_normal_monoid_saturated(self):
         m = monoid_new([(1, 0), (0, 1), (1, 1)])
-        model = to_model(m)
+        model = m.model
         assert model_is_normal(model)
         for f in model.fl.faces:
             assert model.lattice_of(f) == lattice_intersect(f.span_lattice, m.group)
 
     def test_model_member_equals_sn_member(self):
+        # the oracle: x in the cone and in gp(M ∩ F) for its minimal face F
         rng = random.Random(24)
         monoids = [
             numeric([2, 3]),
@@ -289,13 +288,15 @@ class TestToModel:
             monoid_new([(1, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 1)]),
         ]
         for m in monoids:
-            model = to_model(m)
+            model = m.model
             deg_bound = 8
             for _ in range(200):
                 x = tuple(rng.randint(-4, 8) for _ in range(m.ambient_dim))
                 if m.deg(x) > deg_bound:
                     continue
-                assert model_member(model, x) == sn_member(m, x)
+                f = minimal_face(m.face_lattice, x) if m.cone.contains(x) else None
+                in_sn = f is not None and face_group(m, f).member(x)
+                assert model_member(model, x) == in_sn
 
 
 class TestDecoratedCone:

@@ -16,7 +16,6 @@ from monoidring.exactlin import (
     form_kernel,
     lattice_from_rows,
     lattice_intersect,
-    left_kernel,
     mat_mul,
     rank,
     saturation,
@@ -39,6 +38,7 @@ from conftest import (
     oracle_construction,
     resigned_epsilon,
 )
+from oracles import left_kernel
 
 PYRAMID = [
     (0, 0, 1, 1),
