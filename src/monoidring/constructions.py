@@ -29,8 +29,6 @@ oracle, including integer torsion primes.
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .cohomology import filter_at
 from .errors import ParseError, VerificationFailed
@@ -238,18 +236,23 @@ def _side_constraint(n: int, vertex_pos: int) -> tuple[Vec, int]:
     return _pi_constraints(n)[1 + vertex_pos]
 
 
-def _polytope_vertices(constraints: list[tuple[Vec, int]], dim: int) -> list[tuple[Fraction, ...]]:
-    """Vertices of {y : lin . y >= rhs} via the homogenization cone."""
+def _pyramid_base_rays(constraints: list[tuple[Vec, int]], dim: int) -> list[Vec]:
+    """The rays (t v, 0, t) of the cone over the pyramid over the polytope
+    {y : lin . y >= rhs}, one for each vertex v, t the least positive
+    integer with t v integral.
+
+    They are read off the homogenization cone {(y, t) : lin . y >= rhs t,
+    t >= 0}: its extreme rays are primitive, and a ray (r, t) with t > 0 is
+    t times the vertex r / t with gcd(r, t) = 1, so t is that least
+    multiplier; a ray with t = 0 is a direction of unboundedness.
+    """
     forms = [tuple(lin) + (-rhs,) for lin, rhs in constraints]
     forms.append(tuple([0] * dim + [1]))
     lin_space, rays = _dd_extreme_rays(forms, dim + 1)
     assert not lin_space, "a polytope homogenization is pointed"
-    vertices = []
-    for r in rays:
-        if r[-1] == 0:
-            raise VerificationFailed("planed polytope is unbounded")
-        vertices.append(tuple(Fraction(c, r[-1]) for c in r[:-1]))
-    return sorted(vertices)
+    if any(r[-1] == 0 for r in rays):
+        raise VerificationFailed("planed polytope is unbounded")
+    return [r[:-1] + (0, r[-1]) for r in rays]
 
 
 # Each failed attempt doubles the displacement scale before the next one.
@@ -300,14 +303,8 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         provenance.append(
             f"planing {sorted(g)}: displacement 1/{mult}"
         )
-    vertices = _polytope_vertices(constraints, n)
-
     # rays of the cone over the pyramid over the planed polytope
-    rays = []
-    for p in vertices:
-        denom = lcm(*(c.denominator for c in p))
-        ray = tuple(int(c * denom) for c in p) + (0, denom)
-        rays.append(primitive(ray))
+    rays = _pyramid_base_rays(constraints, n)
     apex = tuple([0] * n + [1, 1])
     rays.append(apex)
     cone = dual_description(sorted(rays), d)

@@ -53,7 +53,6 @@ class AffineMonoid:
 
     ambient_dim: int
     generators: Mat
-    _member_cache: dict[Vec, bool] = field(default_factory=dict, repr=False)
     _scans: dict[int, "GapScan"] = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -88,12 +87,6 @@ class AffineMonoid:
     def deg(self, x) -> int:
         return dot(self.grading, x)
 
-    @cached_property
-    def _gens_by_degree(self) -> tuple[tuple[Vec, int], ...]:
-        pairs = [(g, self.deg(g)) for g in self.generators]
-        pairs.sort(key=lambda t: (-t[1], t[0]))
-        return tuple(pairs)
-
 
 def monoid_new(generators, ambient_dim: int | None = None) -> AffineMonoid:
     gens = mat(generators)
@@ -122,55 +115,30 @@ def monoid_new(generators, ambient_dim: int | None = None) -> AffineMonoid:
 def member(monoid: AffineMonoid, x) -> bool:
     """Exact membership: x is a nonnegative integer combination of generators.
 
-    Depth-first search over residuals ordered by decreasing generator degree;
-    results are memoized on the monoid, so repeated queries share work.  The
-    strictly positive grading makes every path finite; the search keeps its
-    path on an explicit stack, so long paths need no recursion.
+    After the cone and group pre-test, a search over the residuals
+    y = x - sum n_g g that lie in the cone, x itself included: x is a
+    member exactly when one of them is 0, that is when x is 0 or some y is
+    a generator.  Every residual lies in the cone with degree at most
+    deg x, and the grading is positive on the cone outside the apex, so the
+    residuals are lattice points of a bounded slice of the cone, a finite
+    set.  Each is visited once (seen), from a work stack, so long paths
+    need no recursion.
     """
     x = tuple(x)
     if not monoid.cone.contains(x) or not monoid.group.member(x):
         return False
-    if is_zero_vec(x):
-        return True
-    cache = monoid._member_cache
-    hit = cache.get(x)
-    if hit is not None:
-        return hit
-    pairs = monoid._gens_by_degree
-    forms = monoid.cone.support_forms
-
-    def residuals(y: Vec):
-        dy = monoid.deg(y)
-        for g, dg in pairs:
-            if dg > dy:
-                continue
-            z = vsub(y, g)
-            if all(dot(a, z) >= 0 for a in forms):
-                yield z
-
-    # found is the answer for the frame popped last; a frame is popped once
-    # a residual of it is found or all of its residuals have failed
-    stack = [(x, residuals(x))]
-    found = False
+    generators, forms = set(monoid.generators), monoid.cone.support_forms
+    seen, stack = {x}, [x]
     while stack:
-        y, rest = stack[-1]
-        if not found:
-            z = next(rest, None)
-            if z is None:
-                cache[y] = False
-                stack.pop()
-                continue
-            if not is_zero_vec(z):
-                hit = cache.get(z)
-                if hit is None:
-                    stack.append((z, residuals(z)))
-                    continue
-                if not hit:
-                    continue
-            found = True
-        cache[y] = True
-        stack.pop()
-    return found
+        y = stack.pop()
+        if y in generators or is_zero_vec(y):
+            return True
+        for g in monoid.generators:
+            z = vsub(y, g)
+            if z not in seen and all(dot(a, z) >= 0 for a in forms):
+                seen.add(z)
+                stack.append(z)
+    return False
 
 
 def face_submonoid_generators(monoid: AffineMonoid, f: Face) -> Mat:
@@ -251,11 +219,19 @@ def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
 
 
 def is_normal(monoid: AffineMonoid) -> tuple[bool, Vec | None]:
-    """Exact normality test: every Hilbert basis element of the normalization
-    must already be a monoid member.  Returns a witness on failure."""
-    hb = hilbert_basis(monoid.cone, monoid.group)
-    for h in hb:
-        if not member(monoid, h):
+    """Exact normality test, with the first Hilbert basis element of the
+    normalization cn(M) ∩ gp(M) outside M as the witness on failure.
+
+    The Hilbert basis is the set of irreducible elements of the
+    normalization, and such an element h lies in M exactly when it is a
+    generator: a sum h = sum n_g g with sum n_g >= 2 splits as
+    h = g + (h - g) into two nonzero elements of the normalization, so h
+    would be reducible.  M is normal exactly when the Hilbert basis, which
+    generates the normalization, lies in M.
+    """
+    generators = set(monoid.generators)
+    for h in hilbert_basis(monoid.cone, monoid.group):
+        if h not in generators:
             return False, h
     return True, None
 
@@ -314,7 +290,13 @@ class GapScan:
 
 def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     """The scan up to bound (a negative bound scans nothing), walked once per
-    monoid and bound: it tests membership in M once per point.
+    monoid and bound.
+
+    M is decided by a sweep in degree order, with found the members of M
+    met so far.  A nonzero point x lies in M exactly when x - g lies in M
+    for some generator g.  That x - g is 0, or a point of cn(M) ∩ gp(M) of
+    degree 0 < deg(x - g) < deg x <= bound, which the walk, sorted by
+    degree, met before x.  So x - g lies in M exactly when it is in found.
 
     sn(M) and M' are read off the model of sn(M) (AffineMonoid.model).  A
     point x of cn(M) ∩ gp(M) with minimal face F is in sn(M) when it lies
@@ -341,13 +323,15 @@ def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     model = monoid.model
     fl = model.fl
     points = _box_points_of_degree_slice(monoid, bound)
+    found = {(0,) * monoid.ambient_dim}
     sn_gap = interior_gap = m_prime_gap = None
     for _, x in points:
         f = minimal_face(fl, x)
-        in_m = member(monoid, x)
+        in_m = any(vsub(x, g) in found for g in monoid.generators)
         in_mp = model.face_table[f.index].cut.member(x)
         assert not (in_m and not in_mp), "the monoid always sits inside M'"
         if in_m:
+            found.add(x)
             continue
         if m_prime_gap is None and in_mp:
             m_prime_gap = x

@@ -156,3 +156,16 @@ def top_support_member(model, a) -> bool:
     if not model.cone.contains(a) or not model.reference.member(a):
         return False
     return not any(model.lambdas[i].member(a) for i in model.fl.facet_indices())
+
+
+def member_by_sums(m, x) -> bool:
+    """Whether x is a sum of generators of the monoid m, by listing the sums
+    level by level up to deg x: the sums of degree d are the sums g + s over
+    the generators g of degree e <= d and the sums s of degree d - e.  The
+    grading is positive on every generator, so each level is finite."""
+    x = tuple(x)
+    level = [{(0,) * len(x)}]
+    gens = [(g, dot(m.grading, g)) for g in m.generators]
+    for d in range(1, dot(m.grading, x) + 1):
+        level.append({vadd(g, s) for g, e in gens if e <= d for s in level[d - e]})
+    return x in level[-1]  # for deg x < 0 the last level is {0}, without x

@@ -16,17 +16,28 @@ import monoidring.monoid
 from monoidring.cli import parse_input
 from monoidring.criteria import m_prime_member, s2_up_to
 from monoidring.errors import HypothesisUnverified, TooLarge
-from monoidring.exactlin import dot, identity, lattice_from_rows, rank, saturation, solve_rational
+from monoidring.exactlin import (
+    dot,
+    identity,
+    lattice_from_rows,
+    rank,
+    saturation,
+    solve_rational,
+    vadd,
+    vsub,
+)
 from monoidring.monoid import (
     default_seminormality_bound,
     face_group,
     hilbert_basis,
+    is_normal,
     is_seminormal_up_to,
     member,
     monoid_new,
 )
 from monoidring.polyhedral import dual_description, minimal_face
 
+from oracles import member_by_sums
 from test_cli import run_cli
 
 
@@ -202,6 +213,34 @@ class TestAgainstSeparateScans:
         assert sum(oracle_seminormal(m, b) is not None for m, b in zip(monoids, big)) >= 6
         assert sum(isinstance(outcome(oracle_hypothesis, m, b), str) for m, b in zip(monoids, big)) >= 6
         assert any(m.rank == 3 and oracle_seminormal(m, b) for m, b in zip(monoids, big))
+
+
+class TestAgainstSums:
+    """member and is_normal against oracles.member_by_sums, which lists the
+    sums of generators and shares no search or cone code with either."""
+
+    def test_member_on_the_box_and_next_to_it(self, monoids):
+        # each box point and its neighbours x ± e_i, among them points off
+        # the cone and points of the cone off gp(M)
+        off_cone = off_group = 0
+        for m in monoids:
+            units = identity(m.ambient_dim)
+            for _, x in oracle_box(m, default_seminormality_bound(m)):
+                for y in [x] + [f(x, u) for u in units for f in (vadd, vsub)]:
+                    assert member(m, y) == member_by_sums(m, y), (m.generators, y)
+                    off_cone += not m.cone.contains(y)
+                    off_group += m.cone.contains(y) and not m.group.member(y)
+        assert off_cone and off_group
+
+    def test_is_normal_is_the_first_hilbert_basis_element_outside(self, monoids):
+        semigroups = [monoid_new([(g,) for g in gens]) for gens in ([1], [2, 4], [2, 3], [3, 5, 7])]
+        verdicts = []
+        for m in monoids + semigroups:
+            hb = hilbert_basis(m.cone, m.group)
+            gap = next((h for h in hb if not member_by_sums(m, h)), None)
+            assert is_normal(m) == (gap is None, gap), m.generators
+            verdicts.append(gap is None)
+        assert True in verdicts and False in verdicts
 
 
 class TestOneWalk:

@@ -12,6 +12,7 @@ import pytest
 from conftest import ORACLE_COMPLEXES, corpus, oracle_construction, pyramid_monoid
 from test_cli import run_cli
 
+import monoidring.monoid
 from monoidring.cli import write_model
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 
@@ -215,6 +216,18 @@ def test_generator_reports(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     digests = {name: generator_digest(text, name) for name, text in GENERATOR_TEXTS.items()}
     assert digests == GENERATOR_DIGESTS
+
+
+def test_generator_reports_run_no_membership_search(tmp_path, monkeypatch):
+    # the scans decide M by their degree sweep and is_normal by the Hilbert
+    # basis, so analyze never calls the search of member
+    def search(*args):
+        raise AssertionError("member called")
+
+    monkeypatch.setattr(monoidring.monoid, "member", search)
+    monkeypatch.chdir(tmp_path)
+    for name in ("rank3", "gaps", "semigroup"):
+        assert generator_digest(GENERATOR_TEXTS[name], name) == GENERATOR_DIGESTS[name]
 
 
 def test_pyramid_monoid_report(tmp_path, monkeypatch):
