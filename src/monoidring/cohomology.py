@@ -18,27 +18,15 @@ from .polyhedral import Face, FaceLattice, minimal_face
 
 
 def filter_at(model: DecoratedCone, a) -> frozenset[int]:
-    """Face indices F with a in F and a in lambda_F; up-closed by the
-    monotonicity of the decoration."""
+    """Face indices F with a in F and a in lambda_F.  The set is up-closed
+    and needs no test: for F <= F' with a in F and a in lambda_F, a lies in
+    F' ⊇ F and in lambda_F' ⊇ lambda_F by the monotonicity of the
+    decoration."""
     a = tuple(a)
     if not model.cone.contains(a) or not model.reference.member(a):
         raise OutOfRange(f"{a} is not in the cone intersected with the reference group")
-    base = minimal_face(model.fl, a)
-    out = set()
-    for f in model.fl.faces_above(base):
-        if model.lattice_of(f).member(a):
-            out.add(f.index)
-    result = frozenset(out)
-    assert is_up_closed(model.fl, result)
-    return result
-
-
-def is_up_closed(fl: FaceLattice, face_ids: frozenset[int]) -> bool:
-    for i in face_ids:
-        for up in fl.up_covers[i]:
-            if up not in face_ids:
-                return False
-    return True
+    faces = model.fl.faces_above(minimal_face(model.fl, a))
+    return frozenset(f.index for f in faces if model.lattice_of(f).member(a))
 
 
 def _check_filter(fl: FaceLattice, face_ids: frozenset[int], top: Face) -> None:
@@ -79,6 +67,8 @@ def cochain_complex(
     fl: FaceLattice, face_ids: frozenset[int], top: Face | None = None
 ) -> CochainComplex:
     """The cochain complex of an up-closed face filter, with a d∘d = 0 check.
+    A face set that is not an up-closed filter of the interval below top is
+    refused with NotUpClosed: this is where a caller's filter is tested.
 
     The filter lives in the interval of faces below top (default: the whole
     cone) and is up-closed there; the complex runs over degrees 0..dim top,
@@ -198,6 +188,16 @@ def filter_profile(
     the whole cone), with a complex built only when the filter has two or
     more least faces.
 
+    The filter is not tested: up-closure below top is the caller's
+    precondition, and every caller builds its filters so.  The patterns of
+    typology.fiber_types are {F >= g : x in lambda_F}, up-closed by the
+    monotonicity of the decoration; depth_bounds_multi passes S ∩ below(F)
+    for such a pattern S and F in S, which is up-closed in the interval
+    below F, as every face between a member and F is in S and below F; and
+    local_cohomology_at passes the filter of filter_at.  filter_profile is
+    not exported: a filter that comes from a caller meets cochain_complex,
+    which refuses one that is not up-closed with NotUpClosed.
+
     A filter with exactly one least face G is the interval [G, top]: every
     member lies above a least face, and up-closure holds every face between
     G and top.  For G < top that interval is the face lattice of a polytope,
@@ -207,14 +207,12 @@ def filter_profile(
     for any incidence function (Bruns-Herzog, Cohen-Macaulay Rings, §6.2).
     Its profile is zero in every degree and over every field.  For G = top
     the filter is {top}, with Z in degree dim top alone.  Neither has a
-    torsion prime.  Every other filter is profiled from its complex.  Both
-    paths refuse the same inputs with NotUpClosed.
+    torsion prime.  Every other filter is profiled from its complex.
     """
     top = fl.top if top is None else top
     least = least_faces(fl, face_ids)
     if len(least) != 1:
         return profile_of_complex(cochain_complex(fl, face_ids, top), primes)
-    _check_filter(fl, face_ids, top)
     dims = tuple(int(least[0] == top.index and t == top.dim) for t in range(top.dim + 1))
     return CohomologyProfile(dims, {p: dims for p in sorted(set(primes))}, frozenset())
 

@@ -68,9 +68,14 @@ class AffineMonoid:
         """The decorated-cone model of sn(M): gp(M ∩ F) on every face F,
         built once per monoid.  sn(M) is its represented monoid, the union
         of gp(M ∩ F) ∩ relint F, and its face table holds the facet cut
-        that decides M' (gap_scan)."""
+        that decides M' (gap_scan).
+
+        The decoration is valid by construction, so it is not validated.
+        Each face F of cone(generators) is the cone of the generators on F,
+        so gp(M ∩ F) lies in span F ∩ Z^m and has rank dim F; and it is
+        monotone, as M ∩ F ⊆ M ∩ F' for F <= F'."""
         fl = self.face_lattice
-        return decorated_cone(fl, [face_group(self, f) for f in fl.faces])
+        return DecoratedCone(fl, tuple(face_group(self, f) for f in fl.faces))
 
     @cached_property
     def group(self) -> Lattice:
@@ -362,6 +367,11 @@ class DecoratedCone:
     This is the extensional form of a seminormal monoid: the represented
     monoid is the union over faces F of (lambda_F ∩ relint F).  The lattice
     of the full cone is the reference group.
+
+    The constructor does not validate: the decorations that enter from a
+    caller are built by decorated_cone, which validates every face, or by
+    decorate_by_facet_cuts, which validates the given lattices, and
+    AffineMonoid.model builds one valid by construction.
     """
 
     fl: FaceLattice
@@ -510,15 +520,21 @@ def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> Decora
 
     Only the given lattices are validated, the reference among them when it
     is given: each must have full rank in the span of its face, which is
-    checked before any cut is taken, and the lattices must be monotone on
-    every cover pair with a given lattice at one end.  The cuts need no
-    check.  The cut of F is A_F ∩ ⋂ lambda_G over the facets G ⊇ F
-    (face_group_cuts).  It lies in A_F ⊆ span F, and it has full rank
-    there, as the intersection with span F of lattices of full rank in
-    span C and in the spans G ⊇ F.  On a cover pair F ⋖ H of two cut
-    faces, A_F ⊆ A_H and every facet through H passes through F, so
-    cut F ⊆ A_H ∩ ⋂_{G ⊇ H} lambda_G = cut H.  decorated_cone, which
-    `check` runs, validates every face.
+    checked before any cut is taken.  The cuts need no check.  The cut of F
+    is A_F ∩ ⋂ lambda_G over the facets G ⊇ F (face_group_cuts).  It lies
+    in A_F ⊆ span F, and it has full rank there, as the intersection with
+    span F of lattices of full rank in span C and in the spans G ⊇ F.  On a
+    cover pair F ⋖ H of two cut faces, A_F ⊆ A_H and every facet through H
+    passes through F, so cut F ⊆ A_H ∩ ⋂_{G ⊇ H} lambda_G = cut H.
+
+    Monotonicity is tested on the cover pairs the cuts do not guarantee: the
+    up-covers of every given face, and the down-covers of a given face
+    below a facet.  A pair of a cut face F below a given facet G or the
+    given reference needs no test: cut F lies in A_F ⊆ reference, and in
+    lambda_G, also on an input that validation refuses.  For G with lambda_G
+    other than A_G the cut of F is met with A_G ∩ lambda_G, and for any
+    other G, cut F ⊆ A_F ⊆ A_G = lambda_G.  decorated_cone, which `check`
+    runs, validates every face.
     """
     reference = given.get(fl.top.index, fl.cone.span_lattice)
     if not all(map(fl.cone.span_lattice.member, reference.basis)):
@@ -526,8 +542,9 @@ def decorate_by_facet_cuts(fl: FaceLattice, given: dict[int, Lattice]) -> Decora
     _check_full_rank(fl, sorted(given.items()))
     cuts = face_group_cuts(fl, reference, given)
     lambdas = tuple(given.get(i, cut) for i, (_, cut) in enumerate(cuts))
-    _check_monotone(lambdas, [(j, i) for i in given for j in fl.down_covers[i]])
-    _check_monotone(lambdas, [(i, j) for i in given for j in fl.up_covers[i]])
+    below_facets = [i for i in given if fl.faces[i].dim < fl.top.dim - 1]
+    pairs = {(j, i) for i in below_facets for j in fl.down_covers[i]}
+    _check_monotone(lambdas, pairs | {(i, j) for i in given for j in fl.up_covers[i]})
     model = DecoratedCone(fl, lambdas)
     model.__dict__["_cuts"] = cuts  # the slot of the cached DecoratedCone._cuts
     return model

@@ -156,7 +156,9 @@ class DepthReport:
         return frozenset(p for p, d in self.depth_by_prime.items() if d < self.rank)
 
     def depth(self, p: int | None) -> int:
-        return self.depth_q if p is None else self.depth_by_prime[p]
+        """The depth over Q (p=None) or F_p.  Every torsion prime of the
+        fibers is in depth_by_prime, so any other prime has the depth over Q."""
+        return self.depth_by_prime.get(p, self.depth_q)
 
     def cm(self, p: int | None) -> bool:
         return self.depth(p) == self.rank

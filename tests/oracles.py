@@ -6,6 +6,7 @@ is tests/test_oracles.py).
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 from monoidring.errors import NotSublattice, TooLarge
@@ -147,6 +148,33 @@ def up_sets_of_interval(fl, g, cap):
         if len(out) - 1 > cap:
             raise TooLarge(f"face {sorted(g.ray_set)}: more than {cap} filters; raise the cap")
     return out[1:]
+
+
+@cache
+def faces_above_by_rays(fl) -> tuple[frozenset[int], ...]:
+    """For each face, by index, the faces whose ray set contains its ray
+    set: the faces containing every ray of it, all faces for the apex."""
+    with_ray: dict[int, set[int]] = {}
+    for f in fl.faces:
+        for r in f.ray_set:
+            with_ray.setdefault(r, set()).add(f.index)
+    everything = frozenset(range(len(fl.faces)))
+    return tuple(everything.intersection(*(with_ray[r] for r in f.ray_set)) for f in fl.faces)
+
+
+def up_closed_by_rays(fl, face_ids, top=None) -> bool:
+    """Whether a face set is an up-closed set of the interval of faces below
+    top (default: the whole cone), by ray-set containment alone: every
+    member lies below top, and every face between a member and top is a
+    member.  A face above a member but not in the set must leave the
+    interval."""
+    top_rays = (fl.top if top is None else top).ray_set
+    above = faces_above_by_rays(fl)
+    return all(
+        fl.faces[i].ray_set <= top_rays
+        and not any(fl.faces[j].ray_set <= top_rays for j in above[i] - face_ids)
+        for i in face_ids
+    )
 
 
 def top_support_member(model, a) -> bool:

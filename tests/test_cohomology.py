@@ -4,13 +4,14 @@ import random
 import pytest
 
 import monoidring.cohomology
+import monoidring.criteria
+import monoidring.typology
 from monoidring.cohomology import (
     CochainComplex,
     cochain_complex,
     cohomology_dims,
     filter_at,
     filter_profile,
-    is_up_closed,
     local_cohomology_at,
     profile_of_complex,
     torsion_primes,
@@ -33,7 +34,7 @@ from conftest import (
     random_decorated_model,
     resigned_epsilon,
 )
-from oracles import top_support_member, up_sets_of_interval
+from oracles import top_support_member, up_closed_by_rays, up_sets_of_interval
 
 
 def odd_apex_ray_point(model):
@@ -397,7 +398,9 @@ class TestFilterProfile:
                 several += len(least_by_ray_sets(fl, ids)) >= 2
         assert several > 50
 
-    def test_refuses_what_the_complex_refuses(self, models):
+    def test_complex_refuses_what_the_oracle_refuses(self, models):
+        """cochain_complex, the one up-closure test, refuses exactly the
+        face sets that are not up-closed below top by ray-set containment."""
         rng = random.Random(11)
         outcomes = []
         # two corpus models, the pyramids and the constructed models
@@ -414,16 +417,49 @@ class TestFilterProfile:
                         cases.append(interval | {rng.choice(outside)})
                     cases.append(frozenset(i for i in below[f.index] if rng.random() < 0.5))
                     for ids in cases:
-                        got = []
-                        for build in (cochain_complex, filter_profile):
-                            try:
-                                build(fl, ids, f)
-                                got.append(False)
-                            except NotUpClosed:
-                                got.append(True)
-                        assert got[0] == got[1]
-                        outcomes.append((got[0], len(least_by_ray_sets(fl, ids)) == 1))
+                        try:
+                            cochain_complex(fl, ids, f)
+                            refused = False
+                        except NotUpClosed:
+                            refused = True
+                        assert refused == (not up_closed_by_rays(fl, ids, f))
+                        outcomes.append((refused, len(least_by_ray_sets(fl, ids)) == 1))
         assert {(True, True), (True, False), (False, True), (False, False)} <= set(outcomes)
+
+    def test_every_profiled_filter_is_up_closed(self, models, rp2_result, monkeypatch):
+        """filter_profile does not test its filters: every fiber pattern and
+        every sub-filter S ∩ below(F) that depth_bounds_multi profiles is
+        up-closed below its top by the ray-set oracle."""
+        profiled = []
+
+        def recorded(fl, ids, top=None, primes=()):
+            profiled.append((ids, top))
+            return filter_profile(fl, ids, top, primes)
+
+        for module in (monoidring.typology, monoidring.criteria):
+            monkeypatch.setattr(module, "filter_profile", recorded)
+        subs = 0
+        for model in models + [rp2_result.model]:
+            profiled.clear()
+            report = depth_report(model, primes=(2, 3))
+            assert len(profiled) == len(report.fibers)
+            depth_bounds_multi(model, report)
+            assert all(up_closed_by_rays(model.fl, ids, top) for ids, top in profiled)
+            subs += len(profiled) - len(report.fibers)
+        assert subs > 0
+
+    def test_one_up_closure_test_per_complex_built(self, monkeypatch, model_71, model_73):
+        calls = {"_check_filter": 0, "cochain_complex": 0}
+        for name in calls:
+
+            def counted(*args, name=name, original=getattr(monoidring.cohomology, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(monoidring.cohomology, name, counted)
+        for model in (model_71, model_73, oracle_construction("4-cycle").model):
+            depth_bounds_multi(model, depth_report(model, primes=(2, 3)))
+        assert calls["_check_filter"] == calls["cochain_complex"] > 0
 
     def test_builds_only_filters_with_two_or_more_least_faces(self, monkeypatch):
         model = oracle_construction("4-cycle").model

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+import monoidring.constructions
 import monoidring.monoid
 from monoidring.cli import parse_input, write_model
 from monoidring.criteria import s2_lattice_test
@@ -26,6 +27,7 @@ from conftest import (
     pyramid_model,
 )
 from test_cli import run_cli
+from test_gap_scan import seeded_monoids
 
 
 def random_monoid_models(seed, count):
@@ -254,6 +256,9 @@ PYRAMID_71_F1 = "lattice 0 1 2\n1 0 1 0\n0 1 0 0\n0 0 2 2\n"
 BAD_GIVEN_LATTICES = [
     # the ray (0, 0, 1, 1) lies on the even facet F1
     ("", "lattice 2\n0 0 1 1\n", "face lattices are not monotone along covers"),
+    # a given ridge inside the cut of its face that misses the lattice
+    # 2 (-1, -1, 0, 1) Z of its cut down-cover, the ray 0
+    ("", "lattice 0 2\n4 4 0 -4\n0 0 2 2\n", "face lattices are not monotone along covers"),
     ("", "lattice 2\n1 0 1 1\n", r"face \[2\]: lattice leaves the face span"),
     ("", "lattice 2\n0 0 1 1\n1 0 0 0\n", r"face \[2\]: lattice rank 2 != dim 1"),
     # a given facet of the wrong rank is named before any cut is taken
@@ -272,21 +277,50 @@ BAD_GIVEN_LATTICES = [
 
 
 class TestGivenLatticeValidation:
-    """decorate_by_facet_cuts validates the given lattices only.  The cuts
-    it builds pass decorated_cone's validation of every face, which does
-    not share its code, and an invalid given lattice is refused."""
+    """decorate_by_facet_cuts validates the given lattices only, and
+    AffineMonoid.model validates nothing.  The models they build pass
+    decorated_cone's validation of every face, which does not share their
+    code, and an invalid given lattice is refused."""
 
     def test_full_validation_accepts_every_built_model(self, rp2_result, tmp_path):
         hexagon = SimplicialComplex.from_facets([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
         built = [builtin(name) for name in ("pyramid-7.1", "pyramid-7.3")]
         built += [oracle_construction(name).model for name in sorted(ORACLE_COMPLEXES)]
         built += [delta_construct(hexagon).model, rp2_result.model]
+        built += [m.model for m in seeded_monoids()]
         for i, model in enumerate(corpus(seed=501, count=30)):
             path = tmp_path / f"m{i}.model"
             write_model(model, str(path))
             built.append(parse_input(str(path))[1])
         for model in built:
             assert decorated_cone(model.fl, model.lambdas).lambdas == model.lambdas
+
+    def test_no_pair_below_the_given_facets_is_tested(self, monkeypatch):
+        """A construction gives facet lattices alone, so every cover pair
+        that reaches _check_monotone has a given lower end: no pair of a cut
+        face below a given facet or the reference is tested."""
+        calls = []
+        decorate = monoidring.constructions.decorate_by_facet_cuts
+        check = monoidring.monoid._check_monotone
+
+        def recorded(fl, given):
+            calls.append((set(given), []))
+            return decorate(fl, given)
+
+        def recorded_check(lambdas, pairs):
+            calls[-1][1].extend(pairs)
+            check(lambdas, pairs)
+
+        monkeypatch.setattr(monoidring.constructions, "decorate_by_facet_cuts", recorded)
+        monkeypatch.setattr(monoidring.monoid, "_check_monotone", recorded_check)
+        for name in ("pyramid-7.1", "pyramid-7.3"):
+            builtin(name)
+        for name in sorted(ORACLE_COMPLEXES):
+            delta_construct(SimplicialComplex.from_facets(ORACLE_COMPLEXES[name]))
+        assert len(calls) == 2 + len(ORACLE_COMPLEXES)
+        for given, pairs in calls:
+            assert pairs
+            assert all(low in given for low, _ in pairs)
 
     @pytest.mark.parametrize("old, new, message", BAD_GIVEN_LATTICES)
     def test_invalid_given_lattice_is_refused(self, tmp_path, old, new, message):

@@ -277,6 +277,19 @@ class TestOneWalk:
             assert len(groups) == n_faces
 
 
+class TestModelByConstruction:
+    def test_model_builds_without_the_validation(self, monkeypatch):
+        """AffineMonoid.model is valid by construction and does not run
+        decorated_cone; test_face_table validates these models in full."""
+
+        def validation(*args):
+            raise AssertionError("decorated_cone called")
+
+        monkeypatch.setattr(monoidring.monoid, "decorated_cone", validation)
+        for m in seeded_monoids():
+            assert len(m.model.lambdas) == len(m.face_lattice.faces)
+
+
 def no_walk(*args):
     pytest.fail("the box was walked")
 

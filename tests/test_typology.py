@@ -8,7 +8,8 @@ from monoidring import typology
 from monoidring.cli import parse_input
 from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
-from monoidring.errors import TooLarge
+from monoidring.criteria import gorenstein_check
+from monoidring.errors import NotCM, TooLarge
 from monoidring.exactlin import (
     Lattice,
     dot,
@@ -239,6 +240,21 @@ class TestDepthReport:
         assert rep.rank == 3
         assert rep.depth_q == 2
         assert rep.depth_by_prime == {2: 2, 3: 2}
+
+    def test_unrequested_prime_has_the_rational_depth(self):
+        # 5 is a torsion prime of neither pyramid, so a report asked for 2
+        # alone answers for 5 with the depth over Q
+        for name, cm in (("pyramid-7.1", False), ("pyramid-7.3", True)):
+            model = builtin(name)
+            rep = depth_report(model, primes=(2,))
+            assert 5 not in rep.depth_by_prime
+            assert rep.depth(5) == depth_report(model, primes=(5,)).depth_by_prime[5]
+            assert (rep.depth(5), rep.cm(5)) == (rep.depth_q, cm)
+            if cm:
+                assert gorenstein_check(model, 5, rep) == gorenstein_check(model, 5)
+            else:
+                with pytest.raises(NotCM):
+                    gorenstein_check(model, 5, rep)
 
     def test_hochster_normal_models(self):
         rng = random.Random(43)
