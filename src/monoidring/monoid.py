@@ -40,10 +40,12 @@ from .polyhedral import (
 )
 
 
-# Largest box of integer points an enumeration walks (the degree box of the
-# seminormality and (S2) scans, the zonotope box of a Hilbert basis).  The
-# test suite walks boxes of at most 5929 points, the benchmark's generator
-# files at most 4913.
+# Largest box of integer points an enumeration may span (the box around the
+# degree slice of the seminormality and (S2) scans, the zonotope box of a
+# Hilbert basis).  The whole box is counted, though the walk enters only the
+# box of its first r - 1 coordinates and solves the last one's interval
+# (_graded_points).  The test suite spans boxes of at most 35301 points, the
+# benchmark's generator files at most 4913.
 BOX_CAP = 10**7
 
 
@@ -167,32 +169,66 @@ def _ray_multiples(lat: Lattice, cone: RationalCone) -> list[tuple[Vec, int]]:
     return [(lat.coords(m), dot(deg_form, m)) for m in multiples]
 
 
+def _pull_back(lat: Lattice, forms) -> Mat:
+    """Each linear form a as (a . b_j)_j over the basis b of lat, so that
+    a . x = sum_j c_j (a . b_j) for the coordinates c of a point x of lat."""
+    return tuple(tuple(dot(a, b) for b in lat.basis) for a in forms)
+
+
+def _in_coordinates(group: Lattice, lat: Lattice) -> Lattice:
+    """A sublattice lat of group as the lattice of the coordinates of its
+    points in the basis of group."""
+    return lattice_from_rows(group.rank, [group.coords(b) for b in lat.basis])
+
+
 def _graded_points(lat: Lattice, cone: RationalCone, lo, hi, cap: int) -> list[tuple[int, Vec]]:
-    """The points x of cone ∩ lat with coordinates in the box lo <= c <= hi
-    and 0 < deg x <= cap, as (deg x, x) sorted, deg the grading of the cone.
+    """The points x of cone ∩ lat with coordinates c in the box lo <= c <= hi
+    and 0 < deg x <= cap, as (deg x, c) sorted, deg the grading of the cone.
     The grading is positive on the cone outside the apex, so 0 < deg drops
     the apex alone.
 
     The box is counted before it is walked: past BOX_CAP points it raises
-    TooLarge instead of starting the loop.  Each support form a and the
-    grading are pulled back once to lattice coordinates, as (a . b_j)_j
-    over the basis b of lat, so that a . x = sum_j c_j (a . b_j) is tested
-    on the coordinates c of x; only the points kept are mapped to Z^m.
+    TooLarge instead of starting the loop.  Each support form and the
+    grading are pulled back once to lattice coordinates (_pull_back), and
+    every condition on x is a condition a . c >= b on c: a . c >= 0 for
+    each form, deg >= 1 and -deg >= -cap.  The walk enters the box of the
+    first r - 1 coordinates only.  For a prefix h of c, a condition reads
+    t c_r >= b - a_head . h with t the last entry of a: for t > 0 it bounds
+    c_r below by the ceiling of the quotient, for t < 0 above by its floor,
+    and for t = 0 it holds for every c_r or for none.  So the points kept
+    with prefix h are exactly the integers of one interval, clipped to the
+    box, and no other point of the box is kept.
+
+    The basis of lat is in Hermite normal form with positive pivots: each
+    row is zero before its pivot, and the later rows are zero up to it.  At
+    the first coordinate j where two points differ, their difference is
+    (c_j - c'_j) times row j plus later rows, so it is zero before the pivot
+    of row j and has the sign of c_j - c'_j there.  So lexicographic order
+    on the coordinates is lexicographic order on Z^m, and the sort by
+    (deg, c) is the sort by (deg x, x).
     """
     size = math.prod(h - l + 1 for l, h in zip(lo, hi))
     if size > BOX_CAP:
         raise TooLarge(f"an enumeration box of {size} points exceeds the cap of {BOX_CAP}")
-    forms = [tuple(dot(a, b) for b in lat.basis) for a in cone.support_forms]
-    grading = tuple(dot(grading_form(cone), b) for b in lat.basis)
+    (grading,) = _pull_back(lat, [grading_form(cone)])
+    conditions = [(a, 0) for a in _pull_back(lat, cone.support_forms)]
+    conditions += [(grading, 1), (vscale(-1, grading), -cap)]
+    conditions = [(a[:-1], a[-1], b) for a, b in conditions]
+    last = grading[-1]
     points = []
-    for c in itertools.product(*map(range, lo, [h + 1 for h in hi])):
-        for a in forms:
-            if dot(a, c) < 0:
+    for head in itertools.product(*map(range, lo[:-1], [h + 1 for h in hi[:-1]])):
+        low, high = lo[-1], hi[-1]
+        for a, t, b in conditions:
+            rest = b - dot(a, head)  # t * c_r >= rest
+            if t > 0:
+                low = max(low, -(-rest // t))
+            elif t < 0:
+                high = min(high, rest // t)
+            elif rest > 0:
                 break
         else:
-            d = dot(grading, c)
-            if 0 < d <= cap:
-                points.append((d, lat.from_coords(c)))
+            d = dot(grading, head)
+            points += ((d + last * c, head + (c,)) for c in range(low, high + 1))
     return sorted(points)
 
 
@@ -203,7 +239,11 @@ def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
     lattice points of the bounding box of the zonotope spanned by the
     primitive lattice multiples of the extreme rays; every irreducible
     element lies in that zonotope.  Kept points are re-verified irreducible
-    against the previously kept ones, in increasing degree.
+    against the previously kept ones, in increasing degree.  The test runs
+    on lattice coordinates, with the support forms pulled back to them
+    (_pull_back): x - h lies in the cone exactly when every pulled-back
+    form is nonnegative on the coordinates of x - h.  Only the elements
+    kept are mapped to Z^m.
     """
     if saturation(lat) != cone.span_lattice:
         raise ValueError("lattice must be full rank in the span of the cone")
@@ -213,14 +253,15 @@ def hilbert_basis(cone: RationalCone, lat: Lattice) -> Mat:
     lo = [sum(min(0, c[i]) for c, _ in rays) for i in range(lat.rank)]
     hi = [sum(max(0, c[i]) for c, _ in rays) for i in range(lat.rank)]
     candidates = _graded_points(lat, cone, lo, hi, sum(d for _, d in rays))
+    forms = _pull_back(lat, cone.support_forms)
 
     # the candidates are distinct points of lat, so x - h is a nonzero point
     # of lat, and x is reducible by h exactly when x - h lies in the cone
     kept: list[Vec] = []
     for _, x in candidates:
-        if not any(all(dot(a, vsub(x, h)) >= 0 for a in cone.support_forms) for h in kept):
+        if not any(all(dot(a, vsub(x, h)) >= 0 for a in forms) for h in kept):
             kept.append(x)
-    return mat(sorted(kept))
+    return mat(sorted(map(lat.from_coords, kept)))
 
 
 def is_normal(monoid: AffineMonoid) -> tuple[bool, Vec | None]:
@@ -260,8 +301,9 @@ class SeminormalityVerdict:
 
 
 def _box_points_of_degree_slice(monoid: AffineMonoid, bound: int):
-    """All x in cn(M) ∩ gp(M) with 0 < deg(x) <= bound, as (deg, x) sorted
-    by (deg, coords).
+    """All x in cn(M) ∩ gp(M) with 0 < deg(x) <= bound, as (deg, c) sorted
+    by (deg, c), c the coordinates of x in the basis of gp(M): the order of
+    (deg, x) (_graded_points).
 
     The vertices of the degree-``bound`` slice are (bound / deg m) · m over
     the least multiples m of the extreme rays in gp(M), so group coordinates
@@ -310,42 +352,56 @@ def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     A_F ∩ ⋂_{facets G ⊇ F} lambda_G with A_F = gp(M) ∩ span F, as x lies
     in gp(M) and in span F, so in A_F.
 
+    The sweep runs on the coordinates c of x in the basis of gp(M), as the
+    walk gives them; only the gaps reported are mapped to Z^m.  found and
+    the generators are coordinate tuples.  The support forms are pulled
+    back to the coordinates (_pull_back), so the forms that vanish at x are
+    read off c, and F is the face with that zero set.  lambda_F and the cut
+    of F lie in gp(M), and are pulled back once per face to the lattices of
+    the coordinates of their points.  The coordinate map of gp(M) is linear
+    and one-to-one, so a point x of gp(M) lies in such a lattice exactly
+    when c lies in its pull-back.
+
     M ⊆ sn(M) ⊆ M': a point x of sn(M) lies in gp(M ∩ F) for its minimal
     face F, and gp(M ∩ F) lies in gp(M ∩ G) for every facet G ⊇ F.  So a
-    member of M needs no other test, except the check that it lies in M'.
-    A point of gp(M) ∩ relint C has the whole cone as its minimal face and
-    gp(M ∩ C) = gp(M), so every interior gap is a seminormality gap, and
-    every seminormality gap is a gap of M'.  Hence the first M' gap comes no
-    later than the first sn gap, and that no later than the first interior
-    gap: the scan stops there, with all three found.  The points are walked
-    in (degree, coordinates) order, so for B <= bound the first gap up to
-    degree B is this scan's first gap when its degree is <= B, and none
-    otherwise.
+    member of M needs no other test; the cut is tested on it only in the
+    assertion that it lies in M'.  A point of gp(M) ∩ relint C has the
+    whole cone as its minimal face and gp(M ∩ C) = gp(M), so every interior
+    gap is a seminormality gap, and every seminormality gap is a gap of M'.
+    Hence the first M' gap comes no later than the first sn gap, and that
+    no later than the first interior gap: the scan stops there, with all
+    three found.  The points are walked in (degree, coordinates) order, so
+    for B <= bound the first gap up to degree B is this scan's first gap
+    when its degree is <= B, and none otherwise.
     """
     bound = max(bound, 0)
     if bound in monoid._scans:
         return monoid._scans[bound]
     model = monoid.model
-    fl = model.fl
+    fl, group = model.fl, monoid.group
     points = _box_points_of_degree_slice(monoid, bound)
-    found = {(0,) * monoid.ambient_dim}
+    forms = _pull_back(group, monoid.cone.support_forms)
+    generators = [group.coords(g) for g in monoid.generators]
+    cuts = [_in_coordinates(group, row.cut) for row in model.face_table]
+    lambdas = [_in_coordinates(group, lam) for lam in model.lambdas]
+    found = {(0,) * group.rank}
     sn_gap = interior_gap = m_prime_gap = None
-    for _, x in points:
-        f = minimal_face(fl, x)
-        in_m = any(vsub(x, g) in found for g in monoid.generators)
-        in_mp = model.face_table[f.index].cut.member(x)
-        assert not (in_m and not in_mp), "the monoid always sits inside M'"
-        if in_m:
-            found.add(x)
+    for _, c in points:
+        f = fl.by_zero_set(frozenset(i for i, a in enumerate(forms) if dot(a, c) == 0))
+        assert f is not None, "the zero set of a cone point names a face"
+        if any(vsub(c, g) in found for g in generators):
+            assert cuts[f.index].member(c), "the monoid always sits inside M'"
+            found.add(c)
             continue
-        if m_prime_gap is None and in_mp:
-            m_prime_gap = x
-        if sn_gap is None and model.lattice_of(f).member(x):
-            sn_gap = x
+        if m_prime_gap is None and cuts[f.index].member(c):
+            m_prime_gap = c
+        if sn_gap is None and lambdas[f.index].member(c):
+            sn_gap = c
         if f is fl.top:
-            interior_gap = x
+            interior_gap = c
             break
-    scan = GapScan(points[0][0] if points else None, sn_gap, interior_gap, m_prime_gap)
+    gaps = (None if c is None else group.from_coords(c) for c in (sn_gap, interior_gap, m_prime_gap))
+    scan = GapScan(points[0][0] if points else None, *gaps)
     monoid._scans[bound] = scan
     return scan
 

@@ -8,6 +8,7 @@ is tests/test_oracles.py).
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import lcm
 
 from monoidring.errors import NotSublattice, TooLarge
 from monoidring.exactlin import (
@@ -20,9 +21,11 @@ from monoidring.exactlin import (
     mat,
     quotient_decomposition,
     snf,
+    solve_rational,
     vadd,
     vec_mat,
     vscale,
+    vsub,
 )
 
 
@@ -197,3 +200,42 @@ def member_by_sums(m, x) -> bool:
     for d in range(1, dot(m.grading, x) + 1):
         level.append({vadd(g, s) for g, e in gens if e <= d for s in level[d - e]})
     return x in level[-1]  # for deg x < 0 the last level is {0}, without x
+
+
+def hilbert_basis_by_box(cone, lat) -> Mat:
+    """The Hilbert basis of cone ∩ lat, for lat of full rank in the span of
+    the cone, as the irreducible points of the bounding box of the zonotope
+    spanned by the least multiples of the extreme rays in lat.
+
+    The coordinates of each ray in lat are Fractions (solve_rational), and
+    its least multiple in lat is the lcm of their denominators times the
+    ray.  Every point is tested in Z^m against the support forms, whose sum
+    is a grading positive on the cone outside the apex.  The Hilbert basis
+    lies in the zonotope (Bruns–Gubeladze, Polytopes, Rings, and K-Theory,
+    ch. 2), so a point x of the box is reducible exactly when x - y lies in
+    the cone for a point y of the box of smaller degree: for x = h + z with
+    h in the Hilbert basis and z nonzero, y = h is one.
+    """
+    forms = cone.support_forms
+    multiples = []
+    for ray in cone.extreme_rays:
+        coords = solve_rational(lat.basis, ray)
+        multiples.append([lcm(*(c.denominator for c in coords)) * c for c in coords])
+    box = [
+        range(int(sum(min(0, v[i]) for v in multiples)), int(sum(max(0, v[i]) for v in multiples)) + 1)
+        for i in range(lat.rank)
+    ]
+    points = []
+    for coords in product(*box):
+        x = vec_mat(coords, lat.basis)
+        values = [dot(a, x) for a in forms]
+        if all(v >= 0 for v in values) and sum(values) > 0:
+            points.append((sum(values), x))
+    points.sort()
+    return mat(
+        sorted(
+            x
+            for d, x in points
+            if not any(e < d and all(dot(a, vsub(x, y)) >= 0 for a in forms) for e, y in points)
+        )
+    )

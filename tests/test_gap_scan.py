@@ -1,14 +1,19 @@
 """The shared scan of the generator side against an oracle of three separate
-scans, and the counts and caps of the box walk.
+scans, and the counts and caps of the slice walk.
 
 The oracle walks the degree box once each for seminormality, the interior
 hypothesis and (S2), and recomputes the group of the face submonoid with
 face_group for every point; it shares no scan code with the library."""
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +32,10 @@ from monoidring.exactlin import (
     vsub,
 )
 from monoidring.monoid import (
+    GapScan,
     default_seminormality_bound,
     face_group,
+    gap_scan,
     hilbert_basis,
     is_normal,
     is_seminormal_up_to,
@@ -37,7 +44,8 @@ from monoidring.monoid import (
 )
 from monoidring.polyhedral import dual_description, minimal_face
 
-from oracles import member_by_sums
+from conftest import pyramid_monoid
+from oracles import hilbert_basis_by_box, member_by_sums
 from test_cli import run_cli
 
 
@@ -78,11 +86,18 @@ def oracle_seminormal(m, bound):
     return None
 
 
-def oracle_hypothesis(m, bound):
+def oracle_interior_gap(m, bound):
     forms = m.cone.support_forms
     for d, x in oracle_box(m, bound):
         if d and all(dot(a, x) > 0 for a in forms) and not member(m, x):
-            raise HypothesisUnverified(f"interior point {x} of degree {d} is outside the monoid")
+            return x
+    return None
+
+
+def oracle_hypothesis(m, bound):
+    x = oracle_interior_gap(m, bound)
+    if x is not None:
+        raise HypothesisUnverified(f"interior point {x} of degree {m.deg(x)} is outside the monoid")
 
 
 def oracle_m_prime(m, x, hypothesis_bound, verified):
@@ -166,9 +181,48 @@ def seeded_monoids():
     return out
 
 
+def drawn_monoids(count=200):
+    """count seeded sets of rank 1 to 3, by turns: numerical semigroups, whose
+    group is not saturated when their gcd is not 1; sets of rank 2 and 3
+    over a dilated simplex; and sets of rank 1 and 2 mapped into one more
+    dimension by a random integer matrix, whose group is often not
+    saturated.  Sets whose default bound passes 9 are drawn again."""
+    rng = random.Random(22)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        k = rng.randint(1, 2) if kind == 3 else kind + 1
+        if k == 1:
+            gens = {(g,) for g in rng.sample(range(1, 10), rng.randint(1, 3))}
+        else:
+            gens = set()
+            for _ in range(rng.randint(k + 1, k + 2)):
+                d = rng.randint(1, 3 if k == 2 else 2)
+                gens.add(tuple(rng.randint(0, d) for _ in range(k - 1)) + (d,))
+        if kind == 3:
+            t = [[rng.randint(-2, 2) for _ in range(k + 1)] for _ in range(k)]
+            gens = {tuple(dot(g, col) for col in zip(*t)) for g in gens}
+        gens = sorted(gens)
+        if rank(gens) == k:
+            m = monoid_new(gens)
+            if default_seminormality_bound(m) <= 9:
+                out.append(m)
+    return out
+
+
+# numerical semigroups: two normal ones, one of them with the group 2Z, and
+# two that are not normal
+SEMIGROUPS = ([1], [2, 4], [2, 3], [3, 5, 7])
+
+
 @pytest.fixture(scope="module")
 def monoids():
     return seeded_monoids()
+
+
+@pytest.fixture(scope="module")
+def drawn():
+    return drawn_monoids()
 
 
 class TestAgainstSeparateScans:
@@ -195,11 +249,43 @@ class TestAgainstSeparateScans:
                     want = outcome(oracle_m_prime, m, x, big if hb is None else hb, verified)
                     assert outcome(m_prime_member, m, x, hb) == want
 
-    def test_degree_slice_against_the_oracle_box(self, monoids):
-        for m in monoids:
+    def test_degree_slice_against_the_oracle_box(self, monoids, drawn):
+        # the walk gives coordinates in gp(M), in the order of the points
+        for m in monoids + drawn:
             for bound in range(default_seminormality_bound(m) + 1):
                 got = monoidring.monoid._box_points_of_degree_slice(m, bound)
-                assert got == [t for t in oracle_box(m, bound) if t[0] > 0]
+                assert [(d, m.group.from_coords(c)) for d, c in got] == [
+                    t for t in oracle_box(m, bound) if t[0] > 0
+                ]
+
+    def test_gap_scan_against_the_three_scans(self, drawn):
+        # on sets of rank below 3, M' = sn(M); this one has (0, 0, 1) in M'
+        # but not in sn(M): the generators on the ray (0, 0, 1) span 2Z, and
+        # those on either facet through it the whole plane
+        apart = monoid_new([(0, 0, 2), (1, 0, 1), (1, 0, 2), (0, 1, 1), (0, 1, 2)])
+        gaps = [0, 0, 0]
+        for m in drawn + [apart]:
+            big = default_seminormality_bound(m)
+            for bound in (big // 2, big):
+                degrees = [d for d, _ in oracle_box(m, bound) if d > 0]
+                want = GapScan(
+                    degrees[0] if degrees else None,
+                    oracle_seminormal(m, bound),
+                    oracle_interior_gap(m, bound),
+                    oracle_s2(m, bound, 0),
+                )
+                assert gap_scan(m, bound) == want, (m.generators, bound)
+                found = (want.sn_gap, want.interior_gap, want.m_prime_gap)
+                gaps = [n + (x is not None) for n, x in zip(gaps, found)]
+        assert min(gaps) >= 10
+        assert gap_scan(apart, 1).m_prime_gap == (0, 0, 1) and gap_scan(apart, 1).sn_gap is None
+
+    def test_drawn_sets_cover_every_rank_and_group(self, drawn):
+        assert {m.rank for m in drawn} == {1, 2, 3}
+        lower = [m for m in drawn if m.rank < m.ambient_dim]
+        unsaturated = [m for m in drawn if m.group != m.cone.span_lattice]
+        assert len(lower) >= 40 and len(unsaturated) >= 40
+        assert any(m.group != m.cone.span_lattice for m in lower)
 
     def test_inputs_cover_lower_rank_and_unsaturated_groups(self, monoids):
         lower = [m for m in monoids if m.rank < m.ambient_dim]
@@ -233,7 +319,7 @@ class TestAgainstSums:
         assert off_cone and off_group
 
     def test_is_normal_is_the_first_hilbert_basis_element_outside(self, monoids):
-        semigroups = [monoid_new([(g,) for g in gens]) for gens in ([1], [2, 4], [2, 3], [3, 5, 7])]
+        semigroups = [monoid_new([(g,) for g in gens]) for gens in SEMIGROUPS]
         verdicts = []
         for m in monoids + semigroups:
             hb = hilbert_basis(m.cone, m.group)
@@ -243,7 +329,72 @@ class TestAgainstSums:
         assert True in verdicts and False in verdicts
 
 
+class TestHilbertBasisByBox:
+    """hilbert_basis against oracles.hilbert_basis_by_box, which enumerates
+    the zonotope box on its own, in Z^m, with Fraction ray coordinates."""
+
+    def test_seeded_sets_semigroups_and_the_pyramid_monoid(self, monoids, drawn):
+        semigroups = [monoid_new([(g,) for g in gens]) for gens in SEMIGROUPS]
+        for m in monoids + drawn + semigroups + [pyramid_monoid()]:
+            assert hilbert_basis(m.cone, m.group) == hilbert_basis_by_box(m.cone, m.group), m.generators
+
+
+# the generator files of the one-walk tests; (1, 1) is an interior gap of "gaps"
+WALK_TEXTS = {
+    "rank3": "monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n",
+    "gaps": "monoid 2\n1 0\n1 2\n1 3\n",
+    "semigroup": "monoid 1\n3\n5\n",
+}
+
+# Prints, per file, how many Lattice.member calls gap_scan makes at the
+# default bound on points in M and on points outside M.  The model and its
+# face table are built first, so the calls counted are the sweep's tests of
+# the face-table cut and of lambda_F.
+CUT_TESTS = """
+import json, sys
+from monoidring.cli import parse_input
+from monoidring.exactlin import Lattice
+from monoidring.monoid import default_seminormality_bound, gap_scan, member
+
+plain, tested, counts = Lattice.member, [], {}
+
+def counted(lat, x):
+    tested.append(x)
+    return plain(lat, x)
+
+for path in sys.argv[1:]:
+    m = parse_input(path)[1]
+    m.model.face_table
+    tested.clear()
+    Lattice.member = counted
+    gap_scan(m, default_seminormality_bound(m))
+    Lattice.member = plain
+    in_m = [member(m, m.group.from_coords(c)) for c in tested]
+    counts[path] = [in_m.count(True), in_m.count(False)]
+print(json.dumps(counts))
+"""
+
+
 class TestOneWalk:
+    def test_members_get_no_cut_test_without_asserts(self, tmp_path):
+        paths = []
+        for name, text in WALK_TEXTS.items():
+            paths.append(str(tmp_path / f"{name}.txt"))
+            Path(paths[-1]).write_text(text)
+        env = {**os.environ, "PYTHONPATH": str(Path(monoidring.__file__).resolve().parents[1])}
+
+        def counts(*flags):
+            args = [sys.executable, *flags, "-c", CUT_TESTS, *paths]
+            run = subprocess.run(args, capture_output=True, text=True, env=env, check=True)
+            return list(json.loads(run.stdout).values())
+
+        optimized, plain = counts("-O"), counts()
+        assert [members for members, _ in optimized] == [0, 0, 0]
+        # with asserts, the check that M lies in M' tests the cut on members
+        assert any(members for members, _ in plain)
+        assert [others for _, others in optimized] == [others for _, others in plain]
+        assert any(others for _, others in optimized)
+
     def test_analyze_walks_the_box_once_and_builds_each_face_group_once(
         self, tmp_path, monkeypatch
     ):
@@ -260,12 +411,7 @@ class TestOneWalk:
 
         monkeypatch.setattr(monoidring.monoid, "_box_points_of_degree_slice", counted_box)
         monkeypatch.setattr(monoidring.monoid, "face_group", counted_group)
-        texts = {
-            "rank3": "monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n",
-            "gaps": "monoid 2\n1 0\n1 2\n1 3\n",  # (1, 1) is an interior gap
-            "semigroup": "monoid 1\n3\n5\n",
-        }
-        for name, text in texts.items():
+        for name, text in WALK_TEXTS.items():
             path = tmp_path / f"{name}.txt"
             path.write_text(text)
             n_faces = len(parse_input(str(path))[1].face_lattice.faces)
@@ -295,9 +441,15 @@ def no_walk(*args):
 
 
 class TestBoxCap:
+    """The walk enters its box through itertools.product, so patching that to
+    fail shows that no point is walked before the refusal.  The first raises
+    of each test show that the patch stops a walk under the cap."""
+
     def test_degree_box_past_the_cap(self, monkeypatch):
         m = monoid_new([(2, 0), (1, 1), (0, 1)])
         monkeypatch.setattr(itertools, "product", no_walk)
+        with pytest.raises(pytest.fail.Exception, match="the box was walked"):
+            is_seminormal_up_to(m, 10)
         with pytest.raises(TooLarge, match="exceeds the cap"):
             is_seminormal_up_to(m, 100000)
 
@@ -312,5 +464,7 @@ class TestBoxCap:
     def test_zonotope_box_past_the_cap(self, monkeypatch):
         cone = dual_description([(1, 0), (1, 10**9)])
         monkeypatch.setattr(itertools, "product", no_walk)
+        with pytest.raises(pytest.fail.Exception, match="the box was walked"):
+            hilbert_basis(dual_description([(1, 0), (1, 2)]), lattice_from_rows(2, identity(2)))
         with pytest.raises(TooLarge, match="exceeds the cap"):
             hilbert_basis(cone, lattice_from_rows(2, identity(2)))

@@ -153,7 +153,7 @@ def test_face_table_rows(rp2_result):
 
 
 # analyze --fields q,2,3 stdout of generator files.  The texts are the three
-# of test_gap_scan.TestOneWalk, and twelve seeded sets: four of full rank,
+# of test_gap_scan.WALK_TEXTS, and twelve seeded sets: four of full rank,
 # eight of rank below the ambient dimension, and five with gp(M) not
 # saturated (g00, g01, g05, g06, g09).
 GENERATOR_SETS = {
