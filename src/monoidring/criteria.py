@@ -134,9 +134,8 @@ def n_value(model: DecoratedCone) -> int:
     g is a facet of h, so one support form phi that vanishes on g but not
     on h cuts span h down to span g (see monoid.face_group_cuts).  As
     lambda_h lies in span h, lambda_h ∩ span g is the kernel of phi on
-    lambda_h (exactlin.form_kernel).  That kernel holds lambda_g, by
-    monotonicity, so the cover is tight exactly when the kernel's basis
-    lies in lambda_g, and no lattice is built.
+    lambda_h (exactlin.form_kernel), in canonical form.  So the cover is
+    tight exactly when that kernel == lambda_g.
     """
     fl = model.fl
     forms = fl.cone.support_forms
@@ -146,8 +145,7 @@ def n_value(model: DecoratedCone) -> int:
             dim_h = fl.faces[h].dim
             if dim_h - 1 < worst:
                 phi = forms[min(g.zero_set - fl.faces[h].zero_set)]
-                kernel = form_kernel(model.lambdas[h].basis, phi)
-                if not all(map(model.lattice_of(g).member, kernel)):
+                if form_kernel(model.lambdas[h], phi) != model.lattice_of(g):
                     worst = dim_h - 1
     return worst
 
@@ -244,6 +242,9 @@ def gorenstein_check(
     Here sigma_F = form_F / scale_F is the primitive form on the reference
     group vanishing on F, scale_F the gcd of form_F over the reference
     basis.  Such a b always lies in the cone: every sigma_F(b) is 0 or 1.
+    p enters only through the Cohen-Macaulay check: the indices, the solve
+    and b are the same over every field, so one call answers every field
+    over which the model is Cohen-Macaulay (cli analyze makes one).
     """
     rep = report if report is not None else depth_report(model, primes=() if p is None else (p,))
     if not rep.cm(p):

@@ -11,16 +11,20 @@ callers read.  The Hermite form (hnf) carries its left transform, and
 lattice_from_rows runs it with none.  The Smith form (snf) carries the
 inverse of its column transform, from which the saturation, the aligned
 bases of finite quotients and the unimodular completion of a saturated
-span are read with no second elimination to invert it.  Results built
-here are tuples of Python ints already; mat() converts input that comes
-from outside.
+span are read with no second elimination to invert it.  Two lattice
+operations run no elimination where the answer is already in hand: the
+kernel of a form on a lattice (form_kernel) comes out of one xgcd pass
+over the HNF basis already in echelon form, and lattice_intersect returns
+its first argument when that lies in the second.  Results built here are
+tuples of Python ints already; mat() converts input that comes from
+outside.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DegenerateFace, NotSublattice
 
@@ -49,11 +53,11 @@ def dot(u, v) -> int:
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vscale(k: int, u: Vec) -> Vec:
@@ -423,35 +427,6 @@ def rank_mod(matrix, p: int) -> int:
     return rk
 
 
-def form_kernel(rows, phi) -> Mat:
-    """Basis (rows) of {x in L : phi . x = 0}, for L the lattice with basis
-    rows, by one pass of xgcd steps over the values of phi on the rows.
-
-    A row with value 0 joins the kernel.  The first other row is the pivot
-    p, with value a; each later row r, with value b, replaces p and r by
-    s p + t r (value g = gcd(a, b) = s a + t b) and (b/g) p - (a/g) r
-    (value 0), which joins the kernel.  That 2x2 step has determinant
-    -(s a + t b)/g = -1, so the rows stay a basis of L throughout; at the
-    end it is the kernel rows and at most one pivot of value g != 0.  An
-    x in L is a combination of them, and phi(x) = c g for c its pivot
-    coefficient, so the kernel is exactly the span of the kernel rows.
-    """
-    kernel = []
-    pivot, a = None, 0
-    for r in rows:
-        b = dot(phi, r)
-        if not b:
-            kernel.append(tuple(r))
-        elif pivot is None:
-            pivot, a = r, b
-        else:
-            g, s, t = xgcd(a, b)
-            u, v = b // g, a // g
-            kernel.append(tuple(u * x - v * y for x, y in zip(pivot, r)))
-            pivot, a = tuple(s * x + t * y for x, y in zip(pivot, r)), g
-    return tuple(kernel)
-
-
 def solve_rational(rows: Mat, target) -> tuple[Fraction, ...] | None:
     """Solve t @ rows == target over Q for linearly independent rows.
 
@@ -590,21 +565,78 @@ def lattice_from_rows(ambient_dim: int, rows) -> Lattice:
     return Lattice(ambient_dim, tuple(tuple(r) for r in rows if any(r)))
 
 
-def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
-    """a ∩ b, by one Hermite elimination of the rows [a | a ; b | 0] over
-    all 2m columns.
+def form_kernel(lat: Lattice, phi) -> Lattice:
+    """{x in lat : phi . x = 0}, in its canonical HNF basis, by one pass of
+    xgcd steps over the values of phi on the basis of lat.
 
-    The rows span the pairs (x + y, x) for x in a and y in b.  The left half
-    is zero exactly when y = -x, so these pairs are (0, z) for z in a ∩ b,
-    and every z in a ∩ b gives one.  In the echelon form, a combination of
-    rows is nonzero in the pivot column of its first row with a nonzero
-    coefficient.  So the rows with a zero left half, the last ones, span
-    exactly {0} x (a ∩ b).  The elimination made their pivots positive and
-    reduced the entries above each pivot, so their right halves are the
-    canonical HNF basis of a ∩ b.
+    When phi vanishes on every basis row, the kernel is lat itself.
+    Otherwise the pass runs from the last row up.  A row with value 0 joins
+    the kernel.  The first other row is the running row p, with value a;
+    each later row r, with value b, replaces p and r by s p + t r (value
+    g = gcd(a, b) = s a + t b) and (b/g) p - (a/g) r (value 0), which joins
+    the kernel.  That 2x2 step has determinant -(s a + t b)/g = -1, so the
+    rows stay a basis of lat throughout; at the end it is the kernel rows
+    and p, of value g != 0.  An x in lat is a combination of them, and
+    phi(x) = c g for c its coefficient of p, so the kernel is exactly the
+    span of the kernel rows.
+
+    Each kernel row keeps the pivot column of the basis row r it was made
+    at: p is a combination of the rows after r, which the HNF makes zero in
+    that column and every one before it, and the coefficient of r is 1 or
+    -a/g, nonzero.  So the kernel rows, in basis order, are in echelon form,
+    and the unique HNF of their span (Cohen, GTM 138, §2.4.2) needs no gcd
+    elimination: each pivot is made positive and the entries above it are
+    reduced into [0, pivot).
+    """
+    values = [dot(phi, r) for r in lat.basis]
+    if not any(values):
+        return lat
+    kernel, pivots = [], []
+    p, a = None, 0
+    for col, r, b in zip(reversed(lat._pivots), reversed(lat.basis), reversed(values)):
+        if not b:
+            kernel.append(list(r))
+        elif p is None:
+            p, a = r, b
+            continue
+        else:
+            g, s, t = xgcd(a, b)
+            u, v = b // g, a // g
+            kernel.append([u * x - v * y for x, y in zip(p, r)])
+            p, a = [s * x + t * y for x, y in zip(p, r)], g
+        pivots.append(col)
+    kernel.reverse()
+    pivots.reverse()
+    for k, col in enumerate(pivots):
+        row = kernel[k]
+        if row[col] < 0:
+            kernel[k] = row = [-x for x in row]
+        for j in range(k):
+            q = kernel[j][col] // row[col]
+            if q:
+                kernel[j] = [x - q * y for x, y in zip(kernel[j], row)]
+    return Lattice(lat.ambient_dim, tuple(map(tuple, kernel)))
+
+
+def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:
+    """a ∩ b: a itself when a ⊆ b, else one Hermite elimination of the rows
+    [a | a ; b | 0] over all 2m columns.
+
+    a ⊆ b is decided first, by one membership test in b per basis row of
+    a, so a caller passes first the lattice it expects to be the smaller.
+    Otherwise the rows span the pairs (x + y, x) for x in a and y in b.
+    The left half is zero exactly when y = -x, so these pairs are (0, z)
+    for z in a ∩ b, and every z in a ∩ b gives one.  In the echelon form, a
+    combination of rows is nonzero in the pivot column of its first row
+    with a nonzero coefficient.  So the rows with a zero left half, the last
+    ones, span exactly {0} x (a ∩ b).  The elimination made their pivots
+    positive and reduced the entries above each pivot, so their right
+    halves are the canonical HNF basis of a ∩ b.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimensions differ")
+    if all(map(b.member, a.basis)):
+        return a
     m = a.ambient_dim
     rows = [list(r + r) for r in a.basis] + [list(r) + [0] * m for r in b.basis]
     _hermite_rows(rows, 2 * m)

@@ -9,6 +9,7 @@ all cohomological analyses.
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -344,6 +345,9 @@ def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     for some generator g.  That x - g is 0, or a point of cn(M) ∩ gp(M) of
     degree 0 < deg(x - g) < deg x <= bound, which the walk, sorted by
     degree, met before x.  So x - g lies in M exactly when it is in found.
+    A generator of degree > deg x leaves x - g of negative degree, never in
+    M, so the generators are sorted by degree once and x is tried only
+    against those up to its degree.
 
     sn(M) and M' are read off the model of sn(M) (AffineMonoid.model).  A
     point x of cn(M) ∩ gp(M) with minimal face F is in sn(M) when it lies
@@ -381,15 +385,18 @@ def gap_scan(monoid: AffineMonoid, bound: int) -> GapScan:
     fl, group = model.fl, monoid.group
     points = _box_points_of_degree_slice(monoid, bound)
     forms = _pull_back(group, monoid.cone.support_forms)
-    generators = [group.coords(g) for g in monoid.generators]
+    by_degree = sorted((monoid.deg(g), group.coords(g)) for g in monoid.generators)
+    degrees = [d for d, _ in by_degree]
+    generators = [g for _, g in by_degree]
     cuts = [_in_coordinates(group, row.cut) for row in model.face_table]
     lambdas = [_in_coordinates(group, lam) for lam in model.lambdas]
     found = {(0,) * group.rank}
     sn_gap = interior_gap = m_prime_gap = None
-    for _, c in points:
+    for d, c in points:
         f = fl.by_zero_set(frozenset(i for i, a in enumerate(forms) if dot(a, c) == 0))
         assert f is not None, "the zero set of a cone point names a face"
-        if any(vsub(c, g) in found for g in generators):
+        up_to_d = itertools.islice(generators, bisect_right(degrees, d))
+        if any(vsub(c, g) in found for g in up_to_d):
             assert cuts[f.index].member(c), "the monoid always sits inside M'"
             found.add(c)
             continue
@@ -499,18 +506,22 @@ def face_group_cuts(
 
     The cut of F is A_F ∩ ⋂ lambda_G over the cutting facets G ⊇ F, the
     facets whose lattice differs from A_G: any other facet contains A_F.  A
-    cutting facet's cut is A_G ∩ lambda_G, which is lambda_G in a valid
-    decoration; so the cuts are A_F ∩ ⋂ lambda_G also on an input that
-    validation then refuses.  A face on no cutting facet keeps A_F.
+    cutting facet's cut is lambda_G ∩ A_G, which is lambda_G in a valid
+    decoration, so lattice_intersect gets lambda_G first and returns it
+    after one membership test per basis row; the cuts are
+    A_F ∩ ⋂ lambda_G also on an input that validation then refuses.  A face
+    on no cutting facet keeps A_F.
 
     Every other cut is read from the faces covering F, walked top-down.
     For a cover H of F, A_F ⊆ A_H, and one form phi that vanishes on F but
     not on H cuts span H down to span F, as F is a facet of H.  So the
     kernel of phi on the cut of H is A_H ∩ span F ∩ ⋂_{G ⊇ H} lambda_G =
-    A_F ∩ ⋂_{G ⊇ H} lambda_G.  The cuts of further covers are met with it
-    until the facets above the covers used include every cutting facet
-    through F.  That happens: the lattice is graded, so every facet G ⊋ F
-    contains a face covering F.
+    A_F ∩ ⋂_{G ⊇ H} lambda_G, a form kernel (polyhedral.zero_set_kernel).
+    The cuts of further covers are met with it until the facets above the
+    covers used include every cutting facet through F.  That happens: the
+    lattice is graded, so every facet G ⊋ F contains a face covering F.
+    The cut found so far goes first into lattice_intersect, as it often
+    lies in the next cover's cut already.
     """
     forms = fl.cone.support_forms
     groups = [f.span_lattice for f in fl.faces]
@@ -520,7 +531,7 @@ def face_group_cuts(
     cutting: set[int] = set()  # the forms of the cutting facets
     for i in fl.facet_indices():
         if lattices.get(i, groups[i]) != groups[i]:
-            cuts[i] = lattice_intersect(groups[i], lattices[i])
+            cuts[i] = lattice_intersect(lattices[i], groups[i])
             cutting |= fl.faces[i].zero_set
     for f in reversed(fl.faces):
         need, covered = f.zero_set & cutting, set()

@@ -14,13 +14,13 @@ it) is the intersection of its rays' zero sets, and the faces covering G
 are the joins of G with one more ray that every ray of the join off G
 reaches, so covers and dimensions need no span.  The saturated spans are
 then built top-down, each the kernel of one support form on the span of a
-cover (exactlin.form_kernel, then one HNF for the canonical basis).  The
-lattice carries an incidence function epsilon on cover pairs.  epsilon is
-propagated across the diamonds of the lattice, faces by increasing
-dimension, from +1 on each face's first down-cover; it is the geometric
-orientation up to one sign per face, so it gives isomorphic complexes, and
-it is verified against the diamond condition exhaustively at construction
-time.
+cover (exactlin.form_kernel, one xgcd pass that leaves the canonical basis
+with no Hermite elimination).  The lattice carries an incidence function
+epsilon on cover pairs.  epsilon is propagated across the diamonds of the
+lattice, faces by increasing dimension, from +1 on each face's first
+down-cover; it is the geometric orientation up to one sign per face, so it
+gives isomorphic complexes, and it is verified against the diamond
+condition exhaustively at construction time.
 """
 
 from collections import Counter
@@ -255,11 +255,10 @@ def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
     """lat ∩ {phi_i = 0 : i in zero_set}: the integer kernel of those forms
     on lat, for the face groups of a decorated cone (monoid.face_group_cuts;
     face_lattice cuts each span by one form instead).  The forms are taken
-    one at a time, each cutting the basis of the previous kernel by xgcd
-    steps (exactlin.form_kernel).  Each step is a 2x2 row operation of
-    determinant -1, so the rows stay a basis, and the rows on which the
-    form vanishes are a basis of its kernel.  One HNF of the last basis
-    then gives the canonical Lattice, so kernels compare by ==.
+    one at a time, each cutting the previous kernel by one pass of xgcd
+    steps over its HNF basis (exactlin.form_kernel), which returns the
+    next kernel in canonical form with no Hermite elimination, and the
+    kernel itself when the form vanishes on it.  So kernels compare by ==.
 
     For a face F of C, the zero set of F and a lattice lat inside span C,
     this is lat ∩ span F, because span F = span C ∩ {phi_i = 0 : i in
@@ -269,10 +268,9 @@ def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
     x = ((p + t x) - p) / t.  On lat = span C ∩ Z^m the kernel is the
     saturated span of F: a kernel is saturated in lat, and lat in Z^m.
     """
-    rows = lat.basis
     for i in sorted(zero_set):
-        rows = form_kernel(rows, forms[i])
-    return lattice_from_rows(lat.ambient_dim, rows)
+        lat = form_kernel(lat, forms[i])
+    return lat
 
 
 # Past this many faces face_lattice raises TooLarge, before it computes any
@@ -304,9 +302,9 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     other face F is a facet of its first cover H, so for a form phi in
     zs(F) ∖ zs(H), span F = span H ∩ {phi = 0}: the right side contains
     span F and has its rank, as phi is nonzero on span H, and span F is
-    saturated.  The kernel of phi on the basis of span H (form_kernel) is
-    that lattice, saturated as a kernel in a saturated lattice; one HNF
-    makes it canonical.  So each face below the top costs one form kernel.
+    saturated.  The kernel of phi on span H (form_kernel) is that lattice,
+    saturated as a kernel in a saturated lattice, and comes out in its
+    canonical basis.  So each face below the top costs one form kernel.
 
     The incidence signs are propagated across diamonds before the lattice
     is built: per face, +1 on its first down-cover, and each further
@@ -366,7 +364,7 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     for i in reversed(range(len(order) - 1)):
         h = up[i][0]
         phi = min(zero_of[order[i]] - zero_of[order[h]])
-        spans[i] = lattice_from_rows(cone.ambient_dim, form_kernel(spans[h].basis, forms[phi]))
+        spans[i] = form_kernel(spans[h], forms[phi])
     faces = tuple(Face(i, dim[rs], rs, zero_of[rs], spans[i]) for i, rs in enumerate(order))
     by_zero_set = {f.zero_set: f.index for f in faces}
 

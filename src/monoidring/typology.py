@@ -23,7 +23,7 @@ from math import prod
 
 from .cohomology import CohomologyProfile, filter_profile
 from .errors import TooLarge
-from .exactlin import Vec, dot, vadd, vec_mat
+from .exactlin import Vec, dot, vadd, vec_mat, vscale
 from .monoid import DecoratedCone, FaceGroups, model_point_in_relint
 from .polyhedral import Face
 
@@ -45,14 +45,25 @@ class CohomologyType:
 
 
 def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
-    """Add step, a point of lambda_g in relint(g), to x until x lies in
-    relint(g); the class modulo every face lattice above g is unchanged."""
-    forms = model.cone.support_forms
-    outside = [forms[i] for i in range(len(forms)) if i not in g.zero_set]
-    y = x
-    while any(dot(form, y) <= 0 for form in outside):
-        y = vadd(y, step)
-    return y
+    """x + k step for the least k >= 0 that puts it in relint(g), step a
+    point of lambda_g in relint(g), so the class of x modulo every face
+    lattice above g is unchanged.
+
+    x + k step lies in relint(g) exactly when v + k s > 0 for every support
+    form off the zero set of g, v the form at x and s the form at step:
+    the forms of the zero set vanish on span g, which holds x and step.
+    Every such s is positive, as step lies in relint(g).  So a form with
+    v > 0 holds for every k >= 0, and one with v <= 0 exactly for
+    k > -v / s, that is k >= floor(-v / s) + 1; k is the largest of these
+    bounds, or 0.
+    """
+    k = 0
+    for i, form in enumerate(model.cone.support_forms):
+        if i not in g.zero_set:
+            v = dot(form, x)
+            if v <= 0:
+                k = max(k, -v // dot(form, step) + 1)
+    return vadd(x, vscale(k, step))
 
 
 # Largest quotient A_g / lambda_g, in classes, that the class walk of a base
@@ -61,29 +72,37 @@ def _shift_into_relint(model: DecoratedCone, g: Face, x: Vec, step: Vec) -> Vec:
 CLASS_CAP = 100000
 
 
-def _class_patterns(model: DecoratedCone, g: Face, row: FaceGroups) -> dict[frozenset[int], Vec]:
+def _membership_tests(model: DecoratedCone) -> list:
+    """lambda_F.member by face index, None where lambda_F = A_F (a trivial
+    quotient in the face table), for _class_patterns; built once per
+    model."""
+    return [
+        None if prod(row.factors) == 1 else lam.member
+        for row, lam in zip(model.face_table, model.lambdas)
+    ]
+
+
+def _class_patterns(
+    model: DecoratedCone, g: Face, row: FaceGroups, tests: list
+) -> dict[frozenset[int], Vec]:
     """The membership patterns of the classes of A_g / lambda_g, each with
     its first class representative, a point of A_g; row is g's face table
-    row.  TooLarge past CLASS_CAP classes, before the walk starts.
+    row and tests the model's _membership_tests.  TooLarge past CLASS_CAP
+    classes, before the walk starts.
 
     Only the memberships not known beforehand are tested:
     - the class 0 lies in every lambda_F, so its pattern is every face above
       g; its representative is the zero vector, the walk's first point;
-    - a face F with lambda_F = A_F (a trivial quotient in the face table)
-      holds every class: the representatives lie in A_g ⊆ A_F.  So F is in
-      every pattern.
+    - a face F with lambda_F = A_F (a trivial quotient in the face table,
+      test None) holds every class: the representatives lie in A_g ⊆ A_F.
+      So F is in every pattern.
     """
     fl = model.fl
     n_classes = prod(row.factors)
     if n_classes > CLASS_CAP:
         raise TooLarge(f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap")
     above = fl.faces_above(g)
-    table = model.face_table
-    # None where lambda_F = A_F: every class lies in it
-    members = [
-        (f.index, None if prod(table[f.index].factors) == 1 else model.lattice_of(f).member)
-        for f in above
-    ]
+    members = [(f.index, tests[f.index]) for f in above]
     seen = {frozenset(f.index for f in above): (0,) * fl.cone.ambient_dim}
     classes = product(*(range(f) for f in row.factors))
     next(classes)  # the class 0
@@ -124,8 +143,9 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     """
     out: list[CohomologyType] = []
     fl = model.fl
+    tests = _membership_tests(model)
     for g, row in zip(fl.faces, model.face_table):
-        seen = _class_patterns(model, g, row)
+        seen = _class_patterns(model, g, row, tests)
         step = model_point_in_relint(model, g)
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
             assert fl.top.index in pattern

@@ -4,12 +4,17 @@ complexes and the six-vertex RP² model."""
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import monoidring
 from monoidring.constructions import RP2_SIX_VERTEX, SimplicialComplex, delta_construct
 from monoidring.exactlin import (
     dot,
@@ -24,6 +29,14 @@ from monoidring.exactlin import (
 )
 from monoidring.monoid import DecoratedCone, decorated_cone, model_member, monoid_new
 from monoidring.polyhedral import dual_description, face_lattice
+
+
+def run_python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """Run this interpreter on args with the package under test importable,
+    installed or not, and capture its text output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(monoidring.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
 
 PYRAMID_VERTICES = {
     "m0": (0, 0, 1, 1),

@@ -79,6 +79,18 @@ def relint_step(model, f):
     return vscale(q.invariant_factors[-1] if q.invariant_factors else 1, total)
 
 
+def shift_by_steps(model, g, x, step):
+    """Add step to x until x lies in relint(g): every support form off the
+    zero set of g positive."""
+    forms = model.cone.support_forms
+    outside = [forms[i] for i in range(len(forms)) if i not in g.zero_set]
+    steps = 0
+    while any(dot(form, x) <= 0 for form in outside):
+        x = vadd(x, step)
+        steps += 1
+    return x, steps
+
+
 def model_face_is_normal(model, f) -> bool:
     """Whether the face-restricted model is normal: every subface lattice is
     the face lattice cut to the subface span."""

@@ -1,6 +1,5 @@
 import json
 import random
-import subprocess
 import sys
 
 import pytest
@@ -8,6 +7,8 @@ import pytest
 from monoidring.cli import main, parse_input, write_model
 from monoidring.constructions import builtin
 from monoidring.errors import ParseError
+
+from conftest import run_python
 
 
 def run_cli(args, tmp_path=None):
@@ -193,6 +194,30 @@ class TestAnalyze:
         assert r["depth_bounds"]["q"]["chain_holds"] is True
         assert r["gorenstein"]["q"]["reason"] == "not Cohen-Macaulay over this field"
 
+    def test_one_gorenstein_check_per_report(self, rank3_file, monkeypatch):
+        # past its Cohen-Macaulay check the test reads no field, so one call
+        # answers q, 2 and 3, each as its own call would
+        import monoidring.cli
+        from monoidring.criteria import gorenstein_check
+        from monoidring.typology import depth_report
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gorenstein_check(*args)
+
+        monkeypatch.setattr(monoidring.cli, "gorenstein_check", counted)
+        code, out, _ = run_cli(["analyze", rank3_file, "--fields", "q,2,3"])
+        assert code == 0 and len(calls) == 1
+        r = json.loads(out)
+        assert r["cm"] == {"q": True, "2": True, "3": True}
+        model = parse_input(rank3_file)[1].model
+        rep = depth_report(model, primes=(2, 3))
+        for p, key in ((None, "q"), (2, "2"), (3, "3")):
+            ok, b = gorenstein_check(model, p, rep)
+            assert r["gorenstein"][key] == {"verdict": ok, "method": "exact", "witness": list(b)}
+
     def test_orthant_gorenstein(self, tmp_path):
         p = tmp_path / "orthant.txt"
         p.write_text("monoid 2\n1 0\n0 1\n")
@@ -259,10 +284,7 @@ class TestAnalyze:
         write_model(oracle_construction("4-cycle").model, str(constructed))
         for path in (model_file_71, str(constructed)):
             args = ["-m", "monoidring", "analyze", path, "--fields", "q,2,3"]
-            plain, optimized = (
-                subprocess.run([sys.executable, *flags, *args], capture_output=True, text=True)
-                for flags in ([], ["-O"])
-            )
+            plain, optimized = (run_python(*flags, *args) for flags in ([], ["-O"]))
             assert plain.returncode == optimized.returncode == 0
             assert optimized.stdout == plain.stdout
             assert json.loads(plain.stdout)["rank"] > 0
@@ -379,20 +401,14 @@ class TestConstructAndCheck:
             except SystemExit as exc:
                 code = exc.code
             out, err = capsys.readouterr()
-            fresh = subprocess.run(
-                [sys.executable, "-m", "monoidring", *args], capture_output=True, text=True
-            )
+            fresh = run_python("-m", "monoidring", *args)
             assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
             codes.append(code)
         assert codes == [0, 0, 2, 0]
         assert json.loads(out)["seminormal"]["method"] != "bounded(0)"
 
     def test_console_entry_point(self, m23_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "monoidring", "analyze", m23_file],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python("-m", "monoidring", "analyze", m23_file)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["rank"] == 1
 

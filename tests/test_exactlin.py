@@ -354,6 +354,37 @@ class TestIntersectSaturation:
         assert all(seen["rank", zero, full] >= 20 for zero in (True, False) for full in (True, False))
         assert all(seen["meet", r] >= 10 for r in range(6))
 
+    def test_containment_returns_the_first_argument(self):
+        """Seeded pairs with a ⊆ b, with b ⊆ a and with neither, against the
+        2m-column elimination of [a | a ; b | 0] written out here: the same
+        lattice, and a itself exactly when a ⊆ b."""
+        rng = random.Random(2323)
+        seen = Counter()
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            big = rng.choice([4, 10**6])
+            outer = lattice_from_rows(m, random_matrix(rng, rng.randint(0, m), m, big))
+            coeffs = random_matrix(rng, rng.randint(0, m), outer.rank) if outer.rank else ()
+            inner = lattice_from_rows(m, [vec_mat(c, outer.basis) for c in coeffs])
+            kind = rng.choice(["a in b", "b in a", "neither"])
+            if kind == "a in b":
+                a, b = inner, outer
+            elif kind == "b in a":
+                a, b = outer, inner
+            else:
+                a = lattice_from_rows(m, random_matrix(rng, rng.randint(1, m), m))
+                b = lattice_from_rows(m, random_matrix(rng, rng.randint(1, m), m))
+            rows = [r + r for r in a.basis] + [r + (0,) * m for r in b.basis]
+            h, _ = hnf(rows) if rows else ((), ())
+            want = Lattice(m, tuple(r[m:] for r in h if any(r[m:]) and not any(r[:m])))
+            got = lattice_intersect(a, b)
+            assert got == want
+            a_in_b = all(map(b.member, a.basis))
+            assert (got is a) == a_in_b
+            seen[a_in_b, all(map(a.member, b.basis))] += 1
+        # every kind of pair, the equal ones included
+        assert min(seen[k] for k in [(True, True), (True, False), (False, True), (False, False)]) >= 20
+
     def test_saturation_examples(self):
         assert saturation(lattice_from_rows(2, identity(2))) == lattice_from_rows(2, identity(2))
         assert saturation(lattice_from_rows(2, [(0, 2)])) == lattice_from_rows(2, [(0, 1)])
@@ -429,17 +460,20 @@ def hnf_form_kernel(lat, phi):
 
 
 class TestFormKernel:
-    """form_kernel's xgcd steps against the HNF kernel, on seeded random
-    lattices (rank 0 up to full) and forms."""
+    """form_kernel's xgcd pass against the HNF kernel, on seeded random
+    lattices (rank 0 up to full) and forms: the same Lattice, its basis
+    already the canonical one, and lat itself when phi vanishes on lat."""
 
     @staticmethod
     def assert_matches_hnf(lat, phi):
-        kernel = form_kernel(lat.basis, phi)
-        assert lattice_from_rows(lat.ambient_dim, kernel) == hnf_form_kernel(lat, phi)
+        got = form_kernel(lat, phi)
+        assert got == hnf_form_kernel(lat, phi)
+        assert lattice_from_rows(lat.ambient_dim, got.basis) == got
         # a basis: one row fewer than lat unless phi vanishes on all of lat
         drop = 1 if any(dot(phi, b) for b in lat.basis) else 0
-        assert len(kernel) == rank(kernel) == lat.rank - drop
-        assert all(dot(phi, k) == 0 for k in kernel)
+        assert got.rank == rank(got.basis) == lat.rank - drop
+        assert all(dot(phi, k) == 0 for k in got.basis)
+        assert (got is lat) == (not drop)
 
     @staticmethod
     def random_lattice(rng, m, bound):
@@ -454,8 +488,9 @@ class TestFormKernel:
             self.assert_matches_hnf(lat, tuple(rng.randint(-6, 6) for _ in range(m)))
 
     def test_rank_zero(self):
-        assert form_kernel((), (1, 2, 3)) == ()
-        self.assert_matches_hnf(Lattice(3, ()), (1, 2, 3))
+        zero = Lattice(3, ())
+        assert form_kernel(zero, (1, 2, 3)) is zero
+        self.assert_matches_hnf(zero, (1, 2, 3))
 
     def test_forms_vanishing_on_the_lattice(self):
         rng = random.Random(42)
@@ -469,7 +504,7 @@ class TestFormKernel:
             phi = vec_mat([rng.randint(-3, 3) for _ in normals], normals)
             assert all(dot(phi, b) == 0 for b in lat.basis)
             self.assert_matches_hnf(lat, phi)
-            assert form_kernel(lat.basis, phi) == lat.basis
+            assert form_kernel(lat, phi) is lat
 
     def test_large_entries(self):
         rng = random.Random(43)

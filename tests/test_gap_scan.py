@@ -8,10 +8,7 @@ face_group for every point; it shares no scan code with the library."""
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +41,7 @@ from monoidring.monoid import (
 )
 from monoidring.polyhedral import dual_description, minimal_face
 
-from conftest import pyramid_monoid
+from conftest import pyramid_monoid, run_python
 from oracles import hilbert_basis_by_box, member_by_sums
 from test_cli import run_cli
 
@@ -381,11 +378,9 @@ class TestOneWalk:
         for name, text in WALK_TEXTS.items():
             paths.append(str(tmp_path / f"{name}.txt"))
             Path(paths[-1]).write_text(text)
-        env = {**os.environ, "PYTHONPATH": str(Path(monoidring.__file__).resolve().parents[1])}
 
         def counts(*flags):
-            args = [sys.executable, *flags, "-c", CUT_TESTS, *paths]
-            run = subprocess.run(args, capture_output=True, text=True, env=env, check=True)
+            run = run_python(*flags, "-c", CUT_TESTS, *paths, check=True)
             return list(json.loads(run.stdout).values())
 
         optimized, plain = counts("-O"), counts()

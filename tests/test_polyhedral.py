@@ -543,9 +543,9 @@ class TestTopDownSpans:
     def kernel_ranks(cone, monkeypatch):
         ranks = []
 
-        def counted(rows, phi):
-            ranks.append(len(rows))
-            return form_kernel(rows, phi)
+        def counted(lat, phi):
+            ranks.append(lat.rank)
+            return form_kernel(lat, phi)
 
         def no_call(*args):
             raise AssertionError("face_lattice took a zero-set kernel")

@@ -23,6 +23,8 @@ from monoidring.exactlin import (
     snf,
     vadd,
     vec_mat,
+    vscale,
+    vsub,
 )
 from monoidring.monoid import restrict_model
 from monoidring.polyhedral import dual_description, face_lattice, minimal_face
@@ -39,6 +41,7 @@ from oracles import (
     class_patterns_by_walk,
     realizable_by_intersections,
     relint_step,
+    shift_by_steps,
     up_sets_of_interval,
 )
 
@@ -414,8 +417,9 @@ class TestClassWalkSkips:
         models = [builtin("pyramid-7.1"), builtin("pyramid-7.3"), *corpus(seed=501, count=10)]
         models += [delta_construct(HEXAGON).model, rp2_result.model]
         for model in models:
+            tests = typology._membership_tests(model)
             for g, row in zip(model.fl.faces, model.face_table):
-                got = typology._class_patterns(model, g, row)
+                got = typology._class_patterns(model, g, row, tests)
                 # the same patterns, in the same order, with the same first
                 # representatives
                 assert list(got.items()) == list(class_patterns_by_walk(model, g, row).items())
@@ -488,3 +492,24 @@ class TestUpSetWalk:
         for g in (apex, two_face):
             with pytest.raises(TooLarge, match="more than 5000 filters"):
                 up_sets_of_interval(fl, g, 5000)
+
+
+class TestShiftIntoRelint:
+    """_shift_into_relint's closed form against the walk it replaces, one
+    step at a time, on every class representative of the seed-501 corpus
+    and RP², also moved 1 and 7 steps back out of relint(g)."""
+
+    def test_closed_form_equals_the_step_walk(self, rp2_result):
+        steps = []
+        for model in [*corpus(seed=501, count=30), rp2_result.model]:
+            tests = typology._membership_tests(model)
+            for g, row in zip(model.fl.faces, model.face_table):
+                step = relint_step(model, g)
+                for x in typology._class_patterns(model, g, row, tests).values():
+                    for back in (0, 1, 7):
+                        y = vsub(x, vscale(back, step))
+                        want, n = shift_by_steps(model, g, y, step)
+                        assert typology._shift_into_relint(model, g, y, step) == want
+                        steps.append(n)
+        # no shift, short ones and ones past the 7 steps moved back out
+        assert len(steps) > 10000 and min(map(steps.count, (0, 1, 2, 8))) > 100
