@@ -652,6 +652,19 @@ def saturation(lat: Lattice) -> Lattice:
     return lattice_from_rows(lat.ambient_dim, w[: lat.rank])
 
 
+def _diagonal_coords(a: Lattice, b: Lattice) -> list[int] | None:
+    """c with b.basis[i] == c[i] * a.basis[i] for every i, or None: the
+    coordinates of b's basis in a's when they form the matrix diag(c).
+    Both lattices have the same rank and ambient dimension."""
+    out = []
+    for p, ra, rb in zip(a._pivots, a.basis, b.basis):
+        c = rb[p] // ra[p]
+        if any(y != c * x for x, y in zip(ra, rb)):
+            return None
+        out.append(c)
+    return out
+
+
 def quotient_decomposition(a: Lattice, b: Lattice) -> tuple[tuple[int, ...], Mat]:
     """Aligned basis for a finite quotient a/b of equal-rank lattices.
 
@@ -660,11 +673,38 @@ def quotient_decomposition(a: Lattice, b: Lattice) -> tuple[tuple[int, ...], Mat
     sum c_i rows[i] with 0 <= c_i < d[i].  For c the coordinates of b's
     basis in a's, snf(c) gives u @ c == D @ w, so the rows w @ a.basis are
     a basis of a and the rows of D @ (w @ a.basis) = u @ b.basis one of b.
+
+    Two cases give snf's own output without running it.  For a == b, c is
+    the identity, on which snf changes nothing: d is all ones and w = I.
+    For c = diag(c_0, ..., c_{r-1}), b's basis rows multiples of a's
+    (positive ones, as both bases are in Hermite form), snf's row and column
+    gcd steps find only zeros off the diagonal and do nothing.  So step k
+    only selects: it swaps into position k the least entry at a position
+    >= k, the lowest such position on a tie, and swaps the same two rows
+    of w.  Its bad branch fires exactly when that least entry fails to
+    divide a later one, so on a selected sequence that is a divisibility
+    chain it never does, and d is that sequence, w the permutation matrix
+    of the selection order, and w @ a.basis the rows of a.basis in that
+    order.  A diagonal c whose selected sequence is not a chain, and every
+    other c, goes through snf.
     """
     if a.rank != b.rank:
         raise NotSublattice("quotient is infinite: ranks differ")
     if a.rank == 0:
         return (), ()
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    if a == b:
+        return (1,) * a.rank, a.basis
+    diag = _diagonal_coords(a, b)
+    if diag is not None:
+        order = list(range(a.rank))
+        for k in range(a.rank):
+            j = min(range(k, a.rank), key=lambda j: diag[order[j]])
+            order[k], order[j] = order[j], order[k]
+        d = tuple(diag[i] for i in order)
+        if all(y % x == 0 for x, y in zip(d, d[1:])):
+            return d, tuple(a.basis[i] for i in order)
     coords = [a.coords(row) for row in b.basis]
     if None in coords:
         raise NotSublattice("second lattice is not contained in the first")

@@ -463,16 +463,13 @@ class DecoratedCone:
     def face_table(self) -> tuple["FaceGroups", ...]:
         """The groups of every face, by face index, computed once per model:
         the (S2) test, normality, the fibers, the F-bad primes and the
-        Gorenstein indices all read them here.  Where lambda_F = A_F the
-        quotient is trivial, and its decomposition is read off without a
-        Smith form: factors 1 on the basis of A_F, whose only class is 0."""
-        rows = []
-        for (group, cut), lam in zip(self._cuts, self.lambdas):
-            if lam == group:
-                rows.append(FaceGroups(group, cut, (1,) * group.rank, group.basis))
-            else:
-                rows.append(FaceGroups(group, cut, *quotient_decomposition(group, lam)))
-        return tuple(rows)
+        Gorenstein indices all read them here.  quotient_decomposition
+        reads the trivial quotients (lambda_F = A_F) and the diagonal ones
+        (lambda_F's basis rows multiples of A_F's) without a Smith form."""
+        return tuple(
+            FaceGroups(group, cut, *quotient_decomposition(group, lam))
+            for (group, cut), lam in zip(self._cuts, self.lambdas)
+        )
 
 
 @dataclass(frozen=True)
@@ -630,8 +627,11 @@ def model_point_in_relint(model: DecoratedCone, f: Face) -> Vec:
 
     The ray sum lies in relint f and in span f ∩ Z^m; its multiple by the
     exponent of the finite group (span f ∩ Z^m) / lambda_f lies in lambda_f.
-    That exponent is the lcm of the orders of the group's generators, the
-    basis of span f ∩ Z^m, each taken modulo lambda_f (Lattice.order).
+    Where the face table's A_f is span f ∩ Z^m, as on every model whose
+    reference is span C ∩ Z^m, that exponent is the last factor of the
+    table's divisibility chain for A_f / lambda_f.  Otherwise it is the lcm
+    of the orders of the group's generators, the basis of span f ∩ Z^m,
+    each taken modulo lambda_f (Lattice.order).
     """
     fl = model.fl
     rays = fl.cone.extreme_rays
@@ -640,6 +640,9 @@ def model_point_in_relint(model: DecoratedCone, f: Face) -> Vec:
         total = vadd(total, rays[i])
     if is_zero_vec(total):
         return total
+    row = model.face_table[f.index]
+    if row.group == f.span_lattice:
+        return vscale(row.factors[-1], total)
     lam = model.lattice_of(f)
     return vscale(math.lcm(*map(lam.order, f.span_lattice.basis)), total)
 

@@ -19,6 +19,7 @@ from monoidring.exactlin import (
     lattice_from_rows,
     lattice_intersect,
     mat,
+    mat_mul,
     quotient_decomposition,
     snf,
     solve_rational,
@@ -66,6 +67,18 @@ def quotient_structure(a: Lattice, b: Lattice) -> AbelianQuotient:
     d, _ = snf(mat(coords))
     factors = tuple(x for x in d if x > 1)
     return AbelianQuotient(a.rank - b.rank, factors)
+
+
+def smith_decomposition(a: Lattice, b: Lattice) -> tuple[tuple[int, ...], Mat]:
+    """The aligned decomposition of a/b by the Smith form alone: snf of the
+    coordinates of b's basis in a's, and its w times a's basis."""
+    if a.rank == 0:
+        return (), ()
+    coords = [a.coords(row) for row in b.basis]
+    if None in coords:
+        raise NotSublattice("second lattice is not contained in the first")
+    d, w = snf(coords)
+    return d, mat_mul(w, a.basis)
 
 
 def relint_step(model, f):

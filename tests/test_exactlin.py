@@ -29,7 +29,13 @@ from monoidring.exactlin import (
 )
 
 from conftest import assert_kernel_matches_dense_path, fraction_det, snf_contract_failures
-from oracles import AbelianQuotient, intersect_by_kernel, left_kernel, quotient_structure
+from oracles import (
+    AbelianQuotient,
+    intersect_by_kernel,
+    left_kernel,
+    quotient_structure,
+    smith_decomposition,
+)
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -449,6 +455,105 @@ class TestQuotient:
                 key = tuple(xi % 2 for xi in x)
                 seen.add(key)
         assert len(seen) == 4
+
+
+def sparse_hnf_lattice(rng, m, r):
+    """A random rank-r lattice in Z^m whose Hermite basis is zero above
+    every pivot, so any positive multiples of its rows are again a Hermite
+    basis: the basis of the lattice they span."""
+    pivots = sorted(rng.sample(range(m), r))
+    rows = []
+    for p in pivots:
+        row = [0] * m
+        row[p] = rng.randint(1, 4)
+        for j in range(p + 1, m):
+            if j not in pivots:
+                row[j] = rng.randint(-3, 3)
+        rows.append(tuple(row))
+    lat = lattice_from_rows(m, rows)
+    assert lat.basis == tuple(rows)
+    return lat
+
+
+def random_chain(rng, r):
+    """A shuffled divisibility chain of r factors."""
+    chain = [rng.choice((1, 2, 3))]
+    while len(chain) < r:
+        chain.append(chain[-1] * rng.choice((1, 1, 2, 3)))
+    rng.shuffle(chain)
+    return tuple(chain)
+
+
+class TestQuotientDecomposition:
+    """quotient_decomposition gives snf's own output, compared by repr with
+    the Smith path of oracles.smith_decomposition: on pairs b = diag(c) a,
+    where it reads the answer off c, and on every other pair."""
+
+    @staticmethod
+    def scaled(a, diag):
+        return tuple(tuple(c * x for x in row) for c, row in zip(diag, a.basis))
+
+    def check_diagonal_pair(self, a, diag):
+        # compares with the Smith path; True when b's basis is diag(c) a's
+        b = lattice_from_rows(a.ambient_dim, self.scaled(a, diag))
+        assert repr(quotient_decomposition(a, b)) == repr(smith_decomposition(a, b))
+        return b.basis == self.scaled(a, diag)
+
+    def test_named_diagonals(self):
+        # (2, 2, 1): snf selects [2, 1, 0], a stable sort [2, 0, 1];
+        # (2, 3) and (4, 6) are no chains and take the Smith path
+        rng = random.Random(24)
+        named = [(2, 2, 1), (3, 1, 1, 3), (1,), (1, 1, 1, 1), (2, 3), (4, 6), (6, 2, 3)]
+        for diag in named:
+            for _ in range(10):
+                a = sparse_hnf_lattice(rng, rng.randint(len(diag), 7), len(diag))
+                assert self.check_diagonal_pair(a, diag)
+        b = Lattice(3, ((2, 0, 0), (0, 2, 0), (0, 0, 1)))
+        got = quotient_decomposition(Lattice(3, identity(3)), b)
+        assert got == ((1, 2, 2), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+
+    def test_shuffled_chains(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            r = rng.randint(1, 6)
+            a = sparse_hnf_lattice(rng, rng.randint(r, 7), r)
+            assert self.check_diagonal_pair(a, random_chain(rng, r))
+
+    def test_multiples_of_random_hnf_lattices(self):
+        # b's Hermite basis is diag(c) a's for some pairs and not for others
+        rng = random.Random(26)
+        diagonal = Counter()
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            a = lattice_from_rows(m, random_matrix(rng, rng.randint(1, m), m))
+            if a.rank == 0:
+                continue
+            diag = tuple(rng.choice((1, 2, 3, 4, 6)) for _ in range(a.rank))
+            diagonal[self.check_diagonal_pair(a, diag)] += 1
+        assert min(diagonal[True], diagonal[False]) >= 50, diagonal
+
+    def test_non_diagonal_pairs(self):
+        rng = random.Random(27)
+        seen = 0
+        while seen < 200:
+            m = rng.randint(1, 6)
+            a = lattice_from_rows(m, random_matrix(rng, rng.randint(1, m), m))
+            mult = random_matrix(rng, a.rank, a.rank, bound=3)
+            if a.rank == 0 or det(mult) == 0:
+                continue
+            b = lattice_from_rows(m, mat_mul(mult, a.basis))
+            assert repr(quotient_decomposition(a, b)) == repr(smith_decomposition(a, b))
+            seen += 1
+
+    def test_refusals(self):
+        z2 = lattice_from_rows(2, identity(2))
+        even_x = lattice_from_rows(2, [(2, 0), (0, 1)])
+        with pytest.raises(NotSublattice):
+            quotient_decomposition(even_x, z2)
+        with pytest.raises(NotSublattice):
+            quotient_decomposition(z2, Lattice(2, ((2, 0),)))
+        with pytest.raises(ValueError):
+            quotient_decomposition(z2, lattice_from_rows(3, [(1, 0, 0), (0, 1, 0)]))
 
 
 def hnf_form_kernel(lat, phi):

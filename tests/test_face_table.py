@@ -9,13 +9,14 @@ import re
 import pytest
 
 import monoidring.constructions
+import monoidring.exactlin
 import monoidring.monoid
 from monoidring.cli import parse_input, write_model
 from monoidring.criteria import s2_lattice_test
 from monoidring.errors import DegenerateFace
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
-from monoidring.exactlin import lattice_from_rows, lattice_intersect, quotient_decomposition, rank
-from monoidring.monoid import decorated_cone, monoid_new
+from monoidring.exactlin import lattice_from_rows, lattice_intersect, rank
+from monoidring.monoid import DecoratedCone, decorated_cone, monoid_new
 
 from conftest import (
     ORACLE_COMPLEXES,
@@ -26,6 +27,7 @@ from conftest import (
     oracle_construction,
     pyramid_model,
 )
+from oracles import smith_decomposition
 from test_cli import run_cli
 from test_gap_scan import seeded_monoids
 
@@ -154,16 +156,32 @@ class TestFaceTable:
                 scaled = [tuple(d * x for x in b) for d, b in zip(row.factors, row.basis)]
                 assert lattice_from_rows(m, scaled) == model.lattice_of(f)
 
-    def test_trivial_quotients_match_the_smith_path(self, models, rp2_result):
-        # where lambda_F = A_F the table skips the Smith form
+    def test_every_row_matches_the_smith_path(self, models, rp2_result):
+        # the trivial and diagonal quotients, read without a Smith form,
+        # give the Smith path's own factors and basis
         trivial = 0
         for model in models + [rp2_result.model]:
-            m = model.cone.ambient_dim
             for row, lam in zip(model.face_table, model.lambdas):
-                assert row.factors == quotient_decomposition(row.group, lam)[0]
-                assert lattice_from_rows(m, row.basis) == row.group
+                want = smith_decomposition(row.group, lam)
+                assert repr((row.factors, row.basis)) == repr(want)
                 trivial += lam == row.group
         assert trivial >= 1428  # the RP² faces alone
+
+    def test_rp2_table_runs_a_smith_form_per_non_diagonal_quotient(self, rp2_result, monkeypatch):
+        # of RP²'s 1492 nontrivial quotients all but 33 are diagonal
+        model = rp2_result.model
+        fresh = DecoratedCone(model.fl, model.lambdas)
+        fresh.__dict__["_cuts"] = model._cuts  # the cuts are built, as decorate_by_facet_cuts does
+        calls = []
+        snf = monoidring.exactlin.snf
+
+        def counted(matrix):
+            calls.append(matrix)
+            return snf(matrix)
+
+        monkeypatch.setattr(monoidring.exactlin, "snf", counted)
+        assert fresh.face_table == model.face_table
+        assert 1 <= len(calls) <= 33
 
     def test_s2_matches_the_facet_loop(self, models, tmp_path):
         # rays are proper faces below the facets from rank 3 on

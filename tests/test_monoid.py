@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +42,7 @@ from conftest import (
     random_decorated_model,
 )
 from oracles import relint_step
+from test_face_table import even_reference_models
 
 
 def numeric(gens):
@@ -301,11 +303,18 @@ class TestToModel:
 
 class TestDecoratedCone:
     def test_relint_step_is_the_snf_exponent(self, model_71, model_73, rp2_result):
+        # the step reads the table's last factor where A_f = span f ∩ Z^m,
+        # and walks Lattice.order on the even references, where it is not
         models = corpus(seed=501, count=30) + [model_71, model_73, rp2_result.model]
         models += [oracle_construction(name).model for name in ORACLE_COMPLEXES]
+        models += even_reference_models(corpus(seed=501, count=30) + [model_71, model_73])
+        saturated = Counter()
         for model in models:
             for f in model.fl.faces:
                 assert model_point_in_relint(model, f) == relint_step(model, f)
+                if f.dim:
+                    saturated[model.face_table[f.index].group == f.span_lattice] += 1
+        assert min(saturated[True], saturated[False]) >= 100, saturated
 
     def test_relint_point(self, model_71):
         fl = model_71.fl
