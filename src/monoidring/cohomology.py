@@ -181,6 +181,24 @@ def profile_of_complex(complex_: CochainComplex, primes=()) -> CohomologyProfile
     return CohomologyProfile(dims_q, dims_p, tors)
 
 
+def interval_profile(top: Face, least: int, primes=()) -> CohomologyProfile:
+    """Profile of the interval [G, top] of faces between the face of index
+    least and top, the one filter of the interval below top with the single
+    least face G.
+
+    For G < top that interval is the face lattice of a polytope, a
+    cross-section of top modulo G, and its complex is the polytope's
+    augmented cellular cochain complex (Ziegler, Lectures on Polytopes,
+    ch. 8); the polytope is contractible, so the complex is exact over Z,
+    for any incidence function (Bruns-Herzog, Cohen-Macaulay Rings, §6.2).
+    Its profile is zero in every degree and over every field.  For G = top
+    the filter is {top}, with Z in degree dim top alone.  Neither has a
+    torsion prime.
+    """
+    dims = tuple(int(least == top.index and t == top.dim) for t in range(top.dim + 1))
+    return CohomologyProfile(dims, {p: dims for p in sorted(set(primes))}, frozenset())
+
+
 def filter_profile(
     fl: FaceLattice, face_ids: frozenset[int], top: Face | None = None, primes=()
 ) -> CohomologyProfile:
@@ -200,21 +218,14 @@ def filter_profile(
 
     A filter with exactly one least face G is the interval [G, top]: every
     member lies above a least face, and up-closure holds every face between
-    G and top.  For G < top that interval is the face lattice of a polytope,
-    a cross-section of top modulo G, and its complex is the polytope's
-    augmented cellular cochain complex (Ziegler, Lectures on Polytopes,
-    ch. 8); the polytope is contractible, so the complex is exact over Z,
-    for any incidence function (Bruns-Herzog, Cohen-Macaulay Rings, §6.2).
-    Its profile is zero in every degree and over every field.  For G = top
-    the filter is {top}, with Z in degree dim top alone.  Neither has a
-    torsion prime.  Every other filter is profiled from its complex.
+    G and top.  Its profile is interval_profile's.  Every other filter is
+    profiled from its complex.
     """
     top = fl.top if top is None else top
     least = least_faces(fl, face_ids)
     if len(least) != 1:
         return profile_of_complex(cochain_complex(fl, face_ids, top), primes)
-    dims = tuple(int(least[0] == top.index and t == top.dim) for t in range(top.dim + 1))
-    return CohomologyProfile(dims, {p: dims for p in sorted(set(primes))}, frozenset())
+    return interval_profile(top, least[0], primes)
 
 
 def local_cohomology_at(model: DecoratedCone, a, primes=()) -> CohomologyProfile:

@@ -182,9 +182,11 @@ def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | 
     F, as every down-cover of a face below F is below F.  So its sub-filters
     are the intervals [G, F] with G < F, which are acyclic, and the
     singletons {F}, with cohomology in degree dim F alone (argument in
-    cohomology.filter_profile).  Only the fibers with two or more least
-    faces are split, and filter_profile builds a complex only for those of
-    their sub-filters that again have two or more.
+    cohomology.interval_profile).  A filter that holds its base face is
+    such a filter without a search for its least faces: it lies above the
+    base face, which is then its only least face.  Only the fibers with two
+    or more least faces are split, and filter_profile builds a complex only
+    for those of their sub-filters that again have two or more.
 
     c_K over a field is one less than the dimension of the first face, by
     increasing dimension, that is not Cohen-Macaulay (the rank if there is
@@ -198,7 +200,7 @@ def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | 
         below.append(frozenset({f.index}).union(*(below[g] for g in fl.down_covers[f.index])))
     subs: list[set[frozenset[int]]] = [set() for _ in fl.faces]
     for t in report.fibers:
-        if len(least_faces(fl, t.filter_ids)) == 1:
+        if t.base_face in t.filter_ids or len(least_faces(fl, t.filter_ids)) == 1:
             continue
         for i in t.filter_ids:
             subs[i].add(t.filter_ids & below[i])

@@ -11,17 +11,24 @@ every realizable filter together determine the depth over any field.  Only
 a filter with two or more least faces needs a complex for its profile (see
 cohomology.filter_profile).  fiber_types is the one class walk: a filter is
 realizable above a base face exactly when it is one of its fibers, and
-depth_report, the depth chain and analyze all read that enumeration.  The
-walk tests a class against a face lattice only where the answer is not
-known beforehand: the class 0 lies in every face lattice, and every class
-lies in a lambda_F equal to its group A_F (see _class_patterns).
+depth_report, the depth chain and analyze all read that enumeration.
+
+The walk works only where the face table and monotonicity leave the answer
+open (see _class_patterns and fiber_types):
+- the class 0 is the one class whose pattern holds its base face g.  Its
+  filter is the up-set of g, with the interval profile, and its witness is
+  the relint step; a quotient with one class has that fiber alone;
+- a face F with lambda_F = A_F holds every class, and a face with an
+  up-cover outside a class's pattern is outside it too, as lambda_F lies
+  in the lattice of every face above F.  Only the other faces are tested;
+- the classes run over the factors of the face table other than 1.
 """
 
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 
-from .cohomology import CohomologyProfile, filter_profile
+from .cohomology import CohomologyProfile, filter_profile, interval_profile
 from .errors import TooLarge
 from .exactlin import Vec, dot, vadd, vec_mat, vscale
 from .monoid import DecoratedCone, FaceGroups, model_point_in_relint
@@ -92,25 +99,47 @@ def _class_patterns(
 
     Only the memberships not known beforehand are tested:
     - the class 0 lies in every lambda_F, so its pattern is every face above
-      g; its representative is the zero vector, the walk's first point;
+      g; its representative is the zero vector, the walk's first point.  A
+      quotient with one class has that pattern alone, and returns it before
+      anything else is built;
     - a face F with lambda_F = A_F (a trivial quotient in the face table,
       test None) holds every class: the representatives lie in A_g ⊆ A_F.
-      So F is in every pattern.
+      So F is in every pattern;
+    - a face F with an up-cover H outside the pattern is outside it too:
+      lambda_F ⊆ lambda_H by monotonicity.  The faces above g are visited by
+      decreasing index, and faces are indexed by dimension first, so the
+      up-covers of a face, all above g, are decided before it.
+
+    The classes are the sums of the rows of row.basis whose factor is not 1,
+    with coefficients below their factors: a factor 1 admits the
+    coefficient 0 alone, so dropping it keeps every class, the order of the
+    product and the first representatives.
     """
     fl = model.fl
-    n_classes = prod(row.factors)
+    factors, rows = [], []
+    for f, b in zip(row.factors, row.basis):
+        if f > 1:
+            factors.append(f)
+            rows.append(b)
+    n_classes = prod(factors)
     if n_classes > CLASS_CAP:
         raise TooLarge(f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap")
     above = fl.faces_above(g)
-    members = [(f.index, tests[f.index]) for f in above]
     seen = {frozenset(f.index for f in above): (0,) * fl.cone.ambient_dim}
-    classes = product(*(range(f) for f in row.factors))
+    if n_classes == 1:
+        return seen
+    walk = [(f.index, tests[f.index], fl.up_covers[f.index]) for f in reversed(above)]
+    classes = product(*map(range, factors))
     next(classes)  # the class 0
     for coords in classes:
-        x = vec_mat(coords, row.basis)
-        pattern = frozenset([i for i, member in members if member is None or member(x)])
-        if pattern not in seen:
-            seen[pattern] = x
+        x = vec_mat(coords, rows)
+        pattern: set[int] = set()
+        for i, member, ups in walk:
+            if pattern.issuperset(ups) and (member is None or member(x)):
+                pattern.add(i)
+        # filled in index order, as the class 0's: a frozenset iterates, and
+        # prints, in the order it was filled in
+        seen.setdefault(frozenset(sorted(pattern)), x)
     return seen
 
 
@@ -131,26 +160,36 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     the reference group by monotonicity), and lambda_g ⊆ lambda_F for every
     F >= g by monotonicity, so the intersection is lambda_g itself.  For x
     in A*, x lies in A* ∩ lambda_F exactly when lambda_F.member(x), so the
-    pattern of x is read off the face lattices directly.  That test is
-    skipped for the class 0 and for a face F with lambda_F = A_F, whose
-    answers are known (_class_patterns).  Each pattern is
-    profiled by cohomology.filter_profile, which builds a complex only for
-    a filter with two or more least faces; those hardly ever repeat, so
-    nothing is memoized.
+    pattern of x is read off the face lattices directly, with the tests
+    whose answers are known skipped (_class_patterns).
+
+    A pattern holds g exactly for the class 0: a nonzero class is not in
+    lambda_g.  Its filter is the interval [g, top], with the interval
+    profile (cohomology.interval_profile), and its witness the relint step
+    itself, as _shift_into_relint(model, g, 0, step) is step for every g:
+    every form off the zero set of g is 0 at 0, so k = 1, and the apex has
+    no such form and the step 0.  Every other pattern is profiled by
+    cohomology.filter_profile, which builds a complex only for a filter
+    with two or more least faces; those hardly ever repeat, so nothing is
+    memoized.
 
     Nothing is cached: depth_report keeps the fibers it was computed from,
     and depth_bounds_multi reads them from that report.
     """
     out: list[CohomologyType] = []
     fl = model.fl
+    top = fl.top
     tests = _membership_tests(model)
     for g, row in zip(fl.faces, model.face_table):
         seen = _class_patterns(model, g, row, tests)
         step = model_point_in_relint(model, g)
         for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
-            assert fl.top.index in pattern
-            witness = _shift_into_relint(model, g, x, step)
-            profile = filter_profile(fl, pattern, primes=primes)
+            assert top.index in pattern
+            if g.index in pattern:
+                witness, profile = step, interval_profile(top, g.index, primes)
+            else:
+                witness = _shift_into_relint(model, g, x, step)
+                profile = filter_profile(fl, pattern, primes=primes)
             out.append(CohomologyType(g.index, pattern, witness, profile))
     return out
 

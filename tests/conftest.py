@@ -3,6 +3,7 @@ seeded corpus of random decorated cones, the constructions of a few small
 complexes and the six-vertex RP² model."""
 
 import functools
+import inspect
 import itertools
 import os
 import random
@@ -324,3 +325,28 @@ def monoid_71():
 @pytest.fixture(scope="session")
 def rp2_result():
     return delta_construct(RP2_SIX_VERTEX)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) replaces the function or method owner.name
+    by a wrapper that records each call and returns the list of records,
+    which grows as calls come in.  A record maps every parameter name of
+    the original to its value, defaults included (self for a method).  The
+    test's monkeypatch undoes the wrapper."""
+
+    def wrap(owner, name):
+        calls = []
+        original = getattr(owner, name)
+        signature = inspect.signature(original)
+
+        def counted(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return wrap

@@ -426,52 +426,41 @@ class TestFilterProfile:
                         outcomes.append((refused, len(least_by_ray_sets(fl, ids)) == 1))
         assert {(True, True), (True, False), (False, True), (False, False)} <= set(outcomes)
 
-    def test_every_profiled_filter_is_up_closed(self, models, rp2_result, monkeypatch):
-        """filter_profile does not test its filters: every fiber pattern and
-        every sub-filter S ∩ below(F) that depth_bounds_multi profiles is
-        up-closed below its top by the ray-set oracle."""
-        profiled = []
-
-        def recorded(fl, ids, top=None, primes=()):
-            profiled.append((ids, top))
-            return filter_profile(fl, ids, top, primes)
-
-        for module in (monoidring.typology, monoidring.criteria):
-            monkeypatch.setattr(module, "filter_profile", recorded)
-        subs = 0
+    def test_every_profiled_filter_is_up_closed(self, models, rp2_result, count_calls):
+        """filter_profile does not test its filters, and the interval
+        profile of a class-0 filter reads none: every fiber's filter, and
+        every sub-filter S ∩ below(F) that depth_bounds_multi profiles, is
+        up-closed below its top by the ray-set oracle.  fiber_types calls
+        filter_profile once per fiber whose filter misses its base face,
+        in fiber order."""
+        by_fibers = count_calls(monoidring.typology, "filter_profile")
+        by_chain = count_calls(monoidring.criteria, "filter_profile")
+        class_0 = subs = 0
         for model in models + [rp2_result.model]:
-            profiled.clear()
+            by_fibers.clear()
+            by_chain.clear()
             report = depth_report(model, primes=(2, 3))
-            assert len(profiled) == len(report.fibers)
+            assert all(up_closed_by_rays(model.fl, t.filter_ids) for t in report.fibers)
+            nonzero = [t.filter_ids for t in report.fibers if t.base_face not in t.filter_ids]
+            assert [call["face_ids"] for call in by_fibers] == nonzero
+            assert all(call["top"] is None for call in by_fibers)
+            class_0 += len(report.fibers) - len(nonzero)
             depth_bounds_multi(model, report)
-            assert all(up_closed_by_rays(model.fl, ids, top) for ids, top in profiled)
-            subs += len(profiled) - len(report.fibers)
-        assert subs > 0
+            assert all(up_closed_by_rays(model.fl, c["face_ids"], c["top"]) for c in by_chain)
+            subs += len(by_chain)
+        assert class_0 > 0 and subs > 0
 
-    def test_one_up_closure_test_per_complex_built(self, monkeypatch, model_71, model_73):
-        calls = {"_check_filter": 0, "cochain_complex": 0}
-        for name in calls:
-
-            def counted(*args, name=name, original=getattr(monoidring.cohomology, name)):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(monoidring.cohomology, name, counted)
+    def test_one_up_closure_test_per_complex_built(self, count_calls, model_71, model_73):
+        checks = count_calls(monoidring.cohomology, "_check_filter")
+        built = count_calls(monoidring.cohomology, "cochain_complex")
         for model in (model_71, model_73, oracle_construction("4-cycle").model):
             depth_bounds_multi(model, depth_report(model, primes=(2, 3)))
-        assert calls["_check_filter"] == calls["cochain_complex"] > 0
+        assert len(checks) == len(built) > 0
 
-    def test_builds_only_filters_with_two_or_more_least_faces(self, monkeypatch):
+    def test_builds_only_filters_with_two_or_more_least_faces(self, count_calls):
         model = oracle_construction("4-cycle").model
         fl = model.fl
-        built = []
-        original = monoidring.cohomology.cochain_complex
-
-        def counted(fl_, ids, top=None):
-            built.append(ids)
-            return original(fl_, ids, top)
-
-        monkeypatch.setattr(monoidring.cohomology, "cochain_complex", counted)
+        built = count_calls(monoidring.cohomology, "cochain_complex")
         depth_bounds_multi(model, depth_report(model, primes=(2, 3)))
         several = {
             (ids, top)

@@ -8,7 +8,12 @@ import pytest
 
 import monoidring.monoid
 import monoidring.polyhedral
-from monoidring.cohomology import CohomologyProfile, cochain_complex, profile_of_complex
+from monoidring.cohomology import (
+    CohomologyProfile,
+    cochain_complex,
+    interval_profile,
+    profile_of_complex,
+)
 from monoidring.constructions import builtin
 from monoidring.errors import NotInCone, NotPointed, OutOfRange, TooLarge
 from monoidring.exactlin import (
@@ -667,7 +672,7 @@ class TestFacesAbove:
 
 
 class TestIntervalsAreAcyclic:
-    """The argument behind cohomology.filter_profile, checked through the
+    """The argument behind cohomology.interval_profile, checked through the
     complexes it skips: the interval [G, F], taken by ray sets, has no
     cohomology for G < F, and {F} has Z in degree dim F alone."""
 
@@ -683,6 +688,7 @@ class TestIntervalsAreAcyclic:
                 profile = profile_of_complex(cochain_complex(fl, ids, f))
                 want = tuple(int(g is f and t == f.dim) for t in range(f.dim + 1))
                 assert profile == CohomologyProfile(want, {}, frozenset())
+                assert interval_profile(f, g.index) == profile
                 checked += 1
         return checked
 

@@ -6,7 +6,13 @@ import pytest
 
 from monoidring import typology
 from monoidring.cli import parse_input
-from monoidring.cohomology import CohomologyProfile, filter_at, local_cohomology_at
+from monoidring.cohomology import (
+    CohomologyProfile,
+    cochain_complex,
+    filter_at,
+    local_cohomology_at,
+    profile_of_complex,
+)
 from monoidring.constructions import SimplicialComplex, builtin, delta_construct
 from monoidring.criteria import gorenstein_check
 from monoidring.errors import NotCM, TooLarge
@@ -357,23 +363,16 @@ class TestFiberShortcuts:
         for model in corpus(seed=501, count=30):
             assert fiber_types(model, primes=(2, 3)) == intersection_fiber_types(model, (2, 3))
 
-    def test_one_enumeration_serves_torsion_primes(self, rp2_result, monkeypatch):
+    def test_one_enumeration_serves_torsion_primes(self, rp2_result, count_calls):
         # 2 is a torsion prime of RP² but not a requested one: its depth is
         # read from the one enumeration
-        calls = []
-        original = typology.fiber_types
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(typology, "fiber_types", counted)
+        calls = count_calls(typology, "fiber_types")
         rep = typology.depth_report(rp2_result.model, primes=())
         assert len(calls) == 1
         assert rep.depth_by_prime == {2: 5}
         assert rep.torsion_primes == frozenset({2})
 
-    def test_one_enumeration_per_analyze(self, tmp_path, monkeypatch):
+    def test_one_enumeration_per_analyze(self, tmp_path, count_calls):
         # depth_report hands its fibers to the depth chain; typology keeps
         # no module-level state that could share them
         from monoidring.cli import main, write_model
@@ -383,14 +382,7 @@ class TestFiberShortcuts:
         write_model(builtin("pyramid-7.3"), str(model_path))
         monoid_path = tmp_path / "rank3.txt"
         monoid_path.write_text("monoid 3\n1 0 1\n0 1 1\n0 0 1\n1 1 2\n")
-        calls = []
-        original = typology.fiber_types
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(typology, "fiber_types", counted)
+        calls = count_calls(typology, "fiber_types")
         for path in (model_path, monoid_path):
             calls.clear()
             assert main(["analyze", str(path), "--fields", "q,2,3"]) == 0
@@ -410,8 +402,9 @@ HEXAGON = SimplicialComplex.from_facets([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
 
 class TestClassWalkSkips:
     """_class_patterns skips the tests whose answers are known: the class 0,
-    and every class at a face with lambda_F = A_F.  The full walk, every
-    class against every face above g, is the oracle."""
+    every class at a face with lambda_F = A_F, and every face with an
+    up-cover outside the pattern.  The full walk, every class against every
+    face above g, is the oracle."""
 
     def test_same_patterns_as_the_full_walk(self, rp2_result):
         models = [builtin("pyramid-7.1"), builtin("pyramid-7.3"), *corpus(seed=501, count=10)]
@@ -424,26 +417,62 @@ class TestClassWalkSkips:
                 # representatives
                 assert list(got.items()) == list(class_patterns_by_walk(model, g, row).items())
 
-    def test_rp2_membership_tests(self, rp2_result, monkeypatch):
-        # at most the 29133 tests the two skips leave of the full walk's
-        # 136041, none of them on the class 0 or at a trivial quotient
+    def test_rp2_membership_tests(self, rp2_result, count_calls, monkeypatch):
+        # at most the 3674 tests the three skips leave of the full walk's
+        # 136041 (29133 without the up-cover skip), none of them on the
+        # class 0 or at a trivial quotient
         model = rp2_result.model
         table = model.face_table
         trivial = {model.lambdas[i] for i, row in enumerate(table) if prod(row.factors) == 1}
-        calls = []
-        member = Lattice.member
-
-        def counted(lat, x):
-            calls.append((lat, x))
-            return member(lat, x)
-
-        monkeypatch.setattr(Lattice, "member", counted)
+        calls = count_calls(Lattice, "member")
         fibers = fiber_types(model)
         monkeypatch.undo()
-        assert 0 < len(calls) <= 29133
-        assert all(any(x) for _, x in calls)
-        assert not any(lat in trivial for lat, _ in calls)
+        assert 0 < len(calls) <= 3674
+        assert all(any(call["x"]) for call in calls)
+        assert not any(call["self"] in trivial for call in calls)
         assert len(fibers) == 4412
+
+    def test_rp2_shifts_and_profiles_only_nonzero_classes(self, rp2_result, count_calls):
+        # the 2920 class-0 fibers, one per face, take the relint step as
+        # their witness and the interval profile; the other 1492 are
+        # shifted and profiled once each
+        shifts = count_calls(typology, "_shift_into_relint")
+        profiles = count_calls(typology, "filter_profile")
+        fibers = fiber_types(rp2_result.model)
+        nonzero = [t for t in fibers if t.base_face not in t.filter_ids]
+        assert len(fibers) - len(nonzero) == len(rp2_result.model.fl.faces) == 2920
+        assert len(shifts) == len(profiles) == len(nonzero) == 1492
+        assert [call["face_ids"] for call in profiles] == [t.filter_ids for t in nonzero]
+        assert [call["g"].index for call in shifts] == [t.base_face for t in nonzero]
+
+
+def fibers_the_long_way(model, primes):
+    """The fibers built without a shortcut: every class tested against every
+    face above its base face (class_patterns_by_walk), its witness walked
+    into relint(g) one relint step at a time (shift_by_steps), and every
+    filter, intervals included, profiled from its complex."""
+    fl = model.fl
+    out = []
+    for g, row in zip(fl.faces, model.face_table):
+        step = relint_step(model, g)
+        seen = class_patterns_by_walk(model, g, row)
+        for pattern, x in sorted(seen.items(), key=lambda kv: sorted(kv[0])):
+            witness, _ = shift_by_steps(model, g, x, step)
+            profile = profile_of_complex(cochain_complex(fl, pattern), primes)
+            out.append(CohomologyType(g.index, pattern, witness, profile))
+    return out
+
+
+class TestFibersTheLongWay:
+    def test_every_fiber_equals_the_long_way(self, rp2_result):
+        models = [builtin("pyramid-7.1"), builtin("pyramid-7.3"), *corpus(seed=501, count=30)]
+        models += [delta_construct(HEXAGON).model, rp2_result.model]
+        class_0 = 0
+        for model in models:
+            got = fiber_types(model, primes=(2, 3))
+            assert got == fibers_the_long_way(model, (2, 3))
+            class_0 += sum(t.base_face in t.filter_ids for t in got)
+        assert class_0 > 3000
 
 
 def recursive_up_sets(fl, g, cap):
