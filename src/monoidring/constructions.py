@@ -16,9 +16,13 @@ of the complex.  Steps:
    coordinate; faces inherit the intersection of the facet lattices above
    them, the facet cut of monoid.decorate_by_facet_cuts.
 
-The apex of the second pyramid is the distinguished degree.  Construction
-success is verified (facet inventory, survival and dimension of the
-expected faces, simplicity away from the distinguished ray, and the
+The apex of the second pyramid is the distinguished degree.  The cone is
+built from what the construction knows, with one double description, of
+the planed polytope's constraints: its rays are the lifted vertices and the
+apex, and its forms the lifted constraints and the base.  Construction
+success is verified (the facet inventory, read off the coatoms and atoms of
+the face lattice; survival and dimension of the expected faces; simplicity
+away from the distinguished ray, a facet count per ray; and the
 order-reversing bijection between the filter at the apex and the complex);
 on failure the displacement scale is doubled and the construction retries.
 
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from .cohomology import filter_at
 from .errors import ParseError, VerificationFailed
 from .exactlin import (
+    Lattice,
     Mat,
     Vec,
     identity,
@@ -47,6 +52,7 @@ from .exactlin import (
 )
 from .monoid import DecoratedCone, decorate_by_facet_cuts
 from .polyhedral import (
+    RationalCone,
     _dd_extreme_rays,
     dual_description,
     face_lattice,
@@ -304,11 +310,9 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
             f"planing {sorted(g)}: displacement 1/{mult}"
         )
     # rays of the cone over the pyramid over the planed polytope
-    rays = _pyramid_base_rays(constraints, n)
     apex = tuple([0] * n + [1, 1])
-    rays.append(apex)
-    cone = dual_description(sorted(rays), d)
-    if cone.dim != d:
+    rays = mat(sorted(_pyramid_base_rays(constraints, n) + [apex]))
+    if rank(rays) != d:
         raise VerificationFailed("cone is not full dimensional")
 
     # expected facet forms: lifted constraints plus the base of the pyramid
@@ -318,10 +322,9 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         kind = "vertex" if 1 <= idx <= n else "parity"
         expected[lifted] = kind
     expected[tuple([0] * n + [1, 0])] = "parity"  # base of the final pyramid
-    if set(cone.support_forms) != set(expected):
-        raise VerificationFailed("facet inventory differs from the expected forms")
-
+    cone = RationalCone(d, rays, mat(sorted(expected)), rays, Lattice(d, identity(d)))
     fl = face_lattice(cone)
+    _check_facet_inventory(fl)
     vertex_form = {}
     for v, pos in vertex_pos.items():
         lin, rhs = _side_constraint(n, pos)
@@ -367,6 +370,35 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
             if a < b and not fb.ray_set < fa.ray_set:
                 raise VerificationFailed("filter order does not reverse the complex order")
     return model, apex
+
+
+def _check_facet_inventory(fl) -> None:
+    """Refuse a pyramid cone whose forms are not exactly its facets, or
+    whose rays are not exactly its extreme rays.
+
+    The cone comes from what the construction knows, with no second double
+    description: its rays are the lifted vertices of the planed polytope
+    and the apex, and its forms the expected ones.  The rays come from the
+    double description of the constraints, so by Minkowski-Weyl the cone
+    they generate is {lifted constraints >= 0, base >= 0}: every form is
+    valid on it, each facet is cut out by one of the forms, and each ray is
+    extreme.  A form that cuts no facet is redundant, and its zero set is a
+    face, so the closure of face_lattice finds exactly the faces of the
+    cone.  The spans and signs are right too: a redundant form that vanishes
+    on a facet F of a face H but not on H cuts span H down to span F like
+    any other.  Such a form lies in no coatom's zero set, as it would vanish
+    on a facet and then equal that facet's primitive form.  So the coatoms'
+    zero sets are the forms one at a time, each used once, exactly when the
+    forms are the facets.  The atoms are the rays one at a time exactly
+    when every ray is extreme.
+    """
+    top = fl.top.dim
+    coatoms = sorted(sorted(f.zero_set) for f in fl.faces if f.dim == top - 1)
+    if coatoms != [[i] for i in range(len(fl.cone.support_forms))]:
+        raise VerificationFailed("facet inventory differs from the expected forms")
+    atoms = [sorted(f.ray_set) for f in fl.faces if f.dim == 1]
+    if atoms != [[j] for j in range(len(fl.cone.extreme_rays))]:
+        raise VerificationFailed("a ray of the pyramid is not extreme")
 
 
 def _decorate_even_on(fl, facets) -> DecoratedCone:

@@ -136,11 +136,21 @@ def n_value(model: DecoratedCone) -> int:
     lambda_h lies in span h, lambda_h ∩ span g is the kernel of phi on
     lambda_h (exactlin.form_kernel), in canonical form.  So the cover is
     tight exactly when that kernel == lambda_g.
+
+    Most covers need no kernel.  A_F = reference ∩ span F, so
+    A_h ∩ span g = A_g, and monotonicity gives
+    lambda_g ⊆ lambda_h ∩ span g ⊆ A_h ∩ span g = A_g.  So a cover whose
+    base has lambda_g = A_g, every factor of its face-table row 1 (the
+    last one, as they form a divisibility chain; none for the apex), is
+    tight.
     """
     fl = model.fl
     forms = fl.cone.support_forms
     worst = model.rank
     for g in fl.faces:
+        factors = model.face_table[g.index].factors
+        if not factors or factors[-1] == 1:
+            continue  # lambda_g = A_g: every cover above g is tight
         for h in fl.up_covers[g.index]:
             dim_h = fl.faces[h].dim
             if dim_h - 1 < worst:

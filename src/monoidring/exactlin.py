@@ -586,7 +586,8 @@ def form_kernel(lat: Lattice, phi) -> Lattice:
     -a/g, nonzero.  So the kernel rows, in basis order, are in echelon form,
     and the unique HNF of their span (Cohen, GTM 138, §2.4.2) needs no gcd
     elimination: each pivot is made positive and the entries above it are
-    reduced into [0, pivot).
+    reduced into [0, pivot).  Those pivot columns are the kernel's
+    _pivots, which it is handed, so no caller looks for them again.
     """
     values = [dot(phi, r) for r in lat.basis]
     if not any(values):
@@ -615,7 +616,9 @@ def form_kernel(lat: Lattice, phi) -> Lattice:
             q = kernel[j][col] // row[col]
             if q:
                 kernel[j] = [x - q * y for x, y in zip(kernel[j], row)]
-    return Lattice(lat.ambient_dim, tuple(map(tuple, kernel)))
+    out = Lattice(lat.ambient_dim, tuple(map(tuple, kernel)))
+    out.__dict__["_pivots"] = tuple(pivots)  # the slot of the cached Lattice._pivots
+    return out
 
 
 def lattice_intersect(a: Lattice, b: Lattice) -> Lattice:

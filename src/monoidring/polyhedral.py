@@ -19,8 +19,8 @@ with no Hermite elimination).  The lattice carries an incidence function
 epsilon on cover pairs.  epsilon is propagated across the diamonds of the
 lattice, faces by increasing dimension, from +1 on each face's first
 down-cover; it is the geometric orientation up to one sign per face, so it
-gives isomorphic complexes, and it is verified against the diamond
-condition exhaustively at construction time.
+gives isomorphic complexes.  The same pass checks every diamond: each has
+two middle faces, and their signs solve the diamond condition.
 """
 
 from collections import Counter
@@ -309,7 +309,7 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     The incidence signs are propagated across diamonds before the lattice
     is built: per face, +1 on its first down-cover, and each further
     down-cover signed from one already signed through a diamond they share
-    (argument in _incidence_signs).  Every diamond is then verified.
+    (argument in _incidence_signs).  The same pass verifies every diamond.
     """
     rays = cone.extreme_rays
     forms = cone.support_forms
@@ -369,28 +369,27 @@ def face_lattice(cone: RationalCone) -> FaceLattice:
     by_zero_set = {f.zero_set: f.index for f in faces}
 
     down_covers = tuple(map(tuple, down))
-    fl = FaceLattice(
+    return FaceLattice(
         cone=cone,
         faces=faces,
         up_covers=tuple(map(tuple, up)),
         down_covers=down_covers,
-        epsilon=_incidence_signs(faces, down_covers),
+        epsilon=_incidence_signs(down_covers),
         _by_zero_set=by_zero_set,
     )
-    _verify_diamond(fl, fl.epsilon)
-    return fl
 
 
-def _incidence_signs(faces: tuple[Face, ...], down) -> dict[tuple[int, int], int]:
+def _incidence_signs(down) -> dict[tuple[int, int], int]:
     """An incidence function on the cover pairs, by propagation across
     diamonds: no bases, orientations or determinants.  down holds the
-    down-covers of each face, by face index.
+    down-covers of each face, by face index, the faces by increasing
+    dimension.
 
-    Faces are taken by increasing dimension, so the signs below F are set
-    when F is reached.  The first down-cover of F gets +1.  Every further
-    down-cover H is reached from a down-cover G already signed through a
-    shared down-cover E: G and H are the two middle faces of the diamond
-    [E, F], and the diamond condition
+    Faces are taken in that order, so the signs below F are set when F is
+    reached.  The first down-cover of F gets +1.  Every further down-cover
+    H is reached from a down-cover G already signed through a shared
+    down-cover E: G and H are the two middle faces of the diamond [E, F],
+    and the diamond condition
     eps(E, G) eps(G, F) + eps(E, H) eps(H, F) = 0 forces
     eps(H, F) = -eps(E, G) eps(G, F) eps(E, H).
 
@@ -411,28 +410,46 @@ def _incidence_signs(faces: tuple[Face, ...], down) -> dict[tuple[int, int], int
     sign delta(F), and the induction goes on.  Hence the result differs
     from eps_geo by delta(G) delta(F) on every pair, and its cochain
     complexes are isomorphic to the geometric ones through the diagonal
-    basis change F -> delta(F) F.  face_lattice still verifies every
-    diamond (_verify_diamond).
+    basis change F -> delta(F) F.
+
+    The same pass verifies every diamond, so no second walk is needed
+    (_verify_diamond, which `check` runs, stays the independent verifier).
+    Each signed down-cover G leaves the work list once and visits every
+    diamond [E, F] through it.  Its one other middle face H is signed from
+    G when it has no sign yet, which solves that diamond; otherwise its sign
+    must be the one that G and E force.  Once every down-cover is signed,
+    every diamond of F has been visited from a signed middle face, so all
+    of them hold.  A diamond without exactly two middle faces, a forced
+    sign that differs, or a down-cover left unsigned is a construction bug,
+    not an input: it raises AssertionError explicitly, so the checks also
+    run under python -O.
     """
     eps: dict[tuple[int, int], int] = {}
-    for f in faces:
-        lows = down[f.index]
+    for f, lows in enumerate(down):
         if not lows:
             continue
         mids: dict[int, list[int]] = {}
         for h in lows:
             for e in down[h]:
                 mids.setdefault(e, []).append(h)
+        if any(len(pair) != 2 for pair in mids.values()):
+            raise AssertionError("diamond property violated in face lattice")
         sign = {lows[0]: 1}
         work = [lows[0]]
         while work:
             g = work.pop()
             for e in down[g]:
-                for h in mids[e]:
-                    if h not in sign:
-                        sign[h] = -eps[(e, g)] * sign[g] * eps[(e, h)]
-                        work.append(h)
-        eps.update(((h, f.index), s) for h, s in sign.items())
+                a, b = mids[e]
+                h = b if a == g else a
+                forced = -eps[(e, g)] * sign[g] * eps[(e, h)]
+                if h not in sign:
+                    sign[h] = forced
+                    work.append(h)
+                elif sign[h] != forced:
+                    raise AssertionError("incidence function fails the diamond condition")
+        if len(sign) != len(lows):
+            raise AssertionError("incidence function misses a cover pair")
+        eps.update(((h, f), s) for h, s in sign.items())
     return eps
 
 
@@ -471,19 +488,21 @@ def minimal_face(fl: FaceLattice, x) -> Face:
 
 def is_simple_face(fl: FaceLattice, f: Face) -> bool:
     """True when the interval [f, C] is the face lattice of a simplex; f
-    must be a proper face."""
+    must be a proper face.
+
+    That holds exactly when f lies on codim f facets, and f's zero set is
+    the set of facets through f.  If [f, C] is Boolean of rank c = codim f,
+    its c coatoms are the facets through f.  Conversely, [f, C] is the face
+    lattice of the face figure C / f, the image of C in R^m / span f: a
+    pointed cone of dimension c whose facets are the images of the facets
+    through f (Ziegler, Lectures on Polytopes, ch. 2).  Its c facet forms
+    cut out its lineality space, {0}, so they are a basis of the dual
+    space, and the cone is simplicial with a Boolean face lattice.
+    """
     top = fl.top
     if f.index == top.index:
         raise OutOfRange("simplicity is defined for proper faces")
-    codim = top.dim - f.dim
-    over = f.zero_set  # exactly the facets containing f
-    if len(over) != codim:
-        return False
-    interval = fl.faces_above(f)
-    if len(interval) != 2 ** codim:
-        return False
-    zero_sets = {g.zero_set for g in interval}
-    return len(zero_sets) == 2 ** codim and all(zs <= over for zs in zero_sets)
+    return len(f.zero_set) == top.dim - f.dim
 
 
 def grading_form(cone: RationalCone) -> Vec:

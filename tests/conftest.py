@@ -1,6 +1,7 @@
 """Shared fixtures: the square-pyramid models, generator sets for them, a
 seeded corpus of random decorated cones, the constructions of a few small
-complexes and the six-vertex RP² model."""
+complexes, the hexagon and the six-vertex RP² model, and the seven-vertex
+torus."""
 
 import functools
 import inspect
@@ -63,6 +64,14 @@ ORACLE_COMPLEXES = {
     "path P4": [(1, 2), (2, 3), (3, 4)],
     "triangle boundary + point": [(1, 2), (2, 3), (1, 3), (4,)],
 }
+
+
+HEXAGON = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]
+
+# The seven-vertex (Möbius) torus: the triangles {i, i+1, i+3} and
+# {i, i+2, i+3} mod 7.  Its construction's cone has 16652 faces, past
+# polyhedral.FACE_CAP.
+TORUS_SEVEN_VERTEX = [(i, (i + k) % 7, (i + 3) % 7) for i in range(7) for k in (1, 2)]
 
 
 @functools.cache
@@ -325,6 +334,11 @@ def monoid_71():
 @pytest.fixture(scope="session")
 def rp2_result():
     return delta_construct(RP2_SIX_VERTEX)
+
+
+@pytest.fixture(scope="session")
+def hexagon_result():
+    return delta_construct(SimplicialComplex.from_facets(HEXAGON))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from monoidring.cli import main, parse_input, write_model
 from monoidring.constructions import builtin
 from monoidring.errors import ParseError
 
-from conftest import run_python
+from conftest import TORUS_SEVEN_VERTEX, run_python
 
 
 def run_cli(args, tmp_path=None):
@@ -343,6 +344,22 @@ class TestConstructAndCheck:
         )
         r = json.loads(out)
         assert r["dims"]["q"][3] == 1
+
+    def test_torus_is_refused_quickly(self, tmp_path):
+        # the seven-vertex torus's cone has 16652 faces, past FACE_CAP; the
+        # refusal comes from the face lattice, with no dual description of
+        # its 519 rays before it
+        p = tmp_path / "torus.txt"
+        p.write_text("".join(f"{a} {b} {c}\n" for a, b, c in TORUS_SEVEN_VERTEX))
+        start = time.perf_counter()
+        proc = run_python("-m", "monoidring", "construct", str(p), str(tmp_path / "torus.model"))
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "more than 10000 faces" in lines[0]
+        assert elapsed < 5
 
     def test_check_exits_one_on_a_failed_invariant(self, m23_file, monkeypatch):
         import monoidring.monoid

@@ -2,23 +2,28 @@ import random
 
 import pytest
 
+import monoidring.constructions
 import monoidring.monoid
+import monoidring.polyhedral
 from monoidring.cohomology import local_cohomology_at
 from monoidring.constructions import (
     RP2_SIX_VERTEX,
     SimplicialComplex,
+    _check_facet_inventory,
     builtin,
     delta_construct,
     simplicial_homology,
     verify_eq_homology,
 )
 from monoidring.criteria import s2_lattice_test
-from monoidring.exactlin import lattice_intersect, vscale
+from monoidring.errors import VerificationFailed
+from monoidring.exactlin import dot, lattice_intersect, mat, primitive, vadd, vscale
 from monoidring.monoid import model_point_in_relint
-from monoidring.polyhedral import minimal_face
+from monoidring.polyhedral import RationalCone, dual_description, face_lattice, minimal_face
 from monoidring.typology import depth_report
 
 from conftest import (
+    HEXAGON,
     ORACLE_COMPLEXES,
     even_degree_lattice,
     facet_by_label,
@@ -37,9 +42,7 @@ def path_on_four():
 
 
 def hexagon():
-    return SimplicialComplex.from_facets(
-        [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]
-    )
+    return SimplicialComplex.from_facets(HEXAGON)
 
 
 class TestSimplicialComplex:
@@ -241,6 +244,73 @@ class TestDeltaConstruct:
         a2 = vscale(2, result.distinguished_degree)
         dims = local_cohomology_at(model, a2).dims_q
         assert all(d == 0 for d in dims[:-1])
+
+
+# The complexes of the construct workload (perfbench/gen.py SHAPES), on
+# vertices 1..n.
+CONSTRUCT_SHAPES = [
+    [(1, 2), (2, 3), (1, 3)],
+    [(1, 2, 3), (2, 3, 4)],
+    [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)],
+    [(1, 2), (2, 3), (3, 4), (4, 1)],
+    [(1, 2), (2, 3), (3, 4)],
+    [(1, 2), (1, 3), (1, 4)],
+    [(1, 2, 3), (4,)],
+    [(1, 2, 3), (3, 4)],
+    [(1, 2), (2, 3), (1, 3), (4,)],
+]
+
+
+class TestKeptCone:
+    """delta_construct builds its cone from its own rays and expected forms,
+    with no second double description, and checks the facet inventory on
+    the face lattice."""
+
+    def test_cone_equals_the_full_dual_description(self, rp2_result, hexagon_result):
+        results = [oracle_construction(name) for name in sorted(ORACLE_COMPLEXES)]
+        results += [delta_construct(SimplicialComplex.from_facets(f)) for f in CONSTRUCT_SHAPES]
+        for result in results + [rp2_result, hexagon_result]:
+            cone = result.model.cone
+            assert dual_description(cone.generators, cone.ambient_dim) == cone
+
+    def test_no_dual_description_and_one_rank_per_attempt(self, count_calls):
+        dd = count_calls(monoidring.constructions, "dual_description")
+        dd_lib = count_calls(monoidring.polyhedral, "dual_description")
+        ranks = count_calls(monoidring.constructions, "rank")
+        result = delta_construct(RP2_SIX_VERTEX)
+        attempts = [line for line in result.provenance if line.startswith("attempt ")]
+        assert dd == dd_lib == []
+        assert len(ranks) == len(attempts) >= 1
+
+    @staticmethod
+    def rebuilt_lattice(cone, rays, forms):
+        rays, forms = mat(sorted(rays)), mat(sorted(forms))
+        return face_lattice(RationalCone(cone.ambient_dim, rays, forms, rays, cone.span_lattice))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+    def test_redundant_form_fails_the_coatom_test(self, name):
+        cone = oracle_construction(name).model.cone
+        forms = list(cone.support_forms)
+        redundant = next(
+            r
+            for a in forms
+            for b in forms
+            if (r := primitive(vadd(a, b))) not in forms and a < b
+        )
+        assert all(dot(redundant, ray) >= 0 for ray in cone.extreme_rays)
+        _check_facet_inventory(self.rebuilt_lattice(cone, cone.extreme_rays, forms))
+        fl = self.rebuilt_lattice(cone, cone.extreme_rays, forms + [redundant])
+        with pytest.raises(VerificationFailed, match="facet inventory differs from the expected forms"):
+            _check_facet_inventory(fl)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+    def test_non_extreme_ray_fails_the_atom_test(self, name):
+        cone = oracle_construction(name).model.cone
+        rays = list(cone.extreme_rays)
+        inner = primitive(vadd(rays[0], rays[1]))
+        fl = self.rebuilt_lattice(cone, rays + [inner], cone.support_forms)
+        with pytest.raises(VerificationFailed, match="a ray of the pyramid is not extreme"):
+            _check_facet_inventory(fl)
 
 
 class TestHomologyEquality:

@@ -406,6 +406,30 @@ def rebuilt_depth_bounds(model, primes):
     return out
 
 
+class TestTightCoversByTable:
+    """n_value takes no kernel on a cover whose lower face has
+    lambda_g = A_g; a cover with only lambda_h = A_h still gets one."""
+
+    def test_rp2_kernels(self, rp2_result, count_calls):
+        model = rp2_result.model
+        model.face_table
+        calls = count_calls(monoidring.criteria, "form_kernel")
+        assert n_value(model) == 4
+        assert len(calls) <= 3044
+
+    def test_trivial_upper_lattice_sets_n(self):
+        # the ray e1 carries 2Z e1 under the top's Z^2: the cover of that
+        # ray by the top has lambda_h = A_h != lambda_g and is not tight
+        ray_form = 0  # (0, 1), the form of the ray e1
+        fl, model = orthant_model(2, {ray_form: lattice_from_rows(2, [(2, 0), (0, 1)])})
+        assert fl.cone.support_forms[ray_form] == (0, 1)
+        ray = fl.by_zero_set(frozenset({ray_form}))
+        assert model.face_table[ray.index].factors == (2,)
+        assert model.face_table[fl.top.index].factors == (1, 1)
+        assert not model_face_is_normal(model, fl.top)
+        assert n_value(model) == 1
+
+
 class TestDepthChainOnParentLattice:
     """depth_bounds_multi reads every face's verdict off the parent's fibers;
     a rebuild of every restricted model is the oracle."""

@@ -611,6 +611,22 @@ class TestFormKernel:
             self.assert_matches_hnf(lat, phi)
             assert form_kernel(lat, phi) is lat
 
+    def test_handed_over_pivots(self):
+        # the kernel carries the pivot columns its pass tracked; they are
+        # the ones Lattice finds on the same basis
+        rng = random.Random(44)
+        cut = 0
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            lat = self.random_lattice(rng, m, 5)
+            out = form_kernel(lat, tuple(rng.randint(-6, 6) for _ in range(m)))
+            if out is lat:
+                continue
+            assert "_pivots" in vars(out)
+            assert out._pivots == Lattice(out.ambient_dim, out.basis)._pivots
+            cut += 1
+        assert cut >= 200
+
     def test_large_entries(self):
         rng = random.Random(43)
         big = 0

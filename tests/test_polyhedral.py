@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,7 +15,7 @@ from monoidring.cohomology import (
     interval_profile,
     profile_of_complex,
 )
-from monoidring.constructions import builtin
+from monoidring.constructions import RP2_SIX_VERTEX, builtin
 from monoidring.errors import NotInCone, NotPointed, OutOfRange, TooLarge
 from monoidring.exactlin import (
     dot,
@@ -28,6 +29,7 @@ from monoidring.exactlin import (
     vec_mat,
 )
 from monoidring.polyhedral import (
+    _incidence_signs,
     _verify_diamond,
     dual_description,
     face_lattice,
@@ -175,6 +177,21 @@ class TestRankFilter:
         assert dual_description_digest(sets) == DD_DIGESTS["seeded"]
 
 
+def interval_is_boolean(fl, f):
+    """The definition of a simple face: the interval [f, C] is the face
+    lattice of a simplex, 2^codim faces whose zero sets are the distinct
+    subsets of the facets through f."""
+    codim = fl.top.dim - f.dim
+    over = f.zero_set
+    if len(over) != codim:
+        return False
+    interval = fl.faces_above(f)
+    if len(interval) != 2**codim:
+        return False
+    zero_sets = {g.zero_set for g in interval}
+    return len(zero_sets) == 2**codim and all(zs <= over for zs in zero_sets)
+
+
 class TestFaceLattice:
     def test_two_dim_simplicial(self):
         fl = face_lattice(dual_description([(1, 0), (0, 1)]))
@@ -199,12 +216,17 @@ class TestFaceLattice:
             for b in ray_sets:
                 assert a & b in ray_sets
 
-    def test_facet_count_vs_codim(self):
-        fl = face_lattice(pyramid_cone())
-        for f in fl.faces[:-1]:
-            codim = fl.top.dim - f.dim
-            assert len(f.zero_set) >= codim
-            assert (len(f.zero_set) == codim) == is_simple_face(fl, f)
+    def test_facet_count_vs_codim(self, rp2_result, hexagon_result):
+        # is_simple_face counts facets; the interval [f, C] is the oracle
+        lattices = [builtin(name).fl for name in ["pyramid-7.1", "pyramid-7.3"]]
+        lattices += [*random_lattices(), rp2_result.model.fl, hexagon_result.model.fl]
+        simple = 0
+        for fl in lattices:
+            for f in fl.faces[:-1]:
+                assert len(f.zero_set) >= fl.top.dim - f.dim
+                assert is_simple_face(fl, f) == interval_is_boolean(fl, f)
+                simple += is_simple_face(fl, f)
+        assert 0 < simple < sum(len(fl.faces) - 1 for fl in lattices)
 
 
 class TestFaceCap:
@@ -296,9 +318,12 @@ class TestIncidence:
         )
 
     def test_pyramid_verified_at_construction(self):
-        # _verify_diamond runs inside face_lattice; reaching here means it held
+        # _incidence_signs checks every diamond as it propagates the signs
+        # inside face_lattice; reaching here means they held, and the
+        # independent verifier agrees
         fl = face_lattice(pyramid_cone())
         assert len(fl.epsilon) > 0
+        _verify_diamond(fl, fl.epsilon)
 
     def test_boundary_matrix_squares_to_zero(self):
         fl = face_lattice(pyramid_cone())
@@ -325,6 +350,52 @@ class TestIncidence:
         assert set(eps2) == set(fl.epsilon)
         assert eps2 != fl.epsilon
         _verify_diamond(fl, eps2)
+
+
+def cone_over_complex(facets):
+    """The down-cover lists of the face poset of the cone over a simplicial
+    complex: the apex, then the cones over its faces by increasing size,
+    each covering the faces one vertex smaller, then the top above the
+    facets."""
+    faces = sorted(
+        {frozenset(s) for f in facets for k in range(1, len(f) + 1) for s in itertools.combinations(f, k)},
+        key=lambda s: (len(s), sorted(s)),
+    )
+    index = {s: i + 1 for i, s in enumerate(faces)}
+    index[frozenset()] = 0
+    down = [[]] + [[index[s - {v}] for v in sorted(s)] for s in faces]
+    down.append([index[frozenset(f)] for f in facets])
+    return down
+
+
+class TestIncidenceSigns:
+    """_incidence_signs checks the diamonds as it propagates, on hand-made
+    down-cover lists: each of its three refusals, and none on a sphere."""
+
+    def test_orientable_surface_passes(self):
+        # the boundary of the tetrahedron, a 2-sphere
+        down = cone_over_complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)])
+        eps = _incidence_signs(down)
+        assert len(eps) == sum(map(len, down))
+
+    def test_three_middle_faces(self):
+        # three rays under one 2-dimensional top share the apex
+        down = [[], [0], [0], [0], [1, 2, 3]]
+        with pytest.raises(AssertionError, match="diamond property violated"):
+            _incidence_signs(down)
+
+    def test_unreached_down_cover(self):
+        # two diamonds under the top that share no face below it
+        down = [[], [], [0], [0], [1], [1], [2, 3, 4, 5]]
+        with pytest.raises(AssertionError, match="misses a cover pair"):
+            _incidence_signs(down)
+
+    def test_non_orientable_surface(self):
+        # every edge of the six-vertex RP² lies on two triangles, so every
+        # diamond of the top has two middle faces, but no sign solves them
+        down = cone_over_complex(sorted(tuple(sorted(f)) for f in RP2_SIX_VERTEX.facets))
+        with pytest.raises(AssertionError, match="fails the diamond condition"):
+            _incidence_signs(down)
 
 
 def _fraction_coords(basis, targets):
