@@ -34,10 +34,10 @@ import sys
 from .cohomology import (
     cochain_complex,
     filter_at,
-    local_cohomology_at,
+    filter_profile,
     profile_of_complex,
 )
-from .constructions import SimplicialComplex, builtin, delta_construct, read_int, read_lines
+from .constructions import SimplicialComplex, delta_construct, read_int, read_lines
 from .criteria import (
     depth_bounds_multi,
     f_bad_primes,
@@ -310,8 +310,8 @@ def cmd_cohomology(args) -> int:
         )
     fields = _parse_fields(args.fields)
     primes = tuple(p for p in fields if p is not None)
-    profile = local_cohomology_at(model, degree, primes)
     ids = filter_at(model, degree)
+    profile = filter_profile(model.fl, ids, primes=primes)
     out = {
         "degree": list(degree),
         "filter": [

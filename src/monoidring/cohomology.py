@@ -212,9 +212,10 @@ def filter_profile(
     monotonicity of the decoration; depth_bounds_multi passes S ∩ below(F)
     for such a pattern S and F in S, which is up-closed in the interval
     below F, as every face between a member and F is in S and below F; and
-    local_cohomology_at passes the filter of filter_at.  filter_profile is
-    not exported: a filter that comes from a caller meets cochain_complex,
-    which refuses one that is not up-closed with NotUpClosed.
+    local_cohomology_at and the cohomology command (cli) pass the filter of
+    filter_at.  filter_profile is not exported: a filter that comes from a
+    caller meets cochain_complex, which refuses one that is not up-closed
+    with NotUpClosed.
 
     A filter with exactly one least face G is the interval [G, top]: every
     member lies above a least face, and up-closure holds every face between

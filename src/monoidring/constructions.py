@@ -238,10 +238,6 @@ def _pi_constraints(n: int) -> list[tuple[Vec, int]]:
     return cons
 
 
-def _side_constraint(n: int, vertex_pos: int) -> tuple[Vec, int]:
-    return _pi_constraints(n)[1 + vertex_pos]
-
-
 def _pyramid_base_rays(constraints: list[tuple[Vec, int]], dim: int) -> list[Vec]:
     """The rays (t v, 0, t) of the cone over the pyramid over the polytope
     {y : lin . y >= rhs}, one for each vertex v, t the least positive
@@ -301,7 +297,7 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         lin = [0] * n
         rhs = 0
         for v in sorted(g):
-            side_lin, side_rhs = _side_constraint(n, vertex_pos[v])
+            side_lin, side_rhs = pi[1 + vertex_pos[v]]
             lin = [a + b for a, b in zip(lin, side_lin)]
             rhs += side_rhs
         mult = scale * 3**k
@@ -316,20 +312,15 @@ def _delta_construct_once(delta, n, vertex_pos, d, non_faces, scale, provenance)
         raise VerificationFailed("cone is not full dimensional")
 
     # expected facet forms: lifted constraints plus the base of the pyramid
+    lifted = [primitive(tuple(lin) + (rhs, -rhs)) for lin, rhs in constraints]
     expected: dict[Vec, str] = {}
-    for idx, (lin, rhs) in enumerate(constraints):
-        lifted = primitive(tuple(lin) + (rhs, -rhs))
-        kind = "vertex" if 1 <= idx <= n else "parity"
-        expected[lifted] = kind
+    for idx, form in enumerate(lifted):
+        expected[form] = "vertex" if 1 <= idx <= n else "parity"
     expected[tuple([0] * n + [1, 0])] = "parity"  # base of the final pyramid
     cone = RationalCone(d, rays, mat(sorted(expected)), rays, Lattice(d, identity(d)))
     fl = face_lattice(cone)
     _check_facet_inventory(fl)
-    vertex_form = {}
-    for v, pos in vertex_pos.items():
-        lin, rhs = _side_constraint(n, pos)
-        lifted = primitive(tuple(lin) + (rhs, -rhs))
-        vertex_form[v] = cone.support_forms.index(lifted)
+    vertex_form = {v: cone.support_forms.index(lifted[1 + pos]) for v, pos in vertex_pos.items()}
 
     # survival of the faces of the complex with the right dimension and no
     # extra facets through them

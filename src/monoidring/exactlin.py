@@ -128,25 +128,23 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _row_gcd_transform(mats, i, j, col):
-    """Left-multiply rows i, j of each matrix in mats by the 2x2
-    determinant-one matrix that moves gcd(a, b) into position (i, col) and
-    zeroes (j, col), for a, b the entries of the first matrix there."""
-    a, b = mats[0][i][col], mats[0][j][col]
+def _row_gcd_transform(m, i, j, col):
+    """Left-multiply rows i, j of the matrix m by the 2x2 determinant-one
+    matrix that moves gcd(a, b) into position (i, col) and zeroes (j, col),
+    for a, b the entries of m there."""
+    a, b = m[i][col], m[j][col]
     if b == 0:
         return
     if a and b % a == 0:
         # shear only; keeping the pivot row fixed guarantees progress
         q = b // a
-        for m in mats:
-            m[j] = [y - q * x for x, y in zip(m[i], m[j])]
+        m[j] = [y - q * x for x, y in zip(m[i], m[j])]
         return
     g, s, t = xgcd(a, b)
     p, q = -(b // g), a // g
-    for m in mats:
-        ri, rj = m[i], m[j]
-        m[i] = [s * x + t * y for x, y in zip(ri, rj)]
-        m[j] = [p * x + q * y for x, y in zip(ri, rj)]
+    ri, rj = m[i], m[j]
+    m[i] = [s * x + t * y for x, y in zip(ri, rj)]
+    m[j] = [p * x + q * y for x, y in zip(ri, rj)]
 
 
 def _hermite_rows(rows: list[list[int]], cols: int) -> None:
@@ -169,7 +167,7 @@ def _hermite_rows(rows: list[list[int]], cols: int) -> None:
         if pivot != piv_row:
             rows[piv_row], rows[pivot] = rows[pivot], rows[piv_row]
         for i in range(piv_row + 1, n):
-            _row_gcd_transform((rows,), piv_row, i, col)
+            _row_gcd_transform(rows, piv_row, i, col)
         if rows[piv_row][col] < 0:
             rows[piv_row] = [-x for x in rows[piv_row]]
         p = rows[piv_row][col]
@@ -262,7 +260,7 @@ def snf(matrix) -> tuple[tuple[int, ...], Mat]:
             w[k], w[bj] = w[bj], w[k]
         while True:
             for i in range(k + 1, n):
-                _row_gcd_transform((s,), k, i, col=k)
+                _row_gcd_transform(s, k, i, col=k)
             for j in range(k + 1, cols):
                 col_gcd_transform(k, j, row=k)
             if all(s[i][k] == 0 for i in range(k + 1, n)) and all(

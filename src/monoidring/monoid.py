@@ -19,6 +19,7 @@ from .exactlin import (
     Mat,
     Vec,
     dot,
+    form_kernel,
     is_zero_vec,
     lattice_from_rows,
     lattice_intersect,
@@ -37,7 +38,6 @@ from .polyhedral import (
     face_lattice,
     grading_form,
     minimal_face,
-    zero_set_kernel,
 )
 
 
@@ -491,15 +491,20 @@ class FaceGroups:
 def face_group_cuts(
     fl: FaceLattice, reference: Lattice, lattices: dict[int, Lattice]
 ) -> tuple[tuple[Lattice, Lattice], ...]:
-    """(A_F, facet cut of A_F) for every face F, by face index.
+    """(A_F, facet cut of A_F) for every face F, by face index, in one pass
+    over the faces from the top down.
 
     lattices maps face indices to their lattices; only the facets are read,
     and a facet missing from it carries its whole group.
 
-    A_F is the integer kernel on the reference of the support forms that
-    vanish on F, which is exact for a reference inside span C (argument in
-    polyhedral.zero_set_kernel).  On the reference span C ∩ Z^m that kernel
-    is the saturated span of F, which the face lattice already holds.
+    The faces are indexed by dimension, so the pass reaches a face after
+    every face above it, and every facet before any lower face.  The top
+    keeps the reference, which lies in span C.  Every other face F is a
+    facet of its first cover H, and a form phi in zs(F) ∖ zs(H) cuts span H
+    down to span F (face_lattice).  So A_F = reference ∩ span F is the
+    kernel of phi on A_H (exactlin.form_kernel, canonical, so groups compare
+    by ==), and where A_H is span H, A_F is span F, which the face lattice
+    already holds.  Below the top that costs at most one form kernel a face.
 
     The cut of F is A_F ∩ ⋂ lambda_G over the cutting facets G ⊇ F, the
     facets whose lattice differs from A_G: any other facet contains A_F.  A
@@ -509,39 +514,43 @@ def face_group_cuts(
     A_F ∩ ⋂ lambda_G also on an input that validation then refuses.  A face
     on no cutting facet keeps A_F.
 
-    Every other cut is read from the faces covering F, walked top-down.
-    For a cover H of F, A_F ⊆ A_H, and one form phi that vanishes on F but
-    not on H cuts span H down to span F, as F is a facet of H.  So the
-    kernel of phi on the cut of H is A_H ∩ span F ∩ ⋂_{G ⊇ H} lambda_G =
-    A_F ∩ ⋂_{G ⊇ H} lambda_G, a form kernel (polyhedral.zero_set_kernel).
-    The cuts of further covers are met with it until the facets above the
-    covers used include every cutting facet through F.  That happens: the
-    lattice is graded, so every facet G ⊋ F contains a face covering F.
-    The cut found so far goes first into lattice_intersect, as it often
-    lies in the next cover's cut already.
+    Every other cut is read from the faces covering F, whose cuts are done,
+    as are all the cutting facets.  For a cover H of F, the kernel of a
+    form phi as above on the cut of H is
+    A_H ∩ span F ∩ ⋂_{G ⊇ H} lambda_G = A_F ∩ ⋂_{G ⊇ H} lambda_G.  The cuts
+    of further covers are met with it until the facets above the covers
+    used include every cutting facet through F.  That happens: the lattice
+    is graded, so every facet G ⊋ F contains a face covering F.  The cut
+    found so far goes first into lattice_intersect, as it often lies in the
+    next cover's cut already.
     """
     forms = fl.cone.support_forms
-    groups = [f.span_lattice for f in fl.faces]
-    if reference != fl.cone.span_lattice:
-        groups = [zero_set_kernel(forms, f.zero_set, reference) for f in fl.faces]
+    groups = [reference] * len(fl.faces)
     cuts = list(groups)
     cutting: set[int] = set()  # the forms of the cutting facets
-    for i in fl.facet_indices():
-        if lattices.get(i, groups[i]) != groups[i]:
-            cuts[i] = lattice_intersect(lattices[i], groups[i])
-            cutting |= fl.faces[i].zero_set
     for f in reversed(fl.faces):
+        i = f.index
+        if fl.up_covers[i]:
+            h = fl.faces[fl.up_covers[i][0]]
+            if groups[h.index] == h.span_lattice:
+                groups[i] = f.span_lattice
+            else:
+                groups[i] = form_kernel(groups[h.index], forms[min(f.zero_set - h.zero_set)])
+        cuts[i] = groups[i]
+        if f.dim == fl.top.dim - 1 and lattices.get(i, groups[i]) != groups[i]:
+            cuts[i] = lattice_intersect(lattices[i], groups[i])
+            cutting |= f.zero_set
         need, covered = f.zero_set & cutting, set()
         # the covers on the most cutting facets first, so few cuts are met
-        covers = sorted(fl.up_covers[f.index], key=lambda h: -len(fl.faces[h].zero_set & need))
+        covers = sorted(fl.up_covers[i], key=lambda h: -len(fl.faces[h].zero_set & need))
         for h in covers:
             above = fl.faces[h].zero_set & need
             if above - covered:
                 if covered:
-                    cuts[f.index] = lattice_intersect(cuts[f.index], cuts[h])
+                    cuts[i] = lattice_intersect(cuts[i], cuts[h])
                 else:
                     phi = min(f.zero_set - fl.faces[h].zero_set)
-                    cuts[f.index] = zero_set_kernel(forms, (phi,), cuts[h])
+                    cuts[i] = form_kernel(cuts[h], forms[phi])
                 covered |= above
     return tuple(zip(groups, cuts))
 

@@ -251,28 +251,6 @@ class FaceLattice:
         return None if idx is None else self.faces[idx]
 
 
-def zero_set_kernel(forms: Mat, zero_set, lat: Lattice) -> Lattice:
-    """lat ∩ {phi_i = 0 : i in zero_set}: the integer kernel of those forms
-    on lat, for the face groups of a decorated cone (monoid.face_group_cuts;
-    face_lattice cuts each span by one form instead).  The forms are taken
-    one at a time, each cutting the previous kernel by one pass of xgcd
-    steps over its HNF basis (exactlin.form_kernel), which returns the
-    next kernel in canonical form with no Hermite elimination, and the
-    kernel itself when the form vanishes on it.  So kernels compare by ==.
-
-    For a face F of C, the zero set of F and a lattice lat inside span C,
-    this is lat ∩ span F, because span F = span C ∩ {phi_i = 0 : i in
-    zero_set(F)}: the forms vanish on F; conversely, for x on the right and
-    p in relint F, where every other form is positive, p + t x lies in C
-    and on every phi_i = 0 for small t > 0, hence in F, and
-    x = ((p + t x) - p) / t.  On lat = span C ∩ Z^m the kernel is the
-    saturated span of F: a kernel is saturated in lat, and lat in Z^m.
-    """
-    for i in sorted(zero_set):
-        lat = form_kernel(lat, forms[i])
-    return lat
-
-
 # Past this many faces face_lattice raises TooLarge, before it computes any
 # span.  The largest lattices it is met with: 2920 faces in the tests (the
 # six-vertex RP² model), 184 in the benchmark workloads.  The orthant of m

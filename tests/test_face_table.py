@@ -30,6 +30,7 @@ from conftest import (
 from oracles import smith_decomposition
 from test_cli import run_cli
 from test_gap_scan import seeded_monoids
+from test_polyhedral import even_decoration
 
 
 def random_monoid_models(seed, count):
@@ -63,18 +64,17 @@ def even_reference_models(models):
 
 
 def kernels_of_the_cut(model):
-    """The kernels one face_group_cuts takes: one per face for A_F unless the
-    reference is span C ∩ Z^m, and one per face strictly below a facet whose
-    lattice is not its whole group, cut from a cover."""
+    """The form kernels one face_group_cuts takes: one per face whose first
+    cover's group is not that cover's span, for A_F, and one per face
+    strictly below a facet whose lattice is not its whole group, cut from a
+    cover."""
     fl = model.fl
-    cutting = [
-        fl.faces[i]
-        for i in fl.facet_indices()
-        if model.lambdas[i] != lattice_intersect(model.reference, fl.faces[i].span_lattice)
-    ]
+    groups = [lattice_intersect(model.reference, f.span_lattice) for f in fl.faces]
+    first_covers = [fl.faces[fl.up_covers[f.index][0]] for f in fl.faces[:-1]]
+    by_group = [h for h in first_covers if groups[h.index] != h.span_lattice]
+    cutting = [fl.faces[i] for i in fl.facet_indices() if model.lambdas[i] != groups[i]]
     below = [f for f in fl.faces if any(f.ray_set < g.ray_set for g in cutting)]
-    groups = 0 if model.reference == model.cone.span_lattice else len(fl.faces)
-    return groups + len(below)
+    return len(by_group) + len(below)
 
 
 def facet_loop_s2(model):
@@ -183,6 +183,20 @@ class TestFaceTable:
         assert fresh.face_table == model.face_table
         assert 1 <= len(calls) <= 33
 
+    def test_rp2_groups_down_the_covers(self, rp2_result, count_calls):
+        # A_F on the even reference: one form kernel per face below the top,
+        # and no cutting facet.  On span C ∩ Z^m: no kernel for A_F, and one
+        # per face strictly below a cutting facet, cut from a cover
+        model = rp2_result.model
+        fl = model.fl
+        kernels = count_calls(monoidring.monoid, "form_kernel")
+        table = monoidring.monoid.face_group_cuts(fl, *even_decoration(fl))
+        assert all(cut == group for group, cut in table)
+        assert len(kernels) == len(fl.faces) - 1 == 2919
+        kernels.clear()
+        monoidring.monoid.face_group_cuts(fl, model.reference, dict(enumerate(model.lambdas)))
+        assert len(kernels) == kernels_of_the_cut(model) == 2876
+
     def test_s2_matches_the_facet_loop(self, models, tmp_path):
         # rays are proper faces below the facets from rank 3 on
         doubled = [
@@ -243,9 +257,11 @@ class TestFaceTable:
             monoid_path: kernels_of_the_cut(parse_input(str(monoid_path))[1].model),
         }
         assert want[model_path] == 7  # the faces strictly below the facet F1
-        assert want[even_path] == 20 + 7  # and the 20 groups A_F
+        # and one group A_F per face below the top, as no first cover's group
+        # is its span
+        assert want[even_path] == 19 + 7
         tables, kernels = [], []
-        cuts, kernel = monoidring.monoid.face_group_cuts, monoidring.monoid.zero_set_kernel
+        cuts, kernel = monoidring.monoid.face_group_cuts, monoidring.monoid.form_kernel
 
         def counted_cuts(*args):
             tables.append(args)
@@ -256,7 +272,7 @@ class TestFaceTable:
             return kernel(*args)
 
         monkeypatch.setattr(monoidring.monoid, "face_group_cuts", counted_cuts)
-        monkeypatch.setattr(monoidring.monoid, "zero_set_kernel", counted_kernel)
+        monkeypatch.setattr(monoidring.monoid, "form_kernel", counted_kernel)
         for path, n_kernels in want.items():
             tables.clear()
             kernels.clear()

@@ -159,9 +159,9 @@ def seeded_monoids():
     # one misses the interior group point (2, 2, 3)
     out.append(monoid_new([(0, 2, 2), (1, 0, 1), (1, 1, 2), (2, 0, 2), (2, 1, 2), (2, 2, 2)]))
     # sets of rank below the ambient dimension and sets whose group is not
-    # saturated, where the face table takes A_F by zero_set_kernel on the
-    # reference gp(M): four by hand, two of them not seminormal (gaps
-    # (0, 1, 0) and (2, 0)), and rank-2 sets mapped into Z^3
+    # saturated, where the face table takes A_F by form kernels down the
+    # covers from the reference gp(M): four by hand, two of them not
+    # seminormal (gaps (0, 1, 0) and (2, 0)), and rank-2 sets mapped into Z^3
     out.append(monoid_new([(2, 0), (0, 2), (1, 1)]))
     out.append(monoid_new([(1, 2, 3), (2, 4, 7), (3, 6, 9), (0, 0, 1)]))
     out.append(monoid_new([(0, 2, 0), (0, 3, 0), (1, 0, 1), (1, 1, 1)]))

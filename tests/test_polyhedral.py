@@ -20,6 +20,7 @@ from monoidring.errors import NotInCone, NotPointed, OutOfRange, TooLarge
 from monoidring.exactlin import (
     dot,
     form_kernel,
+    identity,
     lattice_from_rows,
     lattice_intersect,
     mat_mul,
@@ -45,7 +46,8 @@ from conftest import (
     oracle_construction,
     resigned_epsilon,
 )
-from oracles import left_kernel
+from oracles import intersect_by_kernel, left_kernel
+from test_gap_scan import drawn_monoids, seeded_monoids
 
 PYRAMID = [
     (0, 0, 1, 1),
@@ -613,7 +615,7 @@ class TestSpanLattices:
 class TestTopDownSpans:
     """face_lattice takes each span below the top as the kernel of one form
     on the span of a cover: one form_kernel per face, on a basis of rank
-    one more than the face's, and no zero_set_kernel."""
+    one more than the face's."""
 
     @staticmethod
     def kernel_ranks(cone, monkeypatch):
@@ -623,11 +625,7 @@ class TestTopDownSpans:
             ranks.append(lat.rank)
             return form_kernel(lat, phi)
 
-        def no_call(*args):
-            raise AssertionError("face_lattice took a zero-set kernel")
-
         monkeypatch.setattr(monoidring.polyhedral, "form_kernel", counted)
-        monkeypatch.setattr(monoidring.polyhedral, "zero_set_kernel", no_call)
         fl = face_lattice(cone)
         monkeypatch.undo()
         return fl, ranks
@@ -645,25 +643,31 @@ class TestTopDownSpans:
 
 def hnf_zero_set_kernel(forms, zero_set, lat):
     """The kernel of the zero-set forms on lat by one HNF transform of their
-    values on the basis of lat, then a second HNF for the canonical basis."""
+    values on the basis of lat, then a second HNF for the canonical basis.
+
+    For a face F, its zero set and a lattice lat inside span C, this is
+    lat ∩ span F, as span F = span C ∩ {phi_i = 0 : i in zero_set(F)}: the
+    forms vanish on F; conversely, for x on the right and p in relint F,
+    where every other form is positive, p + t x lies in C and on every
+    phi_i = 0 for small t > 0, hence in F, and x = ((p + t x) - p) / t."""
     values = [tuple(dot(forms[i], b) for i in sorted(zero_set)) for b in lat.basis]
     kernel = left_kernel(values, lat.rank)
     return lattice_from_rows(lat.ambient_dim, [vec_mat(k, lat.basis) for k in kernel])
 
 
-def even_decoration(fl):
+def even_decoration(fl, modulus=2):
     """An even reference in span C, and the facet lattices of the first two
-    facets cut to even last coordinate."""
-    even = even_degree_lattice(fl.cone.ambient_dim)
-    given = {
-        i: lattice_intersect(fl.faces[i].span_lattice, even) for i in fl.facet_indices()[:2]
-    }
-    return lattice_intersect(fl.cone.span_lattice, even), given
+    facets cut to a last coordinate divisible by modulus, an even number."""
+    m = fl.cone.ambient_dim
+    cut = lattice_from_rows(m, [(0,) * (m - 1) + (modulus,)] + list(identity(m)[:-1]))
+    given = {i: lattice_intersect(fl.faces[i].span_lattice, cut) for i in fl.facet_indices()[:2]}
+    return lattice_intersect(fl.cone.span_lattice, even_degree_lattice(m)), given
 
 
 class TestKernelsAgainstHnf:
-    """The face spans and the facet cuts, which take their kernels by xgcd
-    steps, equal the ones an HNF kernel gives."""
+    """The face spans, the groups A_F and the facet cuts, which take their
+    kernels by xgcd steps down the covers, equal the ones an HNF kernel of
+    the zero-set forms and intersections by left kernels give."""
 
     @pytest.fixture(scope="class")
     def corpus_models(self):
@@ -677,18 +681,35 @@ class TestKernelsAgainstHnf:
                 want = hnf_zero_set_kernel(fl.cone.support_forms, f.zero_set, fl.cone.span_lattice)
                 assert f.span_lattice == want
 
-    def test_cuts(self, oracle_lattices, corpus_models, rp2_result, monkeypatch):
-        # the oracle lattices on an even reference, so A_F is a kernel too
-        decorations = [(fl, *even_decoration(fl)) for fl in oracle_lattices]
-        assert sum(ref != fl.cone.span_lattice for fl, ref, _ in decorations) >= 60
+    def test_cuts(self, oracle_lattices, corpus_models, rp2_result):
+        # the oracle lattices on an even reference, with two facets cut to
+        # it and to a last coordinate divisible by 4, and the groups gp(M)
+        # that are not saturated, where A_F is not the span of F; then the
+        # corpus and RP² on span C ∩ Z^m
+        monoids = [m.model for m in seeded_monoids() + drawn_monoids()]
+        gp_models = [m for m in monoids if m.reference != m.cone.span_lattice]
+        assert len(gp_models) == 104
+        decorations = [(fl, *even_decoration(fl, k)) for fl in oracle_lattices for k in (2, 4)]
+        assert sum(ref != fl.cone.span_lattice for fl, ref, _ in decorations) >= 120
         decorations += [
             (m.fl, m.reference, dict(enumerate(m.lambdas)))
-            for m in corpus_models + [rp2_result.model]
+            for m in gp_models + corpus_models + [rp2_result.model]
         ]
-        cuts = monoidring.monoid.face_group_cuts
-        got = [cuts(*d) for d in decorations]
-        monkeypatch.setattr(monoidring.monoid, "zero_set_kernel", hnf_zero_set_kernel)
-        assert [cuts(*d) for d in decorations] == got
+        cut_faces = 0
+        for fl, reference, given in decorations:
+            table = monoidring.monoid.face_group_cuts(fl, reference, given)
+            facets = [fl.faces[i] for i in fl.facet_indices() if i in given]
+            faces = fl.faces[::7] if fl is rp2_result.model.fl else fl.faces
+            for f in faces:
+                group, cut = table[f.index]
+                assert group == hnf_zero_set_kernel(fl.cone.support_forms, f.zero_set, reference)
+                want = group
+                for g in facets:
+                    if f.ray_set <= g.ray_set:
+                        want = intersect_by_kernel(want, given[g.index])
+                assert cut == want
+                cut_faces += cut != group
+        assert cut_faces > 0
 
 
 def pairwise_covers(fl):

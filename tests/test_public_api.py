@@ -71,3 +71,25 @@ def test_every_export_has_a_reader():
 
 def test_every_definition_has_a_reader():
     assert not unread(definitions()), "definitions without a reader"
+
+
+def unloaded_imports() -> list[str]:
+    """module.name for every name a top-level import of a package module
+    other than __init__ binds and the module never loads."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = names_used(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_import_is_loaded():
+    assert not unloaded_imports(), "imports never loaded"
