@@ -10,9 +10,10 @@ can differ.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import NotUpClosed, OutOfRange
-from .exactlin import Mat, invariant_factors, prime_factors
+from .exactlin import Mat, check_primes, invariant_factors, prime_factors
 from .monoid import DecoratedCone
 from .polyhedral import Face, FaceLattice, minimal_face
 
@@ -135,7 +136,9 @@ def _torsion(factors) -> frozenset[int]:
 
 
 def cohomology_dims(complex_: CochainComplex, p: int | None = None) -> tuple[int, ...]:
-    """dim H^t for t = 0..d over Q (p=None) or over F_p."""
+    """dim H^t for t = 0..d over Q (p=None) or over F_p; OutOfRange for a
+    p that is not a prime."""
+    check_primes((p,))
     return _dims(complex_, [_rank(invariant_factors(m), p) for m in complex_.matrices])
 
 
@@ -147,7 +150,12 @@ def torsion_primes(complex_: CochainComplex) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class CohomologyProfile:
-    """Cohomology dimensions of one filter complex, per field."""
+    """Cohomology dimensions of one filter complex, per field.
+
+    A profile may be shared: interval_profile hands out one object per
+    shape, and many fibers carry it.  It is read-only: nothing in the
+    library writes dims_p after it is built.
+    """
 
     dims_q: tuple[int, ...]
     dims_p: dict[int, tuple[int, ...]]
@@ -194,9 +202,20 @@ def interval_profile(top: Face, least: int, primes=()) -> CohomologyProfile:
     Its profile is zero in every degree and over every field.  For G = top
     the filter is {top}, with Z in degree dim top alone.  Neither has a
     torsion prime.
+
+    So the profile depends on dim top, on whether G is top and on the
+    requested primes alone, and one object per such key is shared by every
+    caller (_interval_profile): with the primes as a sorted tuple of
+    distinct primes, equal keys give equal profiles, so the cache is exact.
+    The shared object is read-only, like every CohomologyProfile.
     """
-    dims = tuple(int(least == top.index and t == top.dim) for t in range(top.dim + 1))
-    return CohomologyProfile(dims, {p: dims for p in sorted(set(primes))}, frozenset())
+    return _interval_profile(top.dim, least == top.index, tuple(sorted(set(primes))))
+
+
+@cache
+def _interval_profile(dim: int, at_top: bool, primes: tuple[int, ...]) -> CohomologyProfile:
+    dims = tuple(int(at_top and t == dim) for t in range(dim + 1))
+    return CohomologyProfile(dims, dict.fromkeys(primes, dims), frozenset())
 
 
 def filter_profile(
@@ -230,6 +249,8 @@ def filter_profile(
 
 
 def local_cohomology_at(model: DecoratedCone, a, primes=()) -> CohomologyProfile:
-    """Profile of the local cohomology in degree -a for a in cn ∩ reference."""
+    """Profile of the local cohomology in degree -a for a in cn ∩ reference;
+    OutOfRange for an entry of primes that is not a prime."""
+    check_primes(primes)
     return filter_profile(model.fl, filter_at(model, a), primes=primes)
 

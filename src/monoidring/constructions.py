@@ -40,6 +40,7 @@ from .exactlin import (
     Lattice,
     Mat,
     Vec,
+    check_primes,
     identity,
     lattice_from_rows,
     lattice_intersect,
@@ -172,7 +173,9 @@ class HomologyResult:
 def simplicial_homology(delta: SimplicialComplex, primes=()) -> HomologyResult:
     """Reduced simplicial homology over Q and prime fields, with the torsion
     primes of the integer boundary matrices.  Independent of the face-filter
-    machinery: this is the plain ordered chain complex of the complex."""
+    machinery: this is the plain ordered chain complex of the complex.
+    OutOfRange for an entry of primes that is not a prime."""
+    check_primes(primes)
     faces_by_dim: list[list[tuple[int, ...]]] = [[()]]
     all_faces = delta.faces()
     for k in range(delta.dim + 1):
@@ -436,9 +439,11 @@ def builtin(name: str) -> DecoratedCone:
 def verify_eq_homology(result: ConstructionResult, delta: SimplicialComplex, p: int | None = None) -> bool:
     """Local cohomology at the distinguished degree against the reduced
     homology of the complex, shifted so cohomological degree i pairs with
-    homological degree d - i - 1."""
+    homological degree d - i - 1.  OutOfRange for a p that is not a
+    prime."""
     from .cohomology import local_cohomology_at
 
+    check_primes((p,))
     primes = () if p is None else (p,)
     profile = local_cohomology_at(result.model, result.distinguished_degree, primes)
     hom = simplicial_homology(delta, primes)

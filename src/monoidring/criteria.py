@@ -11,7 +11,7 @@ from math import gcd, prod
 
 from .cohomology import filter_profile, least_faces
 from .errors import HypothesisUnverified, NotCM
-from .exactlin import Vec, dot, form_kernel, prime_factors, solve_rational
+from .exactlin import Vec, check_primes, dot, form_kernel, prime_factors, solve_rational
 from .monoid import (
     AffineMonoid,
     DecoratedCone,
@@ -232,7 +232,9 @@ def depth_bounds_multi(model: DecoratedCone, report: DepthReport) -> dict[int | 
 
 
 def depth_bounds(model: DecoratedCone, p: int | None = None) -> DepthBounds:
-    """The chain depth >= c_K >= min(n + 1, rank), evaluated exactly."""
+    """The chain depth >= c_K >= min(n + 1, rank), evaluated exactly;
+    OutOfRange for a p that is not a prime."""
+    check_primes((p,))
     return depth_bounds_multi(model, depth_report(model, primes=() if p is None else (p,)))[p]
 
 
@@ -257,7 +259,9 @@ def gorenstein_check(
     p enters only through the Cohen-Macaulay check: the indices, the solve
     and b are the same over every field, so one call answers every field
     over which the model is Cohen-Macaulay (cli analyze makes one).
+    OutOfRange for a p that is not a prime.
     """
+    check_primes((p,))
     rep = report if report is not None else depth_report(model, primes=() if p is None else (p,))
     if not rep.cm(p):
         raise NotCM("the Gorenstein test requires a Cohen-Macaulay model")

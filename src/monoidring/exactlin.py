@@ -22,11 +22,11 @@ outside.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from operator import add, mul, sub
 
-from .errors import DegenerateFace, NotSublattice
+from .errors import DegenerateFace, NotSublattice, OutOfRange
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -94,8 +94,17 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
 
 
 def vec_mat(x, m: Mat) -> Vec:
-    cols = len(m[0]) if m else 0
-    return tuple(sum(x[i] * m[i][j] for i in range(len(m))) for j in range(cols))
+    """x @ m, the sum of the rows of m weighted by the coefficients x, one
+    coefficient per row: ValueError("dimension mismatch") otherwise.  A row
+    with coefficient 0 is skipped and one with coefficient 1 added as it
+    stands.  With no rows there is no width to read, so the answer is ()."""
+    if len(x) != len(m):
+        raise ValueError("dimension mismatch")
+    out = (0,) * (len(m[0]) if m else 0)
+    for c, row in zip(x, m):
+        if c:
+            out = tuple(map(add, out, row if c == 1 else map(c.__mul__, row)))
+    return out
 
 
 def prime_factors(n: int) -> set[int]:
@@ -111,6 +120,23 @@ def prime_factors(n: int) -> set[int]:
     if n > 1:
         out.add(n)
     return out
+
+
+@cache
+def _is_prime(p: int) -> bool:
+    return p > 1 and prime_factors(p) == {p}
+
+
+def check_primes(fields) -> None:
+    """Raise OutOfRange unless every entry of fields is a prime, the
+    characteristic of a prime field F_p, or None, the rationals.  Every
+    public entry point that takes primes or a field p calls it before any
+    work: a dimension "over F_4" or "over F_1" means nothing, and rank_mod
+    and the profiles would answer it without a word.  The verdict is
+    cached per value, as a prime near 10^12 takes 10^6 trial divisions."""
+    for p in fields:
+        if p is not None and not (isinstance(p, int) and _is_prime(p)):
+            raise OutOfRange(f"{p!r} is not a prime")
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -545,7 +571,14 @@ class Lattice:
         return k
 
     def from_coords(self, coords) -> Vec:
-        return vec_mat(coords, self.basis) if self.basis else (0,) * self.ambient_dim
+        """The lattice point with the given coordinates in the basis;
+        ValueError("dimension mismatch") unless there is one per basis
+        row, as in coords."""
+        if self.basis:
+            return vec_mat(coords, self.basis)
+        if len(coords):
+            raise ValueError("dimension mismatch")
+        return (0,) * self.ambient_dim
 
 
 def lattice_from_rows(ambient_dim: int, rows) -> Lattice:

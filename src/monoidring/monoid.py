@@ -26,7 +26,6 @@ from .exactlin import (
     mat,
     quotient_decomposition,
     saturation,
-    vadd,
     vscale,
     vsub,
 )
@@ -643,12 +642,10 @@ def model_point_in_relint(model: DecoratedCone, f: Face) -> Vec:
     each taken modulo lambda_f (Lattice.order).
     """
     fl = model.fl
+    if not f.ray_set:
+        return (0,) * fl.cone.ambient_dim
     rays = fl.cone.extreme_rays
-    total = (0,) * fl.cone.ambient_dim
-    for i in f.ray_set:
-        total = vadd(total, rays[i])
-    if is_zero_vec(total):
-        return total
+    total = tuple(map(sum, zip(*(rays[i] for i in f.ray_set))))
     row = model.face_table[f.index]
     if row.group == f.span_lattice:
         return vscale(row.factors[-1], total)

@@ -228,9 +228,14 @@ class FaceLattice:
     def faces_of_dim(self, d: int) -> list[Face]:
         return [f for f in self.faces if f.dim == d]
 
+    def up_set(self, g: Face) -> tuple[int, ...]:
+        """The indices of the faces containing g, g included, in increasing
+        order; one cached tuple per face."""
+        return self._up_sets[g.index]
+
     def faces_above(self, g: Face) -> list[Face]:
-        """The faces containing g, in index order."""
-        return [self.faces[i] for i in self._up_sets[g.index]]
+        """The faces containing g, in index order: the faces of up_set(g)."""
+        return [self.faces[i] for i in self.up_set(g)]
 
     @cached_property
     def _up_sets(self) -> tuple[tuple[int, ...], ...]:

@@ -21,7 +21,9 @@ open (see _class_patterns and fiber_types):
 - a face F with lambda_F = A_F holds every class, and a face with an
   up-cover outside a class's pattern is outside it too, as lambda_F lies
   in the lattice of every face above F.  Only the other faces are tested;
-- the classes run over the factors of the face table other than 1.
+- the classes run over the factors of the face table other than 1;
+- a filter with one least face carries the shared interval profile of its
+  shape, and depth_report scans each distinct profile once per field.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from math import prod
 
 from .cohomology import CohomologyProfile, filter_profile, interval_profile
 from .errors import TooLarge
-from .exactlin import Vec, dot, vadd, vec_mat, vscale
+from .exactlin import Vec, check_primes, dot, vadd, vec_mat, vscale
 from .monoid import DecoratedCone, FaceGroups, model_point_in_relint
 from .polyhedral import Face
 
@@ -124,11 +126,11 @@ def _class_patterns(
     n_classes = prod(factors)
     if n_classes > CLASS_CAP:
         raise TooLarge(f"face {sorted(g.ray_set)}: {n_classes} classes exceed the cap")
-    above = fl.faces_above(g)
-    seen = {frozenset(f.index for f in above): (0,) * fl.cone.ambient_dim}
+    above = fl.up_set(g)
+    seen = {frozenset(above): (0,) * fl.cone.ambient_dim}
     if n_classes == 1:
         return seen
-    walk = [(f.index, tests[f.index], fl.up_covers[f.index]) for f in reversed(above)]
+    walk = [(i, tests[i], fl.up_covers[i]) for i in reversed(above)]
     classes = product(*map(range, factors))
     next(classes)  # the class 0
     for coords in classes:
@@ -170,12 +172,18 @@ def fiber_types(model: DecoratedCone, primes=()) -> list[CohomologyType]:
     every form off the zero set of g is 0 at 0, so k = 1, and the apex has
     no such form and the step 0.  Every other pattern is profiled by
     cohomology.filter_profile, which builds a complex only for a filter
-    with two or more least faces; those hardly ever repeat, so nothing is
-    memoized.
+    with two or more least faces; those hardly ever repeat, so their
+    profiles are not memoized.
 
-    Nothing is cached: depth_report keeps the fibers it was computed from,
-    and depth_bounds_multi reads them from that report.
+    The one thing cached between calls is the interval profile: every
+    filter with one least face carries the single shared profile of its
+    shape (cohomology.interval_profile), so the fibers hold few distinct
+    profile objects.  The fibers themselves are not cached: depth_report
+    keeps the fibers it was computed from, and depth_bounds_multi reads
+    them from that report.  OutOfRange for an entry of primes that is not
+    a prime.
     """
+    check_primes(primes)
     out: list[CohomologyType] = []
     fl = model.fl
     top = fl.top
@@ -230,7 +238,8 @@ class DepthReport:
 
 
 def depth_report(model: DecoratedCone, primes=(2, 3)) -> DepthReport:
-    """Exact depth per field from the realizable fibers.
+    """Exact depth per field from the realizable fibers; OutOfRange for an
+    entry of primes that is not a prime.
 
     The fiber at the full cone with the one-element filter always realizes
     nonzero top cohomology, so the minimum is well defined and the depth
@@ -240,22 +249,32 @@ def depth_report(model: DecoratedCone, primes=(2, 3)) -> DepthReport:
     included: each profile holds its dims for its own torsion primes, and
     for any other prime p its F_p dims equal its Q dims, which is what
     `CohomologyProfile.dims(p)` returns.
+
+    Each field scans the distinct profile objects once, in the order each
+    first appears among the fibers, with that first fiber's witness.  A
+    later fiber with the same profile has the same dims, so it can neither
+    lower the depth nor set a witness: every degree it is nonzero in
+    already has the first fiber's.  Fibers share the interval profiles
+    (fiber_types), so on RP² 4412 fibers carry 3 profiles.
     """
+    check_primes(primes)
     d = model.rank
     fibers = tuple(fiber_types(model, primes))
-    tors = frozenset().union(*(t.profile.torsion_primes for t in fibers)) if fibers else frozenset()
+    firsts: dict[int, tuple[CohomologyProfile, Vec]] = {}
+    for t in fibers:
+        firsts.setdefault(id(t.profile), (t.profile, t.witness))
+    profiles = tuple(firsts.values())
+    tors = frozenset().union(*(profile.torsion_primes for profile, _ in profiles))
     all_primes = sorted(set(primes) | tors)
 
     def field_depth(p: int | None) -> tuple[int, dict[int, Vec]]:
         best = d
         witnesses: dict[int, Vec] = {}
-        for t in fibers:
-            dims = t.profile.dims(p)
-            for i, dim in enumerate(dims):
-                if dim > 0 and i not in witnesses:
-                    witnesses[i] = t.witness
-                if dim > 0 and i < best:
-                    best = i
+        for profile, witness in profiles:
+            for i, dim in enumerate(profile.dims(p)):
+                if dim > 0:
+                    witnesses.setdefault(i, witness)
+                    best = min(best, i)
         return best, witnesses
 
     depth_q, wit_q = field_depth(None)

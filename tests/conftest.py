@@ -19,7 +19,6 @@ import pytest
 import monoidring
 from monoidring.constructions import RP2_SIX_VERTEX, SimplicialComplex, delta_construct
 from monoidring.exactlin import (
-    dot,
     identity,
     invariant_factors,
     lattice_from_rows,

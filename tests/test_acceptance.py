@@ -20,16 +20,13 @@ from monoidring.cohomology import (
 from monoidring.constructions import (
     RP2_SIX_VERTEX,
     SimplicialComplex,
-    builtin,
     delta_construct,
-    simplicial_homology,
     verify_eq_homology,
 )
 from monoidring.criteria import depth_bounds_multi, f_bad_primes, s2_lattice_test
 from monoidring.exactlin import (
     dot,
     hnf,
-    identity,
     lattice_from_rows,
     lattice_intersect,
     mat,

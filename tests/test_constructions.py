@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 import monoidring.constructions
@@ -18,7 +16,6 @@ from monoidring.constructions import (
 from monoidring.criteria import s2_lattice_test
 from monoidring.errors import VerificationFailed
 from monoidring.exactlin import dot, lattice_intersect, mat, primitive, vadd, vscale
-from monoidring.monoid import model_point_in_relint
 from monoidring.polyhedral import RationalCone, dual_description, face_lattice, minimal_face
 from monoidring.typology import depth_report
 
@@ -28,7 +25,6 @@ from conftest import (
     even_degree_lattice,
     facet_by_label,
     oracle_construction,
-    pyramid_model,
 )
 from oracles import quotient_structure
 

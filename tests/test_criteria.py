@@ -20,7 +20,6 @@ from monoidring.criteria import (
 from monoidring.errors import NotCM
 from monoidring.exactlin import identity, lattice_from_rows, vadd
 from monoidring.monoid import (
-    decorated_cone,
     member,
     model_member,
     monoid_new,
@@ -32,7 +31,6 @@ from monoidring.typology import depth_report
 from conftest import (
     corpus,
     decorate_by_facets,
-    even_degree_lattice,
     facet_by_label,
     random_decorated_model,
 )

@@ -295,6 +295,44 @@ class TestLattice:
         assert repr(a) == repr(b)
 
 
+class TestVecMat:
+    """vec_mat and Lattice.from_coords take one coefficient per row, and
+    vec_mat is the plain double sum."""
+
+    def test_equals_the_double_sum(self):
+        rng = random.Random(2808)
+        seen = Counter()
+        for _ in range(2000):
+            rows, cols = rng.randint(0, 5), rng.randint(1, 6)
+            m = random_matrix(rng, rows, cols, rng.choice([3, 10**9]))
+            x = tuple(rng.choice([0, 0, 1, -1, rng.randint(-10**6, 10**6)]) for _ in range(rows))
+            want = tuple(sum(x[i] * m[i][j] for i in range(rows)) for j in range(cols))
+            assert vec_mat(x, m) == (want if rows else ())
+            seen["zero"] += 0 in x
+            seen["one"] += 1 in x
+            seen["all zero"] += rows > 0 and not any(x)
+        assert min(seen.values()) >= 100
+
+    def test_coefficient_count_must_match(self):
+        m = ((1, 0, 0), (0, 1, 0))
+        for x in ((1,), (1, 2, 5), ()):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                vec_mat(x, m)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            vec_mat((1,), ())
+
+    def test_from_coords_count_must_match(self):
+        lat = Lattice(3, ((1, 0, 0), (0, 1, 0)))
+        assert lat.from_coords((1, 2)) == (1, 2, 0)
+        for coords in ((1, 2, 5), (1,), ()):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                lat.from_coords(coords)
+        zero = Lattice(3, ())
+        assert zero.from_coords(()) == (0, 0, 0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            zero.from_coords((1,))
+
+
 class TestIntersectSaturation:
     def test_self_intersection(self):
         lat = lattice_from_rows(2, [(2, 0), (0, 3)])
@@ -347,8 +385,11 @@ class TestIntersectSaturation:
 
             a = lattice_from_rows(m, rows(rng.randint(0, m)))
             if rng.random() < 0.3:
-                # a sublattice of a, so that the intersection has a's rank
-                b = lattice_from_rows(m, [vec_mat(c, a.basis) for c in rows(a.rank)] if a.rank else [])
+                # a sublattice of a, so that the intersection has a's rank;
+                # each row of m entries gives its first a.rank as coefficients
+                b = lattice_from_rows(
+                    m, [vec_mat(c[: a.rank], a.basis) for c in rows(a.rank)] if a.rank else []
+                )
             else:
                 b = lattice_from_rows(m, rows(rng.randint(0, m)))
             got = lattice_intersect(a, b)

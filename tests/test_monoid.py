@@ -34,11 +34,8 @@ from monoidring.polyhedral import dual_description, minimal_face
 from conftest import (
     ORACLE_COMPLEXES,
     corpus,
-    even_degree_lattice,
     facet_by_label,
-    model_points_up_to_height,
     oracle_construction,
-    pyramid_model,
     random_decorated_model,
 )
 from oracles import relint_step

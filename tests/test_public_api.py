@@ -73,12 +73,16 @@ def test_every_definition_has_a_reader():
     assert not unread(definitions()), "definitions without a reader"
 
 
-def unloaded_imports() -> list[str]:
-    """module.name for every name a top-level import of a package module
-    other than __init__ binds and the module never loads."""
+TESTS = Path(__file__).resolve().parent
+
+
+def unloaded_imports(directory: Path, skip=()) -> list[str]:
+    """module.name for every name a top-level import of a module in
+    directory, other than those named in skip, binds and the module never
+    loads."""
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(directory.glob("*.py")):
+        if path.name in skip:
             continue
         tree = ast.parse(path.read_text())
         used = names_used(tree)
@@ -92,4 +96,11 @@ def unloaded_imports() -> list[str]:
 
 
 def test_every_import_is_loaded():
-    assert not unloaded_imports(), "imports never loaded"
+    assert not unloaded_imports(PACKAGE, skip={"__init__.py"}), "imports never loaded"
+
+
+def test_every_test_import_is_loaded():
+    """The same for the test modules, conftest and the oracles included.  A
+    name pytest reads as a fixture is a parameter, not a load, so none of
+    the fixtures is imported by name."""
+    assert not unloaded_imports(TESTS), "imports never loaded"

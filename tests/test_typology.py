@@ -1,6 +1,7 @@
 import random
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +10,21 @@ from monoidring.cli import parse_input
 from monoidring.cohomology import (
     CohomologyProfile,
     cochain_complex,
+    cohomology_dims,
     filter_at,
+    interval_profile,
     local_cohomology_at,
     profile_of_complex,
 )
-from monoidring.constructions import SimplicialComplex, builtin, delta_construct
-from monoidring.criteria import gorenstein_check
-from monoidring.errors import NotCM, TooLarge
+from monoidring.constructions import (
+    SimplicialComplex,
+    builtin,
+    delta_construct,
+    simplicial_homology,
+    verify_eq_homology,
+)
+from monoidring.criteria import depth_bounds, gorenstein_check
+from monoidring.errors import NotCM, OutOfRange, TooLarge
 from monoidring.exactlin import (
     Lattice,
     dot,
@@ -32,7 +41,7 @@ from monoidring.exactlin import (
     vscale,
     vsub,
 )
-from monoidring.monoid import restrict_model
+from monoidring.monoid import model_point_in_relint, restrict_model
 from monoidring.polyhedral import dual_description, face_lattice, minimal_face
 from monoidring.typology import CohomologyType, depth_report, fiber_types
 
@@ -42,6 +51,7 @@ from conftest import (
     dense_matrices,
     facet_by_label,
     random_decorated_model,
+    run_python,
 )
 from oracles import (
     class_patterns_by_walk,
@@ -542,3 +552,137 @@ class TestShiftIntoRelint:
                         steps.append(n)
         # no shift, short ones and ones past the 7 steps moved back out
         assert len(steps) > 10000 and min(map(steps.count, (0, 1, 2, 8))) > 100
+
+
+def per_fiber_report(fibers, rank, primes):
+    """depth_q, depth_by_prime, the witness dicts and the torsion primes
+    read fiber by fiber, every fiber scanned once per field: the scan
+    depth_report made before the fibers shared their profiles."""
+    tors = frozenset().union(*(t.profile.torsion_primes for t in fibers))
+
+    def field_depth(p):
+        best = rank
+        witnesses = {}
+        for t in fibers:
+            dims = t.profile.dims(p)
+            for i, dim in enumerate(dims):
+                if dim > 0 and i not in witnesses:
+                    witnesses[i] = t.witness
+                if dim > 0 and i < best:
+                    best = i
+        return best, witnesses
+
+    depth_q, wit_q = field_depth(None)
+    depth_by_prime, witnesses = {}, {"q": wit_q}
+    for p in sorted(set(primes) | tors):
+        depth_by_prime[p], witnesses[str(p)] = field_depth(p)
+    return depth_q, depth_by_prime, witnesses, tors
+
+
+class TestSharedProfiles:
+    """Every filter with one least face carries the one shared profile of
+    its shape, and depth_report scans each distinct profile once."""
+
+    def test_same_report_as_the_per_fiber_scan(self, rp2_result, hexagon_result):
+        models = [builtin("pyramid-7.1"), builtin("pyramid-7.3"), *corpus(seed=501, count=30)]
+        models += [hexagon_result.model, rp2_result.model]
+        for model in models:
+            for primes in ((2, 3), ()):
+                rep = depth_report(model, primes=primes)
+                got = (rep.depth_q, rep.depth_by_prime, rep.witnesses, rep.torsion_primes)
+                assert got == per_fiber_report(rep.fibers, model.rank, primes)
+                assert list(rep.witnesses) == ["q", *map(str, sorted(rep.depth_by_prime))]
+
+    def test_rp2_fibers_carry_three_profiles(self, rp2_result):
+        # the zero interval profile, the top's and the one complex's
+        model = rp2_result.model
+        top = model.fl.top.index
+        fibers = fiber_types(model, primes=(2, 3))
+        assert len(fibers) == 4412
+        assert len({id(t.profile) for t in fibers}) == 3
+        below_top = [t for t in fibers if t.base_face in t.filter_ids and t.base_face != top]
+        assert len(below_top) == 2919
+        assert len({id(t.profile) for t in below_top}) == 1
+
+    def test_rp2_scans_each_profile_once_per_field(self, rp2_result, count_calls):
+        # three profiles over Q, F_2 and F_3: nine reads of the 4412 fibers'
+        # dims, where a scan of every fiber makes 13236
+        model = rp2_result.model
+        calls = count_calls(CohomologyProfile, "dims")
+        rep = depth_report(model, primes=(2, 3))
+        assert len(calls) == 9
+        assert (rep.depth_q, rep.depth_by_prime) == (8, {2: 5, 3: 8})
+
+    def test_one_profile_per_key(self, model_71):
+        top = model_71.fl.top
+        for g in (0, 5, top.index):
+            assert interval_profile(top, g, [3, 2, 2]) is interval_profile(top, g, (2, 3))
+        assert interval_profile(top, 0, ()) is interval_profile(top, 5)
+        assert interval_profile(top, 0, (2,)) is not interval_profile(top, 0, (2, 3))
+        assert interval_profile(top, 0) is not interval_profile(top, top.index)
+        assert interval_profile(top, top.index, (3,)).dims(3) == (0, 0, 0, 0, 1)
+
+
+NON_PRIMES = (1, 0, 4, 6, -2)
+
+
+def answers_to_fields(values) -> dict[str, list[str]]:
+    """For every public entry point that takes primes or a field p, the
+    name of the exception each of values meets as p, or "answered"."""
+    model = builtin("pyramid-7.1")
+    cm_model = builtin("pyramid-7.3")
+    delta = SimplicialComplex.from_facets([(1, 2), (2, 3), (3, 4), (1, 4)])
+    result = delta_construct(delta)
+    complex_ = cochain_complex(model.fl, frozenset({model.fl.top.index}))
+    a = model_point_in_relint(model, model.fl.top)
+    calls = {
+        "depth_report": lambda p: depth_report(model, primes=(2, p)),
+        "fiber_types": lambda p: fiber_types(model, primes=(p,)),
+        "local_cohomology_at": lambda p: local_cohomology_at(model, a, primes=(p,)),
+        "depth_bounds": lambda p: depth_bounds(model, p),
+        "gorenstein_check": lambda p: gorenstein_check(cm_model, p),
+        "simplicial_homology": lambda p: simplicial_homology(delta, primes=(p,)),
+        "verify_eq_homology": lambda p: verify_eq_homology(result, delta, p),
+        "cohomology_dims": lambda p: cohomology_dims(complex_, p),
+    }
+    out = {}
+    for name, call in calls.items():
+        out[name] = []
+        for p in values:
+            try:
+                call(p)
+                out[name].append("answered")
+            except Exception as e:
+                out[name].append(type(e).__name__)
+    return out
+
+
+class TestNonPrimeFields:
+    """A field is Q or F_p for a prime p: every entry point refuses any
+    other p with OutOfRange, also under python -O, where an assert would
+    not."""
+
+    def test_refused(self, count_calls):
+        walks = count_calls(typology, "_membership_tests")
+        got = answers_to_fields(NON_PRIMES)
+        assert got == {name: ["OutOfRange"] * len(NON_PRIMES) for name in got}
+        assert len(got) == 8
+        assert not walks
+
+    def test_primes_answered(self):
+        got = answers_to_fields((2, 5))
+        assert got == {name: ["answered", "answered"] for name in got}
+
+    def test_refused_under_optimization(self):
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_typology import NON_PRIMES, answers_to_fields; "
+            "print(sorted(set(sum(answers_to_fields(NON_PRIMES).values(), []))))"
+        )
+        done = run_python("-O", "-c", code, str(Path(__file__).resolve().parent))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "['OutOfRange']\n"
+
+    def test_messages(self, model_71):
+        with pytest.raises(OutOfRange, match="4 is not a prime"):
+            depth_report(model_71, primes=(2, 4))
